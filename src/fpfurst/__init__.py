@@ -1,7 +1,7 @@
 """Exact-arithmetic experiments with families of flats and projection
 exceptional sets over prime fields F_p."""
 
-from ._kernel import backend_name, have_compiled
+from ._kernel import backend_name
 from .errors import DegenerateScaleError
 from .exceptional import (
     ExceptionalWitness,

@@ -1,40 +1,52 @@
-"""Projection-kernel selector: compiled extension when built, else pure Python.
+"""The one coset-reduction routine and the projection count built on it.
 
-The compiled kernel packs coset representatives into int64 keys, which is only
-safe while p**n fits well inside 64 bits; oversized calls are routed to the
-pure kernel transparently.
+Every canonical coset name in the package -- `flags.reduce_mod_subspace`,
+subspace membership, flat membership and the projection counts -- is computed
+by `_reduce`.  It works on pure Python ints, so there is no limit on p**n.
 """
 
 from __future__ import annotations
 
-from array import array
-
-from . import _pykernel
-
-try:
-    from . import _ckernel  # compiled extension, built via setup.py
-except ImportError:  # pragma: no cover - depends on build environment
-    _ckernel = None
-
-BACKEND = _ckernel.BACKEND if _ckernel is not None else _pykernel.BACKEND
-
-_KEY_LIMIT = 1 << 62
-
 
 def backend_name() -> str:
-    return BACKEND
+    return "python"
 
 
-def have_compiled() -> bool:
-    return _ckernel is not None
+def _reduction_rows(basis, n: int, kdim: int, pivots) -> tuple:
+    """Per RREF row: its pivot column and the nonzero (column, entry) pairs to
+    the right of the pivot.  `basis` is the row-major flat basis (kdim rows)."""
+    rows = []
+    for i in range(kdim):
+        c, off = pivots[i], i * n
+        # tuple() of a list, not of a generator: a generator's tuple is
+        # allocated at a guessed size and shrunk, so every call would move
+        # memory onto the interpreter's small-tuple free lists.
+        rows.append((c, tuple([(j, basis[off + j]) for j in range(c + 1, n) if basis[off + j]])))
+    return tuple(rows)
 
 
-def pack(values) -> array:
-    """Pack an int sequence for the kernels ('q' = int64)."""
-    return array("q", values)
+def _reduce(x, rows, p: int) -> tuple[int, ...]:
+    """Canonical representative of x + V: zero at V's pivot coordinates.
+
+    x must hold residues in [0, p).  Exact because each RREF row is 1 at its
+    own pivot and 0 at the other pivots and left of its pivot, so clearing one
+    pivot leaves every other pivot coordinate unchanged.
+    """
+    w = list(x)
+    for c, entries in rows:
+        f = w[c]
+        if f:
+            w[c] = 0
+            for j, b in entries:
+                w[j] = (w[j] - f * b) % p
+    return tuple(w)
 
 
 def project_count_flat(pts, npts: int, n: int, basis, kdim: int, pivots, p: int) -> int:
-    if _ckernel is not None and p**n < _KEY_LIMIT:
-        return _ckernel.project_count_flat(pts, npts, n, basis, kdim, pivots, p)
-    return _pykernel.project_count_flat(pts, npts, n, basis, kdim, pivots, p)
+    """Number of distinct cosets x + V met by the points.
+
+    pts: row-major flat sequence of npts points of F_p^n (coords reduced);
+    basis: row-major flat RREF basis of V (kdim rows); pivots: pivot columns.
+    """
+    rows = _reduction_rows(basis, n, kdim, pivots)
+    return len({_reduce(pts[b : b + n], rows, p) for b in range(0, npts * n, n)})

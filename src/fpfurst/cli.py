@@ -27,7 +27,9 @@ Outputs: <out>/<command>.csv with one row per case (schema fixed per
 command, exact decimal integers and num/den rationals only, so identical
 configs give byte-identical files), <out>/summary.json with
 {cases, passes, fails, wall_ms}, and for `lemmas` also
-<out>/counterexamples.csv.  Exit status is nonzero iff some case fails.
+<out>/counterexamples.csv.  Exit status is nonzero iff some case fails,
+and 2 for a config or flag that is refused before any case runs: --jobs
+outside 1..CPU count, or a p that is composite or too large to certify prime.
 
 Rationals cross this boundary only as integers or "num/den" strings;
 decimal notation is rejected.
@@ -40,6 +42,7 @@ import csv
 import io
 import itertools
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -69,7 +72,7 @@ from .lemmas import (
     check_recursion_m,
     reports_to_csv,
 )
-from .primefield import is_prime
+from .primefield import PRIME_LIMIT, is_prime
 
 
 class ConfigError(ValueError):
@@ -166,6 +169,8 @@ def _parse_int(value, key: str) -> int:
 
 def _parse_prime(value, key: str) -> int:
     v = _parse_int(value, key)
+    if v >= PRIME_LIMIT:
+        raise ConfigError(f"{key}: {v} is too large to certify prime (limit {PRIME_LIMIT})")
     if not is_prime(v):
         raise ConfigError(f"{v} is not prime")
     return v
@@ -445,13 +450,16 @@ def main(argv=None) -> int:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="JSON config file")
         cmd.add_argument("--out", default=None, help="output directory")
-        cmd.add_argument("--jobs", type=int, default=1)
+        cmd.add_argument("--jobs", type=int, default=1, help="worker processes, 1..CPU count")
         cmd.add_argument("--grid-step", default=None, help="rational like 1/4")
         cmd.add_argument("--upper-constant", default=None, help="rational like 16")
         cmd.add_argument("--lower-constant", default=None, help="rational like 1/25")
     args = parser.parse_args(argv)
 
     try:
+        cpus = os.cpu_count() or 1
+        if not 1 <= args.jobs <= cpus:
+            raise ConfigError(f"--jobs must be in 1..{cpus}, got {args.jobs}")
         config = parse_config(Path(args.config).read_text(encoding="utf-8"))
         if config.command != args.command:
             raise ConfigError(

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
+from ._kernel import _reduce, _reduction_rows
 from .primefield import PrimeMatrix, check_prime, rref, stack
 
 
@@ -74,15 +76,14 @@ class LinearSubspace:
             rows.append(row)
         return cls.from_rows(rows, n, p)
 
+    @cached_property
+    def _rows(self) -> tuple:
+        """The basis in the form `_kernel._reduce` takes, built once."""
+        return _reduction_rows(self.basis.entries, self.n, self.k, self.pivots)
+
     def contains_vector(self, v) -> bool:
         """Membership test by reducing v against the RREF basis."""
-        p = self.p
-        w = [e % p for e in v]
-        for row, c in zip(self.basis.to_rows(), self.pivots):
-            f = w[c]
-            if f:
-                w = [(a - f * b) % p for a, b in zip(w, row)]
-        return not any(w)
+        return not any(reduce_mod_subspace(v, self))
 
     def contains_subspace(self, other: "LinearSubspace") -> bool:
         return all(self.contains_vector(r) for r in other.basis.to_rows())
@@ -147,12 +148,7 @@ class AffineFlat:
 def reduce_mod_subspace(x, V: LinearSubspace) -> tuple[int, ...]:
     """Canonical representative of x + V: zero at V's pivot coordinates."""
     p = V.p
-    w = [e % p for e in x]
-    for row, c in zip(V.basis.to_rows(), V.pivots):
-        f = w[c]
-        if f:
-            w = [(a - f * b) % p for a, b in zip(w, row)]
-    return tuple(w)
+    return _reduce([e % p for e in x], V._rows, p)
 
 
 def enumerate_linear(n: int, k: int, p: int):

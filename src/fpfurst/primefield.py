@@ -1,9 +1,9 @@
 """Arithmetic over F_p and the row-reduction primitives everything sits on.
 
 Scalars are stored as plain machine-word residues in [0, p); the prime modulus
-is verified eagerly by trial division, because a composite modulus silently
-breaks the whole theory (F_{p^2} admits cheap counterexamples).  Counting is
-done elsewhere in arbitrary-precision integers.
+is verified eagerly by deterministic Miller-Rabin, because a composite modulus
+silently breaks the whole theory (F_{p^2} admits cheap counterexamples).
+Counting is done elsewhere in arbitrary-precision integers.
 """
 
 from __future__ import annotations
@@ -12,18 +12,38 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 
+# The first thirteen primes are Miller-Rabin witnesses deciding every n below
+# PRIME_LIMIT, the least strong pseudoprime to all of them (Sorenson and
+# Webster, 2015).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
+
+
 @lru_cache(maxsize=None)
 def is_prime(p: int) -> bool:
-    """Trial division; intended for desk-scale p < 10**6."""
+    """Deterministic Miller-Rabin; exact for every p < PRIME_LIMIT (about
+    3.3 * 10**24), and a ValueError beyond it rather than a guess."""
+    if p >= PRIME_LIMIT:
+        raise ValueError(f"{p} is not below PRIME_LIMIT, where primality is decided")
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for a in _WITNESSES:
+        if p % a == 0:
+            return p == a
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

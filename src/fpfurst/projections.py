@@ -67,9 +67,9 @@ class PointSet:
         i = bisect.bisect_left(self.points, q)
         return i < len(self.points) and self.points[i] == q
 
-    def flat(self):
-        """Row-major packed coordinates for the projection kernel."""
-        return _kernel.pack(c for q in self.points for c in q)
+    def flat(self) -> tuple[int, ...]:
+        """Row-major flat coordinates for the projection kernel."""
+        return tuple(itertools.chain.from_iterable(self.points))
 
 
 @dataclass(frozen=True)
@@ -85,9 +85,8 @@ class ExceptionalQuery:
             raise ValueError("s must be positive")
 
 
-def coset_representative(x, V: LinearSubspace) -> tuple[int, ...]:
-    """Canonical name of the coset x + V; equal outputs iff same coset."""
-    return reduce_mod_subspace(x, V)
+# Canonical name of the coset x + V; equal outputs iff same coset.
+coset_representative = reduce_mod_subspace
 
 
 def project_set(A: PointSet, V: LinearSubspace) -> PointSet:
@@ -99,17 +98,9 @@ def project_set(A: PointSet, V: LinearSubspace) -> PointSet:
 
 
 def projection_count(A: PointSet, V: LinearSubspace) -> int:
-    """#proj_V(A) through the compiled/pure kernel."""
+    """#proj_V(A) through the projection kernel."""
     _check_compatible(A, V)
-    return _kernel.project_count_flat(
-        A.flat(),
-        len(A),
-        A.n,
-        _kernel.pack(V.basis.entries),
-        V.k,
-        _kernel.pack(V.pivots),
-        A.p,
-    )
+    return _kernel.project_count_flat(A.flat(), len(A), A.n, V.basis.entries, V.k, V.pivots, A.p)
 
 
 def coset_slice_counts(A: PointSet, V: LinearSubspace) -> dict[tuple[int, ...], int]:
@@ -134,9 +125,7 @@ def exceptional_set(A: PointSet, q: ExceptionalQuery) -> list[LinearSubspace]:
     npts = len(A)
     out = []
     for V in enumerate_linear(A.n, A.n - q.k, A.p):
-        cnt = _kernel.project_count_flat(
-            flat, npts, A.n, _kernel.pack(V.basis.entries), V.k, _kernel.pack(V.pivots), A.p
-        )
+        cnt = _kernel.project_count_flat(flat, npts, A.n, V.basis.entries, V.k, V.pivots, A.p)
         if compare_count_to_power(cnt, A.p, q.s) < 0:
             out.append(V)
     return out
@@ -153,14 +142,12 @@ def count_small_projection_subspaces(W: LinearSubspace, k: int, l: int) -> int:
     if not (1 <= k <= n and n - k >= m - l and 0 <= l <= k and l <= m):
         raise ValueError(f"hypotheses violated for (n={n}, k={k}, m={m}, l={l})")
     pts = W.points()
-    flat = _kernel.pack(c for q in pts for c in q)
+    flat = tuple(itertools.chain.from_iterable(pts))
     npts = len(pts)
     threshold = p**l
     total = 0
     for V in enumerate_linear(n, n - k, p):
-        cnt = _kernel.project_count_flat(
-            flat, npts, n, _kernel.pack(V.basis.entries), V.k, _kernel.pack(V.pivots), p
-        )
+        cnt = _kernel.project_count_flat(flat, npts, n, V.basis.entries, V.k, V.pivots, p)
         if cnt <= threshold:
             total += 1
     return total

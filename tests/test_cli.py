@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -9,6 +10,7 @@ from fpfurst.cli import (
     run,
     write_report,
 )
+from fpfurst.primefield import PRIME_LIMIT
 
 
 def _cfg(**kw):
@@ -36,6 +38,11 @@ def test_parse_rejects_float_values():
 def test_parse_rejects_composite_prime():
     with pytest.raises(ConfigError, match="9 is not prime"):
         _cfg(command="construct", s=1, t=1, n=2, k=1, p=9)
+
+
+def test_parse_rejects_prime_too_large_to_certify():
+    with pytest.raises(ConfigError, match="too large"):
+        _cfg(command="construct", s=1, t=1, n=2, k=1, p=PRIME_LIMIT)
 
 
 def test_parse_rejects_unknown_keys_and_commands():
@@ -138,6 +145,18 @@ def test_main_exit_codes(tmp_path):
     failing = tmp_path / "fail.json"
     failing.write_text('{"command":"index","s":"3","t":"1","n":2,"k":1}')
     assert main(["index", "--config", str(failing), "--out", str(tmp_path / "o")]) == 1
+
+
+def test_main_rejects_jobs_out_of_range(tmp_path, capsys):
+    # One case, so run() starts no pool even if the guard were missing.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "index", "s": "1/2", "t": "1", "n": 2, "k": 1}))
+    out = tmp_path / "out"
+    for jobs in (0, -1, os.cpu_count() + 1):
+        code = main(["index", "--config", str(cfg), "--out", str(out), "--jobs", str(jobs)])
+        assert code == 2
+        assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_help_documents_csv_schemas(capsys):

@@ -1,55 +1,65 @@
 import random
 
-import pytest
+from fpfurst import _kernel, backend_name
+from fpfurst.flags import LinearSubspace
+from fpfurst.primefield import PrimeMatrix, rank, stack
 
-from fpfurst import _kernel, _pykernel
-from fpfurst.flags import enumerate_linear
+
+def _same_coset(x, y, V):
+    """x - y in V, decided by rank: an oracle that never reduces a point."""
+    diff = PrimeMatrix(V.p, 1, V.n, tuple((a - b) % V.p for a, b in zip(x, y)))
+    return rank(stack(V.basis, diff)) == V.k
 
 
-def _random_case(rng):
-    p = rng.choice([2, 3, 5, 7])
-    n = rng.randint(1, 4)
-    kdim = rng.randint(0, n)
-    V = rng.choice(list(enumerate_linear(n, kdim, p)))
-    npts = rng.randint(1, 50)
-    pts = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(npts)]
-    flat = _kernel.pack(c for q in pts for c in q)
-    return flat, npts, n, _kernel.pack(V.basis.entries), kdim, _kernel.pack(V.pivots), p
+def _oracle_count(pts, V):
+    reps = []
+    for x in pts:
+        if not any(_same_coset(x, y, V) for y in reps):
+            reps.append(x)
+    return len(reps)
+
+
+def _random_case(rng, p, n, nrows=None):
+    """A random subspace (spanned by nrows random rows) and points that are
+    either random or random translates of a few base points by its elements."""
+    nrows = rng.randint(0, n) if nrows is None else nrows
+    rows = [[rng.randrange(p) for _ in range(n)] for _ in range(nrows)]
+    V = LinearSubspace.from_rows(rows, n, p)
+    bases = [[rng.randrange(p) for _ in range(n)] for _ in range(rng.randint(1, 5))]
+    pts = []
+    for _ in range(rng.randint(1, 30)):
+        x = rng.choice(bases) if rng.random() < 0.7 else [rng.randrange(p) for _ in range(n)]
+        for row in V.basis.to_rows():
+            c = rng.randrange(p)
+            x = [(a + c * b) % p for a, b in zip(x, row)]
+        pts.append(tuple(x))
+    return pts, V
+
+
+def test_kernel_matches_rank_oracle():
+    rng = random.Random(20240817)
+    cases = [_random_case(rng, rng.choice([2, 3, 5, 7]), rng.randint(1, 4)) for _ in range(299)]
+    big_p = 2**61 - 1
+    cases.append(_random_case(rng, big_p, 3, nrows=1))
+    assert big_p**3 >= 2**62 and cases[-1][1].k == 1
+    for pts, V in cases:
+        flat = tuple(c for q in pts for c in q)
+        got = _kernel.project_count_flat(flat, len(pts), V.n, V.basis.entries, V.k, V.pivots, V.p)
+        assert got == _oracle_count(pts, V), (pts, V)
 
 
 def test_pure_kernel_counts_cosets():
     # one slanted line in F_5^2: every point reduces to (0, y - 2x)
-    basis = _kernel.pack([1, 2])
-    pivots = _kernel.pack([0])
     pts = [(x, (2 * x + c) % 5) for x in range(5) for c in (0, 1)]
-    flat = _kernel.pack(v for q in pts for v in q)
-    assert _pykernel.project_count_flat(flat, len(pts), 2, basis, 1, pivots, 5) == 2
+    flat = tuple(v for q in pts for v in q)
+    assert _kernel.project_count_flat(flat, len(pts), 2, (1, 2), 1, (0,), 5) == 2
 
 
 def test_zero_dimensional_subspace_counts_points():
     pts = [(1, 2), (1, 2), (3, 4)]
-    flat = _kernel.pack(v for q in pts for v in q)
-    empty = _kernel.pack([])
-    assert _pykernel.project_count_flat(flat, 3, 2, empty, 0, empty, 5) == 2
-
-
-@pytest.mark.skipif(not _kernel.have_compiled(), reason="compiled kernel not built")
-def test_compiled_matches_pure():
-    rng = random.Random(20240817)
-    for _ in range(300):
-        case = _random_case(rng)
-        assert _kernel._ckernel.project_count_flat(*case) == _pykernel.project_count_flat(*case)
-
-
-def test_selector_routes_large_moduli_to_python():
-    # p**n at the key limit must not reach the int64 packing path
-    p = 999983  # prime near 1e6
-    pts = [(1, 2, 3, 4), (1, 2, 3, 5)]
-    flat = _kernel.pack(v for q in pts for v in q)
-    empty = _kernel.pack([])
-    assert p**4 >= _kernel._KEY_LIMIT
-    assert _kernel.project_count_flat(flat, 2, 4, empty, 0, empty, p) == 2
+    flat = tuple(v for q in pts for v in q)
+    assert _kernel.project_count_flat(flat, 3, 2, (), 0, (), 5) == 2
 
 
 def test_backend_name_reports():
-    assert _kernel.backend_name() in ("python", "compiled")
+    assert backend_name() == "python"

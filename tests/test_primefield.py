@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpfurst.primefield import (
+    PRIME_LIMIT,
     PrimeField,
     PrimeMatrix,
     is_prime,
@@ -21,6 +22,15 @@ def test_is_prime_small():
         naive = all(n % d for d in range(2, n))
         assert is_prime(n) == naive, n
     assert all(is_prime(p) for p in primes)
+
+
+def test_is_prime_large_and_pseudoprimes():
+    assert is_prime(2**61 - 1)  # Mersenne prime, out of reach of trial division
+    assert not is_prime(561)  # Carmichael number
+    assert not is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5, 7
+    assert not is_prime((2**61 - 1) * 1000003)  # two large prime factors
+    with pytest.raises(ValueError):
+        is_prime(PRIME_LIMIT)
 
 
 def test_composite_modulus_rejected():
