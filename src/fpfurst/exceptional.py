@@ -40,7 +40,7 @@ from .indices import (
     marstrand_params,
 )
 from .primefield import check_prime
-from .projections import ExceptionalQuery, PointSet, exceptional_set, projection_count
+from .projections import ExceptionalQuery, PointSet, exceptional_set, subspace_projection_exponent
 
 FIFTH = Fraction(1, 5)
 
@@ -140,12 +140,8 @@ def _slab_witness(n, k, p, m, isize, l):
         for i in range(isize)
     ]
     set_a = PointSet.from_iterable(pts, n, p)
-    core_pts = PointSet.from_iterable(core.points(), n, p)
-    threshold = p**l
     claimed = tuple(
-        V
-        for V in enumerate_linear(n, n - k, p)
-        if projection_count(core_pts, V) <= threshold
+        V for V in enumerate_linear(n, n - k, p) if subspace_projection_exponent(core, V) <= l
     )
     return set_a, claimed
 
@@ -189,29 +185,17 @@ def _theta_families(rect: PointSet, gamma: Fraction, n, k, p, m, l):
     theta_list = exceptional_set(rect, ExceptionalQuery(gamma, 1))
     mid = LinearSubspace.coordinate(range(2, 2 + m), n, p)
     wide = LinearSubspace.coordinate(range(2 + m), n, p)
-    mid_pts = PointSet.from_iterable(mid.points(), n, p)
-    wide_pts = PointSet.from_iterable(wide.points(), n, p)
+    directions = [
+        V
+        for V in enumerate_linear(n, n - k, p)
+        if subspace_projection_exponent(mid, V) == l
+        and subspace_projection_exponent(wide, V) == l + 1
+    ]
     out = {}
-    directions = list(enumerate_linear(n, n - k, p))
-    mid_ok = {
-        V.basis.entries: projection_count(mid_pts, V) == p**l for V in directions
-    }
-    wide_ok = {
-        V.basis.entries: projection_count(wide_pts, V) == p ** (l + 1)
-        for V in directions
-    }
     for theta in theta_list:
         lifted_rows = [list(r) + [0] * (n - 2) for r in theta.basis.to_rows()]
         span = LinearSubspace.from_rows(lifted_rows + mid.basis.to_rows(), n, p)
-        span_pts = PointSet.from_iterable(span.points(), n, p)
-        members = tuple(
-            V
-            for V in directions
-            if projection_count(span_pts, V) <= p**l
-            and mid_ok[V.basis.entries]
-            and wide_ok[V.basis.entries]
-        )
-        out[theta] = members
+        out[theta] = tuple(V for V in directions if subspace_projection_exponent(span, V) <= l)
     return out
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from ._kernel import _reduce, _reduction_rows
-from .primefield import PrimeMatrix, check_prime, rref, stack
+from .primefield import PrimeMatrix, check_prime, rref
 
 
 def gaussian_binomial(n: int, k: int, p: int) -> int:
@@ -151,6 +151,27 @@ def reduce_mod_subspace(x, V: LinearSubspace) -> tuple[int, ...]:
     return _reduce([e % p for e in x], V._rows, p)
 
 
+def join_rows(U: LinearSubspace, V: LinearSubspace) -> list:
+    """Rows in `_kernel._reduce`'s form spanning U + V; there are dim(U + V).
+
+    Each row of U's basis is reduced modulo V's cached rows and the rows so
+    far; a nonzero remainder, scaled to 1 at its first nonzero column, is
+    appended.  It is zero at every earlier pivot and left of its own, which
+    keeps `_reduce` exact.  Pass the subspace fixed across calls as V.
+    """
+    if U.n != V.n or U.p != V.p:
+        raise ValueError("subspaces live in different spaces")
+    p, n = V.p, V.n
+    rows = list(V._rows)
+    for i in range(U.k):
+        w = _reduce(U.basis.row(i), rows, p)
+        c = next((j for j in range(n) if w[j]), None)
+        if c is not None:
+            inv = pow(w[c], -1, p)
+            rows.append((c, tuple([(j, w[j] * inv % p) for j in range(c + 1, n) if w[j]])))
+    return rows
+
+
 def enumerate_linear(n: int, k: int, p: int):
     """Yield every k-subspace of F_p^n exactly once.
 
@@ -179,7 +200,8 @@ def enumerate_linear(n: int, k: int, p: int):
             rows = [row[:] for row in template]
             for (i, j), v in zip(free_positions, values):
                 rows[i][j] = v
-            flat = tuple(e for row in rows for e in row)
+            # tuple() of a list, not a generator: see _kernel._reduction_rows
+            flat = tuple([e for row in rows for e in row])
             basis = PrimeMatrix(p, k, n, flat)
             yield LinearSubspace(n, k, p, basis, pivots)
 
@@ -213,19 +235,15 @@ def relate(V: AffineFlat, W: AffineFlat) -> FlatRelation:
     dim V + dim W - n; parallel iff the smaller direction is contained in
     the larger.
     """
-    if V.n != W.n or V.p != W.p:
-        raise ValueError("flats live in different spaces")
     n, p = V.n, V.p
-    stacked = stack(V.direction.basis, W.direction.basis)
-    joined, pivots = rref(stacked)
-    r = len(pivots)
+    rows = join_rows(V.direction, W.direction)
+    r = len(rows)
 
     small, big = (V, W) if V.k <= W.k else (W, V)
     parallel = big.direction.contains_subspace(small.direction)
 
     diff = [(a - b) % p for a, b in zip(W.base, V.base)]
-    span_rows = [list(joined.row(i)) for i in range(r)] + [diff]
-    nonempty = len(rref(PrimeMatrix.from_rows(span_rows, p))[1]) == r
+    nonempty = not any(_reduce(diff, rows, p))
 
     if not nonempty:
         return FlatRelation(None, parallel, False)

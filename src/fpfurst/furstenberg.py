@@ -29,6 +29,7 @@ from .flags import (
     enumerate_affine,
     enumerate_linear,
     gaussian_binomial,
+    join_rows,
     relate,
 )
 from .indices import (
@@ -225,7 +226,7 @@ def _general_case_a(t: Fraction, n: int, k: int, p: int) -> FurstenbergFamily:
     count = ceil_rational_power(p, t - k * (n - k))
     base_space = LinearSubspace.coordinate(range(n - k), n, p)
     transverse_dirs = [
-        U for U in enumerate_linear(n, k, p) if _meets_trivially(U, base_space)
+        U for U in enumerate_linear(n, k, p) if len(join_rows(U, base_space)) == n
     ]
     assert len(transverse_dirs) == p ** (k * (n - k))
     points = [q + (0,) * k for q in itertools.product(range(p), repeat=n - k)][:count]
@@ -235,12 +236,6 @@ def _general_case_a(t: Fraction, n: int, k: int, p: int) -> FurstenbergFamily:
         for U in transverse_dirs:
             members.append((AffineFlat.through(x, U), ys))
     return _family(Fraction(0), t, n, k, p, "general-a-transverse", members)
-
-
-def _meets_trivially(U: LinearSubspace, W: LinearSubspace) -> bool:
-    from .primefield import rref, stack
-
-    return len(rref(stack(U.basis, W.basis))[1]) == U.k + W.k
 
 
 def _general_case_b(s, t, n, k, p, d) -> FurstenbergFamily:

@@ -101,11 +101,12 @@ class PrimeMatrix:
 
     @classmethod
     def from_rows(cls, rows, p: int) -> "PrimeMatrix":
-        rows = [tuple(int(e) % p for e in row) for row in rows]
+        # tuple() of lists, not generators: see _kernel._reduction_rows
+        rows = [tuple([int(e) % p for e in row]) for row in rows]
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
-        flat = tuple(e for row in rows for e in row)
+        flat = tuple([e for row in rows for e in row])
         return cls(p, len(rows), ncols, flat)
 
     @classmethod

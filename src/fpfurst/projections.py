@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _kernel
-from .flags import LinearSubspace, enumerate_linear, reduce_mod_subspace
+from .flags import LinearSubspace, enumerate_linear, join_rows, reduce_mod_subspace
 from .indices import as_fraction, compare_count_to_power
 from .primefield import check_prime
 
@@ -131,26 +131,26 @@ def exceptional_set(A: PointSet, q: ExceptionalQuery) -> list[LinearSubspace]:
     return out
 
 
+def subspace_projection_exponent(W: LinearSubspace, V: LinearSubspace) -> int:
+    """The exponent e with #proj_V(W) = p^e for a subspace W.
+
+    The cosets of V meeting W are the cosets of V in W + V, so
+    #proj_V(W) = p^(dim(W + V) - dim V) exactly; no point of W is listed.
+    """
+    return len(join_rows(V, W)) - V.k
+
+
 def count_small_projection_subspaces(W: LinearSubspace, k: int, l: int) -> int:
-    """Brute-force count of V in G(n-k, F_p^n) with #proj_V(W) <= p^l.
+    """Number of V in G(n-k, F_p^n) with #proj_V(W) <= p^l.
 
     Hypotheses (n - k >= m - l, l <= k, l <= m for m = dim W) mirror the
-    counting estimate this is checked against; the count itself is obtained
-    by enumerating every V and projecting W's full point list.
+    counting estimate this is checked against.  Every V is enumerated and
+    decided by `subspace_projection_exponent`.
     """
     n, p, m = W.n, W.p, W.k
     if not (1 <= k <= n and n - k >= m - l and 0 <= l <= k and l <= m):
         raise ValueError(f"hypotheses violated for (n={n}, k={k}, m={m}, l={l})")
-    pts = W.points()
-    flat = tuple(itertools.chain.from_iterable(pts))
-    npts = len(pts)
-    threshold = p**l
-    total = 0
-    for V in enumerate_linear(n, n - k, p):
-        cnt = _kernel.project_count_flat(flat, npts, n, V.basis.entries, V.k, V.pivots, p)
-        if cnt <= threshold:
-            total += 1
-    return total
+    return sum(1 for V in enumerate_linear(n, n - k, p) if subspace_projection_exponent(W, V) <= l)
 
 
 def _check_compatible(A: PointSet, V: LinearSubspace):

@@ -1,4 +1,7 @@
+import gc
 import itertools
+import random
+import sys
 
 import pytest
 
@@ -148,13 +151,37 @@ def test_relate_rejects_mixed_spaces():
         relate(a, b)
 
 
+def _check_relate_by_points(V, W):
+    """All three FlatRelation fields against point-set arithmetic."""
+    got = relate(V, W)
+    common = set(V.points()) & set(W.points())
+    dim = {V.p**d: d for d in range(V.n + 1)}[len(common)] if common else None
+    assert got.intersection_dim == dim
+    small, big = (V, W) if V.k <= W.k else (W, V)
+    assert got.parallel == (set(small.direction.points()) <= set(big.direction.points()))
+    assert got.transverse == (dim == V.k + W.k - V.n)
+
+
 def test_intersection_dim_bruteforce():
-    # exact affine intersection dimension agrees with point-set arithmetic
     flats = list(enumerate_affine(3, 1, 2)) + list(enumerate_affine(3, 2, 2))
-    for V, W in itertools.product(flats[:20], flats[-10:]):
-        got = relate(V, W)
-        common = set(V.points()) & set(W.points())
-        if not common:
-            assert got.intersection_dim is None
-        else:
-            assert len(common) == 2 ** got.intersection_dim
+    lines, planes = list(enumerate_affine(3, 1, 3)), list(enumerate_affine(3, 2, 3))
+    pairs = itertools.chain(
+        itertools.product(flats[:20], flats[-10:]),
+        itertools.product(lines, planes),
+        itertools.product(random.Random(3).sample(lines, 40), lines),
+    )
+    for V, W in pairs:
+        _check_relate_by_points(V, W)
+
+
+def test_enumerate_linear_leaves_no_blocks_behind():
+    # see test_primefield.test_from_rows_leaves_no_blocks_behind
+    def sweep():
+        for _ in enumerate_linear(4, 3, 7):
+            pass
+
+    sweep()  # warm-up
+    gc.collect()
+    before = sys.getallocatedblocks()
+    sweep()
+    assert sys.getallocatedblocks() - before < 200

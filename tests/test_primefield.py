@@ -1,9 +1,12 @@
+import gc
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpfurst.flags import enumerate_linear
 from fpfurst.primefield import (
     PRIME_LIMIT,
     PrimeField,
@@ -124,3 +127,17 @@ def test_row_space_equality_iff_equal_rref():
     assert all(len(forms) == 1 for forms in by_space.values())
     forms = [next(iter(v)) for v in by_space.values()]
     assert len(forms) == len(set(forms))
+
+
+def test_from_rows_leaves_no_blocks_behind():
+    # tuple(<generator>) is allocated at a guessed size and shrunk, which
+    # strands blocks on the small-tuple free lists on every call
+    def sweep():
+        for V in enumerate_linear(4, 2, 7):
+            PrimeMatrix.from_rows(V.basis.to_rows(), 7)
+
+    sweep()  # warm-up
+    gc.collect()
+    before = sys.getallocatedblocks()
+    sweep()
+    assert sys.getallocatedblocks() - before < 200

@@ -1,11 +1,13 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpfurst.flags import LinearSubspace, enumerate_linear
+from fpfurst._kernel import _reduce
+from fpfurst.flags import LinearSubspace, enumerate_linear, join_rows
 from fpfurst.indices import floor_scaled_power
 from fpfurst.projections import (
     ExceptionalQuery,
@@ -16,7 +18,9 @@ from fpfurst.projections import (
     exceptional_set,
     project_set,
     projection_count,
+    subspace_projection_exponent,
 )
+from fpfurst.primefield import rank, stack
 
 F = Fraction
 FIFTH = F(1, 5)
@@ -111,6 +115,47 @@ def test_count_small_projection_hypotheses_enforced():
     W = LinearSubspace.coordinate(range(2), 3, 3)
     with pytest.raises(ValueError):
         count_small_projection_subspaces(W, 2, 0)  # n-k = 1 < m-l = 2
+
+
+def test_subspace_projection_rank_identity():
+    # #proj_V(W) = p^(dim(W + V) - dim V) for every pair of subspaces, with
+    # brute-force projection of W's point list as the oracle
+    for p, nmax in ((2, 4), (3, 3)):
+        for n in range(1, nmax + 1):
+            subs = [V for k in range(n + 1) for V in enumerate_linear(n, k, p)]
+            for W in subs:
+                W_pts = PointSet.from_iterable(W.points(), n, p)
+                for V in subs:
+                    e = subspace_projection_exponent(W, V)
+                    assert projection_count(W_pts, V) == p**e
+                    assert e == rank(stack(W.basis, V.basis)) - V.k
+
+
+def _random_subspace(rng, p, n, within=None):
+    """Span of random rows; with `within`, some rows are combinations of its
+    basis rows, so the two subspaces overlap."""
+    rows = []
+    for _ in range(rng.randint(0, n)):
+        row = [rng.randrange(p) for _ in range(n)]
+        if within is not None and within.k and rng.random() < 0.5:
+            row = [0] * n
+            for b in within.basis.to_rows():
+                c = rng.randrange(p)
+                row = [(x + c * y) % p for x, y in zip(row, b)]
+        rows.append(row)
+    return LinearSubspace.from_rows(rows, n, p)
+
+
+def test_join_rows_span_the_sum():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        p, n = rng.choice([2, 3, 5, 7, 101, 2**61 - 1]), rng.randint(1, 5)
+        V = _random_subspace(rng, p, n)
+        U = _random_subspace(rng, p, n, within=V)
+        rows = join_rows(U, V)
+        assert len(rows) == rank(stack(U.basis, V.basis))
+        for r in U.basis.to_rows() + V.basis.to_rows():
+            assert not any(_reduce(r, rows, p))
 
 
 def _point_sets(nmax=3):
