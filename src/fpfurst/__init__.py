@@ -41,11 +41,10 @@ from .lemmas import (
     check_recursion_f2,
     check_recursion_m,
 )
-from .primefield import PrimeField, PrimeMatrix, is_prime, kernel_basis, rref
+from .primefield import PrimeMatrix, is_prime, rref
 from .projections import (
     ExceptionalQuery,
     PointSet,
-    coset_representative,
     count_small_projection_subspaces,
     exceptional_set,
     project_set,

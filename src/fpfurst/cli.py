@@ -29,7 +29,8 @@ configs give byte-identical files), <out>/summary.json with
 {cases, passes, fails, wall_ms}, and for `lemmas` also
 <out>/counterexamples.csv.  Exit status is nonzero iff some case fails,
 and 2 for a config or flag that is refused before any case runs: --jobs
-outside 1..CPU count, or a p that is composite or too large to certify prime.
+outside 1..CPU count, a p that is composite or too large to certify prime,
+or a missing required key.
 
 Rationals cross this boundary only as integers or "num/den" strings;
 decimal notation is rejected.
@@ -219,10 +220,11 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ConfigError(f"lemma must be one of {LEMMA_NAMES}, got {value!r}")
             params["lemma"] = value
         elif key == "pairs":
-            try:
-                params["pairs"] = [(int(n), int(k)) for n, k in value]
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"pairs: expected [[n, k], ...]") from exc
+            if not isinstance(value, list) or not all(
+                isinstance(pair, list) and len(pair) == 2 for pair in value
+            ):
+                raise ConfigError("pairs: expected [[n, k], ...]")
+            params["pairs"] = [(_parse_int(n, key), _parse_int(k, key)) for n, k in value]
         elif key in _PARSERS:
             parser = _PARSERS[key]
             params[key] = [parser(v, key) for v in _listify(value)]
@@ -255,24 +257,26 @@ def _eval_index_case(args) -> dict:
 
 def _eval_lemma_case(args) -> dict:
     lemma, n, k, step = args
-    grid = GridSpec(step)
-    if lemma == "recursion_f1":
-        reports = check_recursion_f1(k, grid)
-    elif lemma == "recursion_f2":
-        reports = check_recursion_f2(n, k, grid)
-    elif lemma == "recursion_m":
-        reports = check_recursion_m(n, k, grid)
-    else:
-        reports = check_index_properties(GridSpec(step, ((n, k),)))
-    return {
-        "lemma": lemma,
-        "n": n if n else "",
-        "k": k,
-        "step": str(step),
-        "violations": len(reports),
-        "status": "pass" if not reports else "fail",
-        "_reports": reports,
-    }
+    row = {"lemma": lemma, "n": n if n else "", "k": k, "step": str(step)}
+    try:
+        grid = GridSpec(step)
+        if lemma == "recursion_f1":
+            reports = check_recursion_f1(k, grid)
+        elif lemma == "recursion_f2":
+            reports = check_recursion_f2(n, k, grid)
+        elif lemma == "recursion_m":
+            reports = check_recursion_m(n, k, grid)
+        else:
+            reports = check_index_properties(GridSpec(step, ((n, k),)))
+    except ValueError as exc:
+        row.update(violations="", status=f"error: {exc}")
+        return row
+    row.update(
+        violations=len(reports),
+        status="pass" if not reports else "fail",
+        _reports=reports,
+    )
+    return row
 
 
 def _eval_construct_case(args) -> dict:
@@ -389,6 +393,8 @@ def _build_cases(config: ExperimentConfig):
             _require(p, "k", cmd), _require(p, "p", cmd))
         return _eval_exceptional_case, [(*case, constant) for case in sweep]
     # count
+    if ("m" in p) != ("l" in p):
+        raise ConfigError("count requires both of the keys 'm' and 'l', or neither")
     factor = p.get("factor", [Fraction(4)])[0]
     cases = []
     for n, k, prime in itertools.product(
@@ -481,7 +487,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    report = run(config)
+    try:
+        report = run(config)
+    except ConfigError as exc:  # a missing or unpaired key, found before any case runs
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if config.out:
         write_report(report, config.out)
     else:

@@ -23,7 +23,6 @@ Branches, by type of (a, s):
 
 from __future__ import annotations
 
-import io
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -233,41 +232,3 @@ def certify_lower_bound(w: ExceptionalWitness, c) -> bool:
     if target is NEG_INF:
         return True
     return compare_to_scaled_power(w.certified_count, as_fraction(c), w.p, target) >= 0
-
-
-def witness_to_text(w: ExceptionalWitness) -> str:
-    """Line-oriented exact serialization of a witness."""
-    buf = io.StringIO()
-    buf.write("fpfurst-witness 1\n")
-    buf.write(
-        f"p={w.p} n={w.n} k={w.k} a={w.a} s={w.s} type={w.mtype} branch={w.branch}\n"
-    )
-    buf.write("A " + " ".join(",".join(map(str, pt)) for pt in w.set_a.points) + "\n")
-    buf.write(f"claimed={len(w.claimed)}\n")
-    for V in w.claimed:
-        buf.write("dir " + ";".join(",".join(map(str, r)) for r in V.basis.to_rows()) + "\n")
-    buf.write(f"certified={w.certified_count}\n")
-    return buf.getvalue()
-
-
-def witness_from_text(text: str) -> ExceptionalWitness:
-    lines = text.splitlines()
-    if not lines or lines[0] != "fpfurst-witness 1":
-        raise ValueError("not a witness serialization")
-    header = dict(item.split("=", 1) for item in lines[1].split())
-    p, n, k = int(header["p"]), int(header["n"]), int(header["k"])
-    a, s = Fraction(header["a"]), Fraction(header["s"])
-    pts = tuple(tuple(int(c) for c in chunk.split(",")) for chunk in lines[2].split()[1:])
-    nclaims = int(lines[3].split("=")[1])
-    claimed = []
-    for i in range(nclaims):
-        rows = [
-            [int(c) for c in row.split(",")]
-            for row in lines[4 + i].split(" ", 1)[1].split(";")
-        ]
-        claimed.append(LinearSubspace.from_rows(rows, n, p))
-    certified = int(lines[4 + nclaims].split("=")[1])
-    return ExceptionalWitness(
-        a, s, n, k, p, int(header["type"]), header["branch"],
-        PointSet(n, p, pts), tuple(claimed), certified,
-    )

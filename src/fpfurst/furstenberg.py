@@ -17,7 +17,6 @@ it that are transverse to the ambient coordinate slice.
 
 from __future__ import annotations
 
-import io
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -67,19 +66,6 @@ class FurstenbergFamily:
 class FamilyValidity:
     is_valid: bool
     failures: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class ConstructionReport:
-    """Exact size bookkeeping for one constructed family."""
-
-    family_id: str
-    size: int
-    exponent: Fraction
-    scale: int
-    ratio: Fraction
-    valid: bool
-    lower_ok: bool
 
 
 def _family(s, t, n, k, p, branch, members, union=None) -> FurstenbergFamily:
@@ -433,64 +419,7 @@ def lower_bound_sanity(f: FurstenbergFamily) -> bool:
     return compare_to_scaled_power(count * grass, f.lam * f.lam, f.p, f.s + f.t) >= 0
 
 
-def construction_report(f: FurstenbergFamily) -> ConstructionReport:
-    exponent = furstenberg_index(f.s, f.t, f.n, f.k)
-    scale = ceil_rational_power(f.p, exponent)
-    return ConstructionReport(
-        family_id=f"{f.branch} s={f.s} t={f.t} n={f.n} k={f.k} p={f.p}",
-        size=len(f.union),
-        exponent=exponent,
-        scale=scale,
-        ratio=Fraction(len(f.union), scale),
-        valid=verify_family(f).is_valid,
-        lower_ok=lower_bound_sanity(f),
-    )
-
-
 def meets_upper_bound(f: FurstenbergFamily, constant) -> bool:
     """#E <= constant * p^F(s,t;n,k), decided exactly in integers."""
     exponent = furstenberg_index(f.s, f.t, f.n, f.k)
     return compare_to_scaled_power(len(f.union), as_fraction(constant), f.p, exponent) <= 0
-
-
-def family_to_text(f: FurstenbergFamily) -> str:
-    """Line-oriented exact serialization (decimal integers and num/den only)."""
-    buf = io.StringIO()
-    buf.write("fpfurst-family 1\n")
-    buf.write(f"p={f.p} n={f.n} k={f.k} s={f.s} t={f.t} lambda={f.lam} branch={f.branch}\n")
-    buf.write(f"members={len(f.members)}\n")
-    for flat, ys in f.members:
-        rows = ";".join(",".join(map(str, row)) for row in flat.direction.basis.to_rows())
-        buf.write(f"member base={','.join(map(str, flat.base))} dir={rows}\n")
-        buf.write("y " + " ".join(",".join(map(str, pt)) for pt in ys.points) + "\n")
-    return buf.getvalue()
-
-
-def family_from_text(text: str) -> FurstenbergFamily:
-    lines = text.splitlines()
-    if not lines or lines[0] != "fpfurst-family 1":
-        raise ValueError("not a family serialization")
-    header = dict(item.split("=", 1) for item in lines[1].split())
-    p, n, k = int(header["p"]), int(header["n"]), int(header["k"])
-    s, t = Fraction(header["s"]), Fraction(header["t"])
-    members = []
-    i = 3
-    for _ in range(int(lines[2].split("=")[1])):
-        fields = dict(item.split("=", 1) for item in lines[i].split()[1:])
-        base = tuple(int(c) for c in fields["base"].split(","))
-        rows = [
-            [int(c) for c in row.split(",")]
-            for row in fields["dir"].split(";")
-            if row
-        ]
-        direction = LinearSubspace.from_rows(rows, n, p)
-        pts = tuple(
-            tuple(int(c) for c in chunk.split(","))
-            for chunk in lines[i + 1].split()[1:]
-        )
-        members.append((AffineFlat(direction, base), PointSet(n, p, pts)))
-        i += 2
-    fam = _family(s, t, n, k, p, header["branch"], members)
-    if str(Fraction(header["lambda"])) != str(fam.lam):
-        raise ValueError("unexpected lambda")
-    return fam

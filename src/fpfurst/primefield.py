@@ -1,4 +1,4 @@
-"""Arithmetic over F_p and the row-reduction primitives everything sits on.
+"""Primality and the row-reduction primitives over F_p that everything sits on.
 
 Scalars are stored as plain machine-word residues in [0, p); the prime modulus
 is verified eagerly by deterministic Miller-Rabin, because a composite modulus
@@ -53,36 +53,6 @@ def check_prime(p: int) -> int:
     return p
 
 
-class PrimeField:
-    """The field F_p.  Elements are ints in [0, p)."""
-
-    def __init__(self, p: int):
-        self.p = check_prime(p)
-
-    def element(self, x: int) -> int:
-        return x % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero in F_p")
-        return pow(a, -1, self.p)
-
-    def __repr__(self):
-        return f"PrimeField({self.p})"
-
-
 @dataclass(frozen=True)
 class PrimeMatrix:
     """Immutable row-major matrix over F_p."""
@@ -123,10 +93,6 @@ class PrimeMatrix:
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i * self.cols + j]
-
 
 def rref(m: PrimeMatrix) -> tuple[PrimeMatrix, tuple[int, ...]]:
     """Unique reduced row echelon form of m and its pivot columns.
@@ -160,31 +126,6 @@ def rref(m: PrimeMatrix) -> tuple[PrimeMatrix, tuple[int, ...]]:
 
 def rank(m: PrimeMatrix) -> int:
     return len(rref(m)[1])
-
-
-def kernel_basis(m: PrimeMatrix) -> PrimeMatrix:
-    """RREF basis of the right null space; rank-nullity gives its row count."""
-    reduced, pivots = rref(m)
-    p, n = m.p, m.cols
-    free = [c for c in range(n) if c not in pivots]
-    vectors = []
-    for f in free:
-        v = [0] * n
-        v[f] = 1
-        for i, c in enumerate(pivots):
-            v[c] = (-reduced[i, f]) % p
-        vectors.append(v)
-    if not vectors:
-        return PrimeMatrix(p, 0, n, ())
-    basis, _ = rref(PrimeMatrix.from_rows(vectors, p))
-    return basis
-
-
-def matvec(m: PrimeMatrix, v) -> tuple[int, ...]:
-    p = m.p
-    return tuple(
-        sum(m[i, j] * v[j] for j in range(m.cols)) % p for i in range(m.rows)
-    )
 
 
 def stack(a: PrimeMatrix, b: PrimeMatrix) -> PrimeMatrix:

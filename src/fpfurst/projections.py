@@ -85,15 +85,11 @@ class ExceptionalQuery:
             raise ValueError("s must be positive")
 
 
-# Canonical name of the coset x + V; equal outputs iff same coset.
-coset_representative = reduce_mod_subspace
-
-
 def project_set(A: PointSet, V: LinearSubspace) -> PointSet:
     """The distinct cosets of V meeting A, as canonical representatives."""
     _check_compatible(A, V)
     return PointSet.from_iterable(
-        (coset_representative(q, V) for q in A.points), A.n, A.p
+        (reduce_mod_subspace(q, V) for q in A.points), A.n, A.p
     )
 
 
@@ -101,16 +97,6 @@ def projection_count(A: PointSet, V: LinearSubspace) -> int:
     """#proj_V(A) through the projection kernel."""
     _check_compatible(A, V)
     return _kernel.project_count_flat(A.flat(), len(A), A.n, V.basis.entries, V.k, V.pivots, A.p)
-
-
-def coset_slice_counts(A: PointSet, V: LinearSubspace) -> dict[tuple[int, ...], int]:
-    """How many points of A fall in each coset of V; values sum to #A."""
-    _check_compatible(A, V)
-    counts: dict[tuple[int, ...], int] = {}
-    for q in A.points:
-        rep = coset_representative(q, V)
-        counts[rep] = counts.get(rep, 0) + 1
-    return counts
 
 
 def exceptional_set(A: PointSet, q: ExceptionalQuery) -> list[LinearSubspace]:

@@ -178,3 +178,58 @@ def test_main_flag_overrides(tmp_path):
     )
     assert code == 0
     assert "1/2" in (out / "lemmas.csv").read_text()
+
+
+def test_main_missing_required_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"command":"construct","s":"1","t":"1","n":2,"k":1}')
+    out = tmp_path / "out"
+    assert main(["construct", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "error: construct requires key 'p'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"lemma": "recursion_f2", "pairs": [[3, 2]], "step": "1/2"},
+        {"lemma": "recursion_f1", "k": [1], "step": "1/2"},
+        {"lemma": "properties", "pairs": [[2, 3]], "step": "1/2"},
+        {"lemma": "recursion_m", "pairs": [[4, 2]], "step": "2/3"},
+    ],
+)
+def test_lemma_domain_error_surfaces_per_case(params):
+    row = run(_cfg(command="lemmas", **params)).rows[0]
+    assert row["violations"] == "" and row["status"].startswith("error: ")
+
+
+def test_main_lemma_domain_error_beside_pass(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"command": "lemmas", "lemma": "recursion_f2", "pairs": [[3, 2], [4, 2]], "step": "1/2"}
+    ))
+    out = tmp_path / "out"
+    assert main(["lemmas", "--config", str(cfg), "--out", str(out)]) == 1
+    rows = (out / "lemmas.csv").read_text().splitlines()
+    assert rows[1] == "recursion_f2,3,2,1/2,,error: recursion needs n >= k + 2"
+    assert rows[2] == "recursion_f2,4,2,1/2,0,pass"
+    assert (out / "counterexamples.csv").read_text() == "lemma,lhs,rhs,deficit\n"
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [[[4.9, 2]], [["4", 2]], [[True, 2]], [[4, 2, 1]], [[4]], [4, 2], "4,2", [(4, 2), 3]],
+)
+def test_parse_rejects_inexact_pairs(pairs):
+    with pytest.raises(ConfigError, match="pairs"):
+        _cfg(command="lemmas", lemma="recursion_m", pairs=pairs)
+
+
+def test_count_requires_both_m_and_l(tmp_path):
+    for extra in ({"m": 1}, {"l": 1}):
+        with pytest.raises(ConfigError, match="'m' and 'l'"):
+            run(_cfg(command="count", n=3, k=1, p=3, **extra))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"command": "count", "n": 3, "k": 1, "p": 3, **extra}))
+        assert main(["count", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()

@@ -9,12 +9,8 @@ from hypothesis import strategies as st
 from fpfurst.flags import enumerate_linear
 from fpfurst.primefield import (
     PRIME_LIMIT,
-    PrimeField,
     PrimeMatrix,
     is_prime,
-    kernel_basis,
-    matvec,
-    rank,
     rref,
 )
 
@@ -39,18 +35,6 @@ def test_is_prime_large_and_pseudoprimes():
 def test_composite_modulus_rejected():
     with pytest.raises(ValueError):
         PrimeMatrix.from_rows([[1]], 9)
-    with pytest.raises(ValueError):
-        PrimeField(4)
-
-
-def test_field_ops():
-    f = PrimeField(7)
-    assert f.add(5, 4) == 2
-    assert f.mul(3, 5) == 1
-    assert f.inv(3) == 5
-    assert f.neg(2) == 5
-    with pytest.raises(ZeroDivisionError):
-        f.inv(0)
 
 
 def test_rref_identity_case():
@@ -93,21 +77,6 @@ def test_rref_idempotent(m):
     reduced, _ = rref(m)
     again, _ = rref(reduced)
     assert again == reduced
-
-
-@given(_matrices())
-@settings(max_examples=150, deadline=None)
-def test_kernel_rows_annihilated_and_rank_nullity(m):
-    kb = kernel_basis(m)
-    assert rank(m) + kb.rows == m.cols
-    for i in range(kb.rows):
-        assert matvec(m, kb.row(i)) == (0,) * m.rows
-
-
-def test_kernel_examples():
-    assert kernel_basis(PrimeMatrix.identity(3, 5)).rows == 0
-    assert kernel_basis(PrimeMatrix.zero(1, 2, 3)).to_rows() == [[1, 0], [0, 1]]
-    assert kernel_basis(PrimeMatrix.from_rows([[1, 1]], 2)).to_rows() == [[1, 1]]
 
 
 def test_row_space_equality_iff_equal_rref():
