@@ -1,14 +1,16 @@
 """Batch experiment runner with machine-readable reports.
 
 Subcommands (parameters come from a JSON config; values may be scalars or
-lists, and list-valued parameters are swept as a Cartesian product):
+lists, and list-valued parameters are swept as a Cartesian product; a key
+the command does not read is refused):
 
   index        evaluate an index function exactly.
                keys: kind ("furstenberg" | "marstrand"), s, t | a, n, k
   lemmas       run a grid check.
                keys: lemma ("recursion_f1" | "recursion_f2" | "recursion_m" |
                "properties"), step, and k (for recursion_f1) or pairs
-               (list of [n, k]) for the others
+               (list of [n, k]) for the others; one row per (k or pair,
+               step)
   construct    build a family of flats, verify it, and check the exact upper
                and lower size bounds.  keys: s, t, n, k, p; constant from
                --upper-constant (default 16)
@@ -18,7 +20,7 @@ lists, and list-valued parameters are swept as a Cartesian product):
   count        compare enumerated subspace/flat counts against the product
                formula, and optionally the small-projection direction count
                against its power of p (keys m, l; bound from "factor",
-               default 4).
+               one value, default 4).
 
 Common flags: --config FILE, --out DIR, --jobs N, --grid-step num/den,
 --upper-constant num/den, --lower-constant num/den.
@@ -30,7 +32,8 @@ configs give byte-identical files), <out>/summary.json with
 <out>/counterexamples.csv.  Exit status is nonzero iff some case fails,
 and 2 for a config or flag that is refused before any case runs: --jobs
 outside 1..CPU count, a p that is composite or too large to certify prime,
-or a missing required key.
+a missing required key, a key the command does not read, or more than one
+factor.
 
 Rationals cross this boundary only as integers or "num/den" strings;
 decimal notation is rejected.
@@ -187,14 +190,46 @@ _PARSERS = {
     "a": _parse_rational,
     "step": _parse_rational,
     "factor": _parse_rational,
-    "upper_constant": _parse_rational,
-    "lower_constant": _parse_rational,
     "n": _parse_int,
     "k": _parse_int,
     "m": _parse_int,
     "l": _parse_int,
     "p": _parse_prime,
 }
+
+
+def _require(params: dict, key: str, command: str):
+    if key not in params:
+        raise ConfigError(f"{command} requires key {key!r}")
+    return params[key]
+
+
+# The keys each case sweeps, in product order; index sweeps by kind.
+_SWEEPS = {
+    "furstenberg": ("s", "t", "n", "k"),
+    "marstrand": ("a", "s", "n", "k"),
+    "construct": ("s", "t", "n", "k", "p"),
+    "exceptional": ("a", "s", "n", "k", "p"),
+    "count": ("n", "k", "p"),
+}
+
+
+def _check_read_keys(command: str, params: dict):
+    """Refuse a key the command would ignore, so no setting is dropped
+    without a word."""
+    if command == "index":
+        what = params.get("kind", "furstenberg")
+        keys = {"kind", *_SWEEPS[what]}
+    elif command == "lemmas":
+        what = _require(params, "lemma", command)
+        keys = {"lemma", "step", "k" if what == "recursion_f1" else "pairs"}
+    else:
+        what, keys = command, set(_SWEEPS[command])
+        if command == "count":
+            keys |= {"m", "l", "factor"}
+    for key in params:
+        if key not in keys:
+            raise ConfigError(f"{what} does not read key {key!r}")
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -230,13 +265,8 @@ def parse_config(text: str) -> ExperimentConfig:
             params[key] = [parser(v, key) for v in _listify(value)]
         else:
             raise ConfigError(f"unknown key {key!r}")
+    _check_read_keys(command, params)
     return ExperimentConfig(command=command, params=params)
-
-
-def _require(params: dict, key: str, command: str):
-    if key not in params:
-        raise ConfigError(f"{command} requires key {key!r}")
-    return params[key]
 
 
 def _eval_index_case(args) -> dict:
@@ -358,48 +388,40 @@ def _eval_count_case(args) -> dict:
     return row
 
 
+def _sweep(params: dict, keys, command: str):
+    return itertools.product(*(_require(params, key, command) for key in keys))
+
+
 def _build_cases(config: ExperimentConfig):
     p = config.params
     cmd = config.command
     if cmd == "index":
         kind = p.get("kind", "furstenberg")
-        if kind == "furstenberg":
-            sweep = itertools.product(
-                _require(p, "s", cmd), _require(p, "t", cmd),
-                _require(p, "n", cmd), _require(p, "k", cmd))
-        else:
-            sweep = itertools.product(
-                _require(p, "a", cmd), _require(p, "s", cmd),
-                _require(p, "n", cmd), _require(p, "k", cmd))
-        return _eval_index_case, [(kind, *case) for case in sweep]
+        return _eval_index_case, [(kind, *case) for case in _sweep(p, _SWEEPS[kind], cmd)]
     if cmd == "lemmas":
         lemma = _require(p, "lemma", cmd)
         default = Fraction(1, 12) if lemma == "properties" else Fraction(1, 4)
-        step = config.grid_step or p.get("step", [default])[0]
+        steps = [config.grid_step] if config.grid_step else p.get("step", [default])
         if lemma == "recursion_f1":
-            return _eval_lemma_case, [(lemma, "", k, step) for k in _require(p, "k", cmd)]
-        pairs = _require(p, "pairs", cmd)
-        return _eval_lemma_case, [(lemma, n, k, step) for (n, k) in pairs]
+            dims = [("", k) for k in _require(p, "k", cmd)]
+        else:
+            dims = _require(p, "pairs", cmd)
+        return _eval_lemma_case, [(lemma, n, k, step) for (n, k) in dims for step in steps]
     if cmd == "construct":
-        constant = config.upper_constant
-        sweep = itertools.product(
-            _require(p, "s", cmd), _require(p, "t", cmd), _require(p, "n", cmd),
-            _require(p, "k", cmd), _require(p, "p", cmd))
-        return _eval_construct_case, [(*case, constant) for case in sweep]
+        sweep = _sweep(p, _SWEEPS[cmd], cmd)
+        return _eval_construct_case, [(*case, config.upper_constant) for case in sweep]
     if cmd == "exceptional":
-        constant = config.lower_constant
-        sweep = itertools.product(
-            _require(p, "a", cmd), _require(p, "s", cmd), _require(p, "n", cmd),
-            _require(p, "k", cmd), _require(p, "p", cmd))
-        return _eval_exceptional_case, [(*case, constant) for case in sweep]
+        sweep = _sweep(p, _SWEEPS[cmd], cmd)
+        return _eval_exceptional_case, [(*case, config.lower_constant) for case in sweep]
     # count
     if ("m" in p) != ("l" in p):
         raise ConfigError("count requires both of the keys 'm' and 'l', or neither")
-    factor = p.get("factor", [Fraction(4)])[0]
+    factors = p.get("factor", [Fraction(4)])
+    if len(factors) != 1:
+        raise ConfigError("factor: expected one value, since no count column tells factors apart")
+    factor = factors[0]
     cases = []
-    for n, k, prime in itertools.product(
-        _require(p, "n", cmd), _require(p, "k", cmd), _require(p, "p", cmd)
-    ):
+    for n, k, prime in _sweep(p, _SWEEPS[cmd], cmd):
         cases.append(("grassmannian", n, k, None, None, prime, factor))
         cases.append(("affine", n, k, None, None, prime, factor))
         for m, l in itertools.product(p.get("m", []), p.get("l", [])):

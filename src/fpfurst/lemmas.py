@@ -8,12 +8,32 @@ functions) so tests can deliberately break an inequality and confirm a
 nonempty report.  Constraint equalities (t1 + t2 = t, u + v = F(s1,t2;2,1),
 ...) are enforced by deriving the dependent variable, never by filtering a
 product grid, so a silently empty witness set is impossible.
+
+The three recursion checkers run on an integer lattice: for step 1/q and a
+given slack, every value is held as its numerator x of x/D at one scale
+D = lcm(c*q, den(slack)) per call, and every sum and comparison is an int
+operation.  The scale is exact because both index functions are piecewise
+affine with coefficients in {1, 1/2}:
+
+* recursion_m, c = 1: M(a, s) on the 1/q grid has denominator q
+  (2*gamma - beta and the integer parts stay on the grid);
+* recursion_f2, c = 2: F(s, t) on the 1/q grid has denominator 2q, from the
+  (sigma + tau)/2 term;
+* recursion_f1, c = 4: v = F(s1, t2; 2, 1) - u has denominator 2q, so
+  F(s2, t1 + v; k, k-1) halves a 1/(2q) value and has denominator 4q.
+
+Index values come from `_scaled_index`, which evaluates the Fraction formulas
+of `indices` once per lattice point and raises if a value is off the lattice.
+Reports convert back to Fractions, so they are the same as a Fraction sweep
+of the same grid would give.  The property checker stays on Fractions: its
+injectable index functions may return any denominator.
 """
 
 from __future__ import annotations
 
 import io
 import csv
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -88,6 +108,19 @@ def _report(lemma, witness, lhs, rhs, deficit):
     return CounterexampleReport(lemma, tuple(witness), lhs, rhs, deficit)
 
 
+def _lattice_report(lemma, dims, D, witness, lhs, rhs):
+    """A report from lattice numerators at scale D; `dims` are the integer
+    (name, value) parameters, `witness` the (name, numerator) pairs."""
+    return CounterexampleReport(
+        lemma,
+        tuple((name, Fraction(x)) for name, x in dims)
+        + tuple((name, Fraction(x, D)) for name, x in witness),
+        Fraction(lhs, D),
+        Fraction(rhs, D),
+        Fraction(abs(rhs - lhs), D),
+    )
+
+
 def reports_to_csv(reports) -> str:
     """Serialize reports; columns: lemma, union of witness fields, lhs, rhs,
     deficit.  Deterministic field order, exact num/den values."""
@@ -105,6 +138,43 @@ def reports_to_csv(reports) -> str:
     return buf.getvalue()
 
 
+def _scaled_index(index, D: int):
+    """`index` on the lattice point (x/D, y/D; n, k), as the integer numerator
+    of value * D, or None for NEG_INF.
+
+    The cache is keyed on plain ints and lives for one checker call, whose
+    scale D is fixed.  A miss evaluates `index` on Fractions, so the formulas
+    exist only in `indices`; a value off the 1/D lattice raises, so the
+    exactness of the scale is checked, not assumed.
+    """
+
+    # One Fraction per numerator, shared by the keys that `index`'s own cache
+    # keeps; a fresh pair per key raised a lemma launch's peak RSS by ~0.2 MB.
+    @lru_cache(maxsize=None)
+    def frac(x: int) -> Fraction:
+        return Fraction(x, D)
+
+    @lru_cache(maxsize=None)
+    def scaled(x: int, y: int, n: int, k: int):
+        value = index(frac(x), frac(y), n, k)
+        if value is NEG_INF:
+            return None
+        num, rem = divmod(value.numerator * D, value.denominator)
+        if rem:
+            raise ValueError(f"index value {value} is not on the 1/{D} lattice")
+        return num
+
+    return scaled
+
+
+def _scale(grid: GridSpec, factor: int, slack: Fraction) -> tuple[int, int, int]:
+    """The common scale D = lcm(factor * q, den(slack)) for step 1/q, the
+    lattice stride g = D / q of the grid, and slack * D."""
+    q = grid.step.denominator
+    D = math.lcm(factor * q, slack.denominator)
+    return D, D // q, slack.numerator * (D // slack.denominator)
+
+
 def check_recursion_f1(k: int, grid: GridSpec, slack=ZERO) -> list[CounterexampleReport]:
     """Grid check of the one-dimension-up recursion for (k+1, k).
 
@@ -120,36 +190,28 @@ def check_recursion_f1(k: int, grid: GridSpec, slack=ZERO) -> list[Counterexampl
     if k < 2:
         raise ValueError("recursion needs k >= 2")
     slack = as_fraction(slack)
+    D, g, eps = _scale(grid, 4, slack)
+    F = _scaled_index(_findex, D)
     out = []
-    for s in grid.values(0, k):
-        for t in grid.values(0, k + 1):
-            target = _findex(s, t, k + 1, k) + slack
-            for t1 in grid.values(0, k - 1):
+    for s in range(0, k * D + 1, g):
+        for t in range(0, (k + 1) * D + 1, g):
+            target = F(s, t, k + 1, k) + eps
+            for t1 in range(max(0, t - 2 * D), min((k - 1) * D, t) + 1, g):
                 t2 = t - t1
-                if not ZERO <= t2 <= 2:
-                    continue
-                for s1 in grid.values(0, min(ONE, s)):
+                for s1 in range(max(0, s - (k - 1) * D), min(D, s) + 1, g):
                     s2 = s - s1
-                    if s2 > k - 1:
-                        continue
-                    f12 = _findex(s1, t2, 2, 1)
-                    for u in grid.values(s1, 1):
+                    f12 = F(s1, t2, 2, 1)
+                    # u on the grid in [s1, 1] with v = f12 - u in [0, 1]
+                    for u in range(max(s1, -((D - f12) // g) * g), min(D, f12) + 1, g):
                         v = f12 - u
-                        if not ZERO <= v <= 1:
-                            continue
-                        lhs = u + max(_findex(s2, t1 + v, k, k - 1), s2 + v)
+                        lhs = u + max(F(s2, t1 + v, k, k - 1), s2 + v)
                         if lhs < target:
-                            out.append(
-                                _report(
-                                    "recursion_f1",
-                                    [("k", Fraction(k)), ("s", s), ("t", t),
-                                     ("t1", t1), ("t2", t2), ("s1", s1),
-                                     ("s2", s2), ("u", u), ("v", v)],
-                                    lhs,
-                                    target,
-                                    target - lhs,
-                                )
-                            )
+                            out.append(_lattice_report(
+                                "recursion_f1", [("k", k)], D,
+                                [("s", s), ("t", t), ("t1", t1), ("t2", t2),
+                                 ("s1", s1), ("s2", s2), ("u", u), ("v", v)],
+                                lhs, target,
+                            ))
     return out
 
 
@@ -164,29 +226,23 @@ def check_recursion_f2(n: int, k: int, grid: GridSpec, slack=ZERO) -> list[Count
     if n < k + 2:
         raise ValueError("recursion needs n >= k + 2")
     slack = as_fraction(slack)
+    D, g, eps = _scale(grid, 2, slack)
+    F = _scaled_index(_findex, D)
     out = []
-    for s in grid.values(0, k):
-        for t in grid.values(0, (k + 1) * (n - k)):
-            target = _findex(s, t, n, k) + slack
-            for t1 in grid.values(0, (k + 1) * (n - k - 1)):
+    for s in range(0, k * D + 1, g):
+        for t in range(0, (k + 1) * (n - k) * D + 1, g):
+            target = F(s, t, n, k) + eps
+            for t1 in range(max(0, t - (k + 1) * D), min((k + 1) * (n - k - 1) * D, t) + 1, g):
                 t2 = t - t1
-                if not ZERO <= t2 <= k + 1:
-                    continue
-                inner = _findex(s, t2, k + 1, k)
-                for s1 in grid.values(s, k):
-                    lhs = _findex(s1, t1, n - 1, k) + max(inner - s1, ZERO)
+                inner = F(s, t2, k + 1, k)
+                for s1 in range(s, k * D + 1, g):
+                    lhs = F(s1, t1, n - 1, k) + max(inner - s1, 0)
                     if lhs < target:
-                        out.append(
-                            _report(
-                                "recursion_f2",
-                                [("n", Fraction(n)), ("k", Fraction(k)),
-                                 ("s", s), ("t", t), ("t1", t1), ("t2", t2),
-                                 ("s1", s1)],
-                                lhs,
-                                target,
-                                target - lhs,
-                            )
-                        )
+                        out.append(_lattice_report(
+                            "recursion_f2", [("n", n), ("k", k)], D,
+                            [("s", s), ("t", t), ("t1", t1), ("t2", t2), ("s1", s1)],
+                            lhs, target,
+                        ))
     return out
 
 
@@ -197,34 +253,31 @@ def check_recursion_m(n: int, k: int, grid: GridSpec, slack=ZERO) -> list[Counte
             <= M(a, s; n, k) - slack
 
     over a in (0, n], s in (a-(n-k), min{a, k}], a1 in [max{0, a-1},
-    min{n-1, a}], s1 in (0, s].  A NEG_INF term absorbs the left side,
-    which then cannot violate.
+    min{n-1, a}] with a1 > 0, s1 in (0, s].  A NEG_INF term absorbs the
+    left side, which then cannot violate.
     """
     if n < k + 2:
         raise ValueError("recursion needs n >= k + 2")
     slack = as_fraction(slack)
+    D, g, eps = _scale(grid, 1, slack)
+    M = _scaled_index(_mindex, D)
     out = []
-    for a in grid.values(0, n, include_lo=False):
-        for s in grid.values(max(ZERO, a - (n - k)), min(a, Fraction(k)), include_lo=False):
-            rhs = _mindex(a, s, n, k) - slack
-            for a1 in grid.values(max(ZERO, a - 1), min(Fraction(n - 1), a)):
-                if a1 <= 0:
-                    continue
-                for s1 in grid.values(0, s, include_lo=False):
-                    lhs = _mindex(a1, s1, n - 1, k) + _mindex(s1 + a - a1, s, k + 1, k)
-                    if lhs is NEG_INF:
+    for a in range(g, n * D + 1, g):
+        for s in range(max(0, a - (n - k) * D) + g, min(a, k * D) + 1, g):
+            rhs = M(a, s, n, k) - eps
+            for a1 in range(max(g, a - D), min((n - 1) * D, a) + 1, g):
+                for s1 in range(g, s + 1, g):
+                    first = M(a1, s1, n - 1, k)
+                    second = M(s1 + a - a1, s, k + 1, k)
+                    if first is None or second is None:
                         continue
+                    lhs = first + second
                     if lhs > rhs:
-                        out.append(
-                            _report(
-                                "recursion_m",
-                                [("n", Fraction(n)), ("k", Fraction(k)),
-                                 ("a", a), ("s", s), ("a1", a1), ("s1", s1)],
-                                lhs,
-                                rhs,
-                                lhs - rhs,
-                            )
-                        )
+                        out.append(_lattice_report(
+                            "recursion_m", [("n", n), ("k", k)], D,
+                            [("a", a), ("s", s), ("a1", a1), ("s1", s1)],
+                            lhs, rhs,
+                        ))
     return out
 
 

@@ -155,7 +155,7 @@ def test_criterion_04_index_property_suite():
 
 def test_criterion_05_recursion_inequalities():
     t0 = time.monotonic()
-    grid = GridSpec(F(1, 4))
+    grid = GridSpec(F(1, 6))
     slack = F(1, 10)
     ok = True
     for k in (2, 3):

@@ -233,3 +233,77 @@ def test_count_requires_both_m_and_l(tmp_path):
         cfg.write_text(json.dumps({"command": "count", "n": 3, "k": 1, "p": 3, **extra}))
         assert main(["count", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert not (tmp_path / "out").exists()
+
+
+def test_lemmas_sweep_every_step():
+    report = run(_cfg(command="lemmas", lemma="recursion_f1", k=[2, 3], step=["1/2", "1/3"]))
+    assert [(r["k"], r["step"]) for r in report.rows] == [
+        (2, "1/2"), (2, "1/3"), (3, "1/2"), (3, "1/3")]
+    assert report.fails == 0
+    pairs = run(_cfg(command="lemmas", lemma="recursion_m", pairs=[[4, 2]], step=["1/2", "1/3"]))
+    assert [r["step"] for r in pairs.rows] == ["1/2", "1/3"]
+
+
+def test_count_refuses_several_factors(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="factor"):
+        run(_cfg(command="count", n=3, k=1, p=3, m=1, l=1, factor=[4, 2]))
+    assert run(_cfg(command="count", n=3, k=1, p=3, m=1, l=1, factor=[4])).fails == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "count", "n": 3, "k": 1, "p": 3, "factor": [4, 2]}))
+    assert main(["count", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "factor" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ({"command": "index", "s": 1, "t": 1, "n": 2, "k": 1, "p": 7}, "p"),
+        ({"command": "index", "s": 1, "t": 1, "n": 2, "k": 1, "pairs": [[4, 2]]}, "pairs"),
+        ({"command": "index", "s": 1, "t": 1, "a": 1, "n": 2, "k": 1}, "a"),
+        ({"command": "index", "kind": "marstrand", "a": 1, "s": 1, "t": 1, "n": 2, "k": 1}, "t"),
+        ({"command": "lemmas", "lemma": "recursion_f1", "k": 2, "pairs": [[4, 2]]}, "pairs"),
+        ({"command": "lemmas", "lemma": "recursion_m", "pairs": [[4, 2]], "k": 2}, "k"),
+        ({"command": "lemmas", "lemma": "properties", "pairs": [[2, 1]], "k": 1}, "k"),
+        ({"command": "lemmas", "lemma": "recursion_f2", "pairs": [[4, 2]], "p": 7}, "p"),
+        ({"command": "construct", "s": 1, "t": 1, "n": 2, "k": 1, "p": 7,
+          "upper_constant": "1/1000"}, "upper_constant"),
+        ({"command": "exceptional", "a": 1, "s": 1, "n": 2, "k": 1, "p": 7,
+          "lower_constant": "1/1000"}, "lower_constant"),
+        ({"command": "construct", "s": 1, "t": 1, "n": 2, "k": 1, "p": 7, "a": 1}, "a"),
+        ({"command": "exceptional", "a": 1, "s": 1, "n": 2, "k": 1, "p": 7, "t": 1}, "t"),
+        ({"command": "count", "n": 3, "k": 1, "p": 3, "step": "1/2"}, "step"),
+        ({"command": "count", "n": 3, "k": 1, "p": 3, "kind": "marstrand"}, "kind"),
+        ({"command": "construct", "s": 1, "t": 1, "n": 2, "k": 1, "p": 7,
+          "lemma": "recursion_f1"}, "lemma"),
+    ],
+)
+def test_parse_refuses_keys_the_command_does_not_read(config, key, tmp_path, capsys):
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        parse_config(json.dumps(config))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main([config["command"], "--config", str(path), "--out", str(out)]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"command": "exceptional", "a": ["3/2", "1"], "s": "1", "n": 2, "k": 1, "p": [41, 101]},
+        {"command": "construct", "s": ["0", "1/2"], "t": "2", "n": 2, "k": 1, "p": 61},
+        {"command": "count", "n": 4, "k": [1, 2], "p": 7, "m": [1, 2], "l": 1},
+        {"command": "lemmas", "lemma": "recursion_f1", "k": [2, 3], "step": "1/6"},
+        {"command": "lemmas", "lemma": "recursion_m", "pairs": [[4, 2], [5, 3]], "step": "1/6"},
+        {"command": "lemmas", "lemma": "properties", "pairs": [[2, 1]], "step": "1/6"},
+        {"command": "index", "kind": "marstrand", "a": ["1/2", "3"], "s": "1/3", "n": [3, 4],
+         "k": [1, 2]},
+    ],
+)
+def test_parse_accepts_every_benchmark_config_shape(config):
+    from fpfurst.cli import _build_cases
+
+    _, cases = _build_cases(parse_config(json.dumps(config)))
+    assert cases

@@ -1,10 +1,15 @@
+import math
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 
 import pytest
 
-from fpfurst.indices import furstenberg_index, marstrand_index
+from fpfurst.indices import NEG_INF, furstenberg_index, marstrand_index
 from fpfurst.lemmas import (
+    CounterexampleReport,
     GridSpec,
+    _scaled_index,
     check_index_properties,
     check_recursion_f1,
     check_recursion_f2,
@@ -136,3 +141,98 @@ def test_reports_to_csv_shape():
     assert len(lines) == len(reports) + 1
     assert reports_to_csv(reports) == text  # stable
     assert reports_to_csv([]) == "lemma,lhs,rhs,deficit\n"
+
+
+# -- Fraction oracle: the literal recursion inequalities over the same grid --
+
+_F = lru_cache(maxsize=None)(furstenberg_index)
+_M = lru_cache(maxsize=None)(marstrand_index)
+
+
+def _grid(q, lo, hi):
+    """The points j/q of [lo, hi]."""
+    return [F(j, q) for j in range(math.ceil(lo * q), math.floor(hi * q) + 1)]
+
+
+def _oracle_f1(k, q):
+    """(witness, lhs, F(s, t; k+1, k)) for every admissible witness, in order."""
+    rows = []
+    for s, t in product(_grid(q, 0, k), _grid(q, 0, k + 1)):
+        base = _F(s, t, k + 1, k)
+        for t1, s1 in product(_grid(q, 0, k - 1), _grid(q, 0, min(1, s))):
+            t2, s2 = t - t1, s - s1
+            if not (0 <= t2 <= 2 and s2 <= k - 1):
+                continue
+            for u in _grid(q, s1, 1):
+                v = _F(s1, t2, 2, 1) - u
+                if 0 <= v <= 1:
+                    lhs = u + max(_F(s2, t1 + v, k, k - 1), s2 + v)
+                    witness = (("k", F(k)), ("s", s), ("t", t), ("t1", t1), ("t2", t2),
+                               ("s1", s1), ("s2", s2), ("u", u), ("v", v))
+                    rows.append((witness, lhs, base))
+    return rows
+
+
+def _oracle_f2(n, k, q):
+    rows = []
+    for s, t in product(_grid(q, 0, k), _grid(q, 0, (k + 1) * (n - k))):
+        base = _F(s, t, n, k)
+        for t1, s1 in product(_grid(q, 0, (k + 1) * (n - k - 1)), _grid(q, s, k)):
+            t2 = t - t1
+            if 0 <= t2 <= k + 1:
+                lhs = _F(s1, t1, n - 1, k) + max(_F(s, t2, k + 1, k) - s1, 0)
+                witness = (("n", F(n)), ("k", F(k)), ("s", s), ("t", t), ("t1", t1),
+                           ("t2", t2), ("s1", s1))
+                rows.append((witness, lhs, base))
+    return rows
+
+
+def _oracle_m(n, k, q):
+    rows = []
+    for a, s in product(_grid(q, 0, n), _grid(q, 0, k)):
+        if not (0 < a and max(0, a - (n - k)) < s <= min(a, k)):
+            continue
+        base = _M(a, s, n, k)
+        for a1, s1 in product(_grid(q, max(0, a - 1), min(n - 1, a)), _grid(q, 0, s)):
+            if a1 > 0 and s1 > 0:
+                lhs = _M(a1, s1, n - 1, k) + _M(s1 + a - a1, s, k + 1, k)
+                if lhs is not NEG_INF:
+                    witness = (("n", F(n)), ("k", F(k)), ("a", a), ("s", s), ("a1", a1),
+                               ("s1", s1))
+                    rows.append((witness, lhs, base))
+    return rows
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize(
+    "lemma, dims",
+    [("recursion_f1", (2,)), ("recursion_f1", (3,))]
+    + [(lemma, pair) for lemma in ("recursion_f2", "recursion_m")
+       for pair in ((4, 2), (5, 3), (4, 1))],
+)
+def test_lattice_checkers_equal_fraction_oracle(lemma, dims, q):
+    checker, oracle = {
+        "recursion_f1": (check_recursion_f1, _oracle_f1),
+        "recursion_f2": (check_recursion_f2, _oracle_f2),
+        "recursion_m": (check_recursion_m, _oracle_m),
+    }[lemma]
+    rows = oracle(*dims, q)
+    assert rows
+    for slack in (F(0), F(1, 10), F(1, 7)):  # 1/7 does not divide the grid
+        if lemma == "recursion_m":  # lhs <= M(a, s; n, k) - slack
+            expected = [CounterexampleReport(lemma, w, lhs, base - slack, lhs - base + slack)
+                        for w, lhs, base in rows if lhs > base - slack]
+        else:  # lhs >= F(...) + slack
+            expected = [CounterexampleReport(lemma, w, lhs, base + slack, base + slack - lhs)
+                        for w, lhs, base in rows if lhs < base + slack]
+        got = checker(*dims, GridSpec(F(1, q)), slack=slack)
+        assert got == expected
+        assert bool(got) == (slack > 0)
+
+
+def test_scaled_index_refuses_values_off_the_lattice():
+    # F(1/2, 1; 2, 1) = 5/4 is not a multiple of 1/2
+    with pytest.raises(ValueError, match="lattice"):
+        _scaled_index(furstenberg_index, 2)(1, 2, 2, 1)
+    assert _scaled_index(furstenberg_index, 4)(2, 4, 2, 1) == 5
+    assert _scaled_index(marstrand_index, 1)(3, 1, 3, 1) is None  # M = NEG_INF
