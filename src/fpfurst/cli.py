@@ -32,8 +32,8 @@ configs give byte-identical files), <out>/summary.json with
 <out>/counterexamples.csv.  Exit status is nonzero iff some case fails,
 and 2 for a config or flag that is refused before any case runs: --jobs
 outside 1..CPU count, a p that is composite or too large to certify prime,
-a missing required key, a key the command does not read, or more than one
-factor.
+a missing required key, a key the command does not read, a key given as an
+empty list, or more than one factor.
 
 Rationals cross this boundary only as integers or "num/den" strings;
 decimal notation is rejected.
@@ -180,7 +180,11 @@ def _parse_prime(value, key: str) -> int:
     return v
 
 
-def _listify(value) -> list:
+def _listify(value, key: str) -> list:
+    """A scalar as a one-value sweep; an empty list is refused, since it
+    would sweep no case and pass without a word."""
+    if value == []:
+        raise ConfigError(f"{key}: an empty list sweeps no case")
     return list(value) if isinstance(value, list) else [value]
 
 
@@ -259,10 +263,12 @@ def parse_config(text: str) -> ExperimentConfig:
                 isinstance(pair, list) and len(pair) == 2 for pair in value
             ):
                 raise ConfigError("pairs: expected [[n, k], ...]")
-            params["pairs"] = [(_parse_int(n, key), _parse_int(k, key)) for n, k in value]
+            params["pairs"] = [
+                (_parse_int(n, key), _parse_int(k, key)) for n, k in _listify(value, key)
+            ]
         elif key in _PARSERS:
             parser = _PARSERS[key]
-            params[key] = [parser(v, key) for v in _listify(value)]
+            params[key] = [parser(v, key) for v in _listify(value, key)]
         else:
             raise ConfigError(f"unknown key {key!r}")
     _check_read_keys(command, params)

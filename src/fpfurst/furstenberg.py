@@ -18,6 +18,7 @@ it that are transverse to the ambient coordinate slice.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -68,12 +69,16 @@ class FamilyValidity:
     failures: tuple[str, ...]
 
 
+def _union_points(members) -> list[tuple[int, ...]]:
+    """The sorted union of the members' marked points.  Each y-set is a
+    validated `PointSet`, so its points are residues already."""
+    return sorted(set().union(*(ys.points for _, ys in members)))
+
+
 def _family(s, t, n, k, p, branch, members, union=None) -> FurstenbergFamily:
     members = tuple(members)
     if union is None:
-        union = PointSet.from_iterable(
-            (pt for _, ys in members for pt in ys), n, p
-        )
+        union = PointSet(n, p, tuple(_union_points(members)))
     return FurstenbergFamily(s, t, n, k, p, HALF, branch, members, union)
 
 
@@ -161,19 +166,32 @@ def _st_grid_family(s: Fraction, t: Fraction, p: int) -> FurstenbergFamily:
 
 
 def _strip_family(s: Fraction, t: Fraction, p: int) -> FurstenbergFamily:
+    """Every non-horizontal line, marked where it crosses the strip of rows
+    1..ceil(p^s).
+
+    Such a line meets each row y in exactly one point, so no line is listed:
+    the line with direction (1, c), c != 0, and base (0, y0) meets row y at
+    x = (y - y0) * c^-1 mod p, and the line with direction (0, 1) and base
+    (x0, 0) meets it at x = x0.  The p * ceil(p^s) strip points are built
+    once and shared by all p^2 members and the union.
+    """
     nrows = ceil_rational_power(p, s)
     rows = sorted({r % p for r in range(1, nrows + 1)})
     if len(rows) != nrows:
         raise DegenerateScaleError(f"strip rows collide: ceil(p^s) = {nrows} > p = {p}")
-    shared = {(x, y): (x, y) for x in range(p) for y in rows}
-    horizontal = (1, 0)
+    columns = [[(x, y) for y in rows] for x in range(p)]
     members = []
     for line in enumerate_affine(2, 1, p):
-        if line.direction.basis.row(0) == horizontal:
+        a, c = line.direction.basis.row(0)
+        if not a:  # direction (0, 1), base (x0, 0)
+            pts = columns[line.base[0]]
+        elif c:  # direction (1, c), base (0, y0)
+            inv, y0 = pow(c, -1, p), line.base[1]
+            pts = sorted([columns[(y - y0) * inv % p][i] for i, y in enumerate(rows)])
+        else:  # horizontal
             continue
-        pts = sorted(shared[q] for q in line.points() if q in shared)
         members.append((line, PointSet(2, p, tuple(pts))))
-    union = PointSet(2, p, tuple(sorted(shared.values())))
+    union = PointSet(2, p, tuple([q for col in columns for q in col]))
     return _family(s, t, 2, 1, p, "2d-strip", members, union)
 
 
@@ -263,7 +281,8 @@ def _general_case_cd(s, t, n, k, p) -> FurstenbergFamily:
         members = [_extrude_full(m, d, p) for m in members]
         ambient += d
     if depth > 0:
-        members = [w for m in members for w in _extrude_graphs(m, depth, p, ambient)]
+        shared = {}
+        members = [w for m in members for w in _extrude_graphs(m, depth, p, shared)]
         ambient += depth
     if ambient < n:
         members = [_pad_member(m, n, p) for m in members]
@@ -299,38 +318,51 @@ def _extrude_full(member, r: int, p: int):
     return AffineFlat(direction, base), PointSet(q + r, p, pts)
 
 
-def _extrude_graphs(member, depth: int, p: int, ambient: int):
+def _extrude_graphs(member, depth: int, p: int, shared: dict):
     """All graph flats over `member` in `depth` extra coordinates.
 
     For a flat U with RREF direction basis B and base u0, the graphs are
     W(T, z) = {(u, y*T + z) : u = u0 + y*B in U}; there are exactly
     p^((dim+1)*depth) of them, pairwise distinct, each projecting onto U.
+
+    A marked point u of U has y = u at B's pivots, and its point of W(T, z)
+    is (u, (y*T + z) mod p).  The linear part y*T is computed once per
+    (T, point).  As z runs over F_p^depth those points run over
+    {u} x F_p^depth once each, so these p^depth tuples are built once per
+    point and only picked out per graph; `shared` interns them across the
+    members of one construction, which share points.
     """
     flat, ys = member
     q = flat.n
     dim = flat.k
     rows0 = flat.direction.basis.to_rows()
     pivots = flat.direction.pivots
+    grid = list(itertools.product(range(p), repeat=depth))
+    lifts = [[shared.setdefault(x, x) for x in [pt + v for v in grid]] for pt in ys.points]
     coeffs = [tuple(pt[c] for c in pivots) for pt in ys.points]
+    weights = [p ** (depth - 1 - j) for j in range(depth)]
+    pickers = {}  # y*T mod p -> picks the points (u, y*T + z) in grid order of z
     out = []
-    for tmat in itertools.product(
-        itertools.product(range(p), repeat=depth), repeat=dim
-    ):
+    for tmat in itertools.product(grid, repeat=dim):
         rows = [list(row) + list(trow) for row, trow in zip(rows0, tmat)]
         direction = LinearSubspace(
             q + depth, dim, p, PrimeMatrix.from_rows(rows, p), pivots
         )
-        for z in itertools.product(range(p), repeat=depth):
-            base = flat.base + z
-            pts = tuple(
-                pt
-                + tuple(
-                    (sum(c * trow[j] for c, trow in zip(cf, tmat)) + z[j]) % p
-                    for j in range(depth)
-                )
-                for pt, cf in zip(ys.points, coeffs)
+        columns = []
+        for cf, lift in zip(coeffs, lifts):
+            lin = tuple(
+                sum(c * trow[j] for c, trow in zip(cf, tmat)) % p for j in range(depth)
             )
-            out.append((AffineFlat(direction, base), PointSet(q + depth, p, pts)))
+            pick = pickers.get(lin)
+            if pick is None:
+                pick = pickers[lin] = operator.itemgetter(*(
+                    sum((a + b) % p * w for a, b, w in zip(lin, z, weights)) for z in grid
+                ))
+            columns.append(pick(lift))
+        # column i lists point i's lifts by z; a row lists one graph's points
+        graphs = list(zip(*columns)) or [()] * len(grid)
+        for z, pts in zip(grid, graphs):
+            out.append((AffineFlat(direction, flat.base + z), PointSet(q + depth, p, pts)))
     return out
 
 
@@ -397,14 +429,10 @@ def verify_family(f: FurstenbergFamily) -> FamilyValidity:
         seen.add(key)
         if compare_to_scaled_power(len(ys), f.lam, f.p, f.s) < 0:
             failures.append(f"member {i}: y-set has {len(ys)} points, below lambda*p^s")
-        for pt in ys:
-            if not flat.contains_point(pt):
-                failures.append(f"member {i}: point {pt} lies off its flat")
-                break
-    recomputed = PointSet.from_iterable(
-        (pt for _, ys in f.members for pt in ys), f.n, f.p
-    )
-    if recomputed.points != f.union.points:
+        if not all(map(flat.contains_point, ys.points)):
+            pt = next(pt for pt in ys.points if not flat.contains_point(pt))
+            failures.append(f"member {i}: point {pt} lies off its flat")
+    if _union_points(f.members) != list(f.union.points):
         failures.append("stored union does not match the union of the y-sets")
     return FamilyValidity(not failures, tuple(failures))
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,10 +34,18 @@ class PointSet:
 
     def __post_init__(self):
         check_prime(self.p)
-        for q in self.points:
-            if len(q) != self.n or any(not (0 <= c < self.p) for c in q):
-                raise ValueError(f"bad point {q} for F_{self.p}^{self.n}")
-        if any(self.points[i] >= self.points[i + 1] for i in range(len(self.points) - 1)):
+        pts, n, p = self.points, self.n, self.p
+        # Whole-set checks in C-level builtins; the offending point is looked
+        # for only once a check has failed, to name it in the message.
+        coords = itertools.chain.from_iterable
+        if (
+            set(map(len, pts)) - {n}
+            or min(coords(pts), default=0) < 0
+            or max(coords(pts), default=0) >= p
+        ):
+            bad = next(q for q in pts if len(q) != n or any(not (0 <= c < p) for c in q))
+            raise ValueError(f"bad point {bad} for F_{p}^{n}")
+        if not all(map(operator.lt, pts, pts[1:])):
             raise ValueError("points must be strictly sorted")
 
     @classmethod

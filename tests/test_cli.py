@@ -307,3 +307,27 @@ def test_parse_accepts_every_benchmark_config_shape(config):
 
     _, cases = _build_cases(parse_config(json.dumps(config)))
     assert cases
+
+
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ({"command": "construct", "s": [], "t": 1, "n": 2, "k": 1, "p": 7}, "s"),
+        ({"command": "construct", "s": 1, "t": 1, "n": 2, "k": 1, "p": []}, "p"),
+        ({"command": "lemmas", "lemma": "recursion_f1", "k": []}, "k"),
+        ({"command": "lemmas", "lemma": "recursion_m", "pairs": []}, "pairs"),
+        ({"command": "lemmas", "lemma": "recursion_f1", "k": 2, "step": []}, "step"),
+        ({"command": "exceptional", "a": [], "s": 1, "n": 2, "k": 1, "p": 7}, "a"),
+        ({"command": "count", "n": 3, "k": 1, "p": 3, "m": [], "l": 1}, "m"),
+    ],
+)
+def test_main_refuses_empty_sweep(config, key, tmp_path, capsys):
+    # an empty list would sweep zero cases and exit 0 without a word
+    with pytest.raises(ConfigError, match=f"{key}: an empty list"):
+        parse_config(json.dumps(config))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main([config["command"], "--config", str(path), "--out", str(out)]) == 2
+    assert "empty list" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,9 +1,15 @@
+import hashlib
+import itertools
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from fpfurst.flags import AffineFlat, LinearSubspace, enumerate_affine
 from fpfurst.furstenberg import (
+    _extrude_full,
+    _extrude_graphs,
+    _strip_family,
     construct_2d,
     construct_general,
     lower_bound_sanity,
@@ -160,3 +166,138 @@ def test_determinism_and_round_trip():
     fam = construct_general(1, 3, 3, 1, 7)
     assert fam == construct_general(1, 3, 3, 1, 7)
     assert verify_family(fam).is_valid
+
+
+def test_verify_family_detects_union_mismatch():
+    fam = construct_2d(F(1, 2), 1, 29)
+    pts = fam.union.points
+    extra = next(q for q in PointSet.full_space(2, 29) if q not in fam.union)
+    for union in (
+        PointSet(2, 29, pts[:3] + pts[4:]),  # one marked point missing
+        PointSet.from_iterable([*pts, extra], 2, 29),  # one point no member marks
+    ):
+        validity = verify_family(replace(fam, union=union))
+        assert validity.failures == (
+            "stored union does not match the union of the y-sets",
+        )
+
+
+def _strip_reference(s, t, p):
+    """Each non-horizontal line's own points, filtered by strip row."""
+    rows = {r % p for r in range(1, ceil_rational_power(p, s) + 1)}
+    members = tuple(
+        (line, PointSet(2, p, tuple(sorted(q for q in line.points() if q[1] in rows))))
+        for line in enumerate_affine(2, 1, p)
+        if line.direction.basis.row(0) != (1, 0)
+    )
+    union = PointSet.from_iterable((q for _, ys in members for q in ys), 2, p)
+    return members, union
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_strip_family_matches_filtered_lines(p):
+    # ceil(p^s) <= p for s <= 1, so no s of the 1/12 grid is degenerate
+    for s in (F(i, 12) for i in range(13)):
+        fam = _strip_family(s, F(2), p)
+        members, union = _strip_reference(s, F(2), p)
+        assert fam.members == members, s
+        assert fam.union == union, s
+
+
+def _graphs_reference(member, depth, p):
+    """W(T, z) = {(u, y*T + z) : u = u0 + y*B} point by point, with y found
+    by search over all coefficient vectors."""
+    flat, ys = member
+    q, dim = flat.n, flat.k
+    basis = flat.direction.basis.to_rows()
+    out = []
+    for tmat in itertools.product(itertools.product(range(p), repeat=depth), repeat=dim):
+        direction = LinearSubspace.from_rows(
+            [list(b) + list(row) for b, row in zip(basis, tmat)], q + depth, p
+        )
+        for z in itertools.product(range(p), repeat=depth):
+            pts = []
+            for u in ys:
+                (y,) = [
+                    y for y in itertools.product(range(p), repeat=dim)
+                    if tuple((a + sum(c * b[j] for c, b in zip(y, basis))) % p
+                             for j, a in enumerate(flat.base)) == u
+                ]
+                lift = [(sum(c * row[j] for c, row in zip(y, tmat)) + z[j]) % p
+                        for j in range(depth)]
+                pts.append(tuple(u) + tuple(lift))
+            out.append(
+                (AffineFlat.through(flat.base + z, direction), PointSet.from_iterable(pts, q + depth, p))
+            )
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("depth", [1, 2])
+def test_extrude_graphs_matches_point_formula(p, depth):
+    line = (
+        AffineFlat.through((0,), LinearSubspace.full(1, p)),
+        PointSet.from_iterable([(x,) for x in range(p)], 1, p),
+    )
+    strip = _strip_family(F(1, 2), F(2), p).members
+    members = [line, strip[1], strip[-1]]  # slanted and vertical lines
+    if p ** (3 * depth) <= 729:
+        members.append(_extrude_full(strip[p + 1], 1, p))  # a 2-flat of F_p^3
+    for member in members:
+        got = _extrude_graphs(member, depth, p, {})
+        assert got == _graphs_reference(member, depth, p)
+
+
+def _family_digest(fam):
+    """sha256 over the parameters, every flat (basis entries, base) with its
+    marked points, and the union."""
+    h = hashlib.sha256()
+    h.update(repr((str(fam.s), str(fam.t), fam.n, fam.k, fam.p, str(fam.lam), fam.branch)).encode())
+    for flat, ys in fam.members:
+        h.update(repr((flat.direction.basis.entries, flat.base, ys.points)).encode())
+    h.update(repr(fam.union.points).encode())
+    return h.hexdigest()
+
+
+# One case per construction branch and helper path, at small p.  The digests
+# were taken from the families the point-listing constructions built, before
+# the strip and the graph extrusion were computed arithmetically.
+GOLDEN = [
+    ((0, 1, 2, 1, 7), "2d-origin-pencil",
+     "fbf452f7e70e2b5654752d0c37157f6bd7ad08db9b7d41a099d2d1c715d86715"),
+    ((0, F(3, 2), 2, 1, 7), "2d-axis-pencils",
+     "195f94716aad52e0baa5edc2b004618746d975ab651a7a651fe509825d0a58d8"),
+    ((1, F(1, 2), 2, 1, 11), "2d-trivial",
+     "723cbd81b62f5416806c2597a8844af0596dd2a6eeae5b07feb35d76a7b4cebe"),
+    ((F(1, 2), 1, 2, 1, 29), "2d-st-grid",
+     "49ce8d5bdc09c6e0975188b5d8905ecc111127ffea4474541ac5054ca94fa122"),
+    ((F(1, 2), F(7, 4), 2, 1, 11), "2d-strip",
+     "03a08158a374571aa8d18af5793f2d5534756e0916980fe72d5007586219a5b7"),
+    ((1, 2, 2, 1, 5), "2d-strip",
+     "eb7e6c4efca062f282eeaa75235b82345d8cef34a71de235eb504aead488ce51"),
+    ((0, 1, 3, 1, 5), "general-a-origin",
+     "fda81a4180cc86fc83a71485a6d5a673fd0b3778e1b3ad0c2202dd8e4e10f875"),
+    ((0, F(5, 2), 3, 1, 3), "general-a-transverse",
+     "111d5293fb7a65698f7468ef821ce2a7679442410039e0eefc1973b6d5e1fe58"),
+    ((F(3, 2), 1, 4, 3, 7), "general-b-shared",
+     "1945199e1271f76813e26b0fdd28a896163883f99f5f8539f8f4954ae0c9c9d7"),
+    ((1, 3, 3, 1, 5), "general-c",
+     "543edd2f8db3890b9cdf36502b3e7f7b26daf02cf858f6848525f6e6f7c2581d"),
+    ((F(1, 2), F(5, 2), 4, 1, 3), "general-c",  # padded to n
+     "5ed1167a1f4c075630d8851bfcd0fd05d5aa674bb1c2be3d002a2cd5835fb582"),
+    ((2, F(7, 2), 4, 2, 3), "general-c",  # full extrusion, then graphs over 2-flats
+     "0dd14b37502ccd801ad7e1e130a66c75d3434f9c01bcd2efaee38455effd0088"),
+    ((F(1, 2), 3, 4, 2, 3), "general-c-lifted",
+     "43406600c4155273319bc7645a4261ac8e5387bf2e12e10d526efa81216abc9f"),
+    ((2, 3, 3, 2, 5), "general-d",
+     "f2f3281949b9d64c9ff3d8553132d510eb2235e03e6a87b51e132d5a520f840a"),
+    ((2, F(7, 2), 4, 3, 3), "general-d-lifted",
+     "0c384493fad980da5d20626f71f611f0575ab781396d570f6cf8b5239b8ee6e8"),
+]
+
+
+@pytest.mark.parametrize("case, branch, digest", GOLDEN)
+def test_family_golden_digest(case, branch, digest):
+    fam = construct_general(*case)
+    assert fam.branch == branch
+    assert _family_digest(fam) == digest

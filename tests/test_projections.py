@@ -193,10 +193,23 @@ def test_point_set_invariants():
     A = PointSet.from_iterable([(6, 2), (1, 1), (1, 1)], 2, 5)
     assert A.points == ((1, 1), (1, 2))  # reduced mod 5, deduplicated, sorted
     assert (1, 2) in A and (0, 0) not in A
-    with pytest.raises(ValueError):
-        PointSet(2, 5, ((1, 1), (1, 1)))
-    with pytest.raises(ValueError):
-        PointSet(2, 5, ((1, 7),))
+    with pytest.raises(ValueError, match="strictly sorted"):
+        PointSet(2, 5, ((1, 1), (1, 1)))  # duplicate
+    with pytest.raises(ValueError, match="strictly sorted"):
+        PointSet(2, 5, ((2, 0), (1, 4)))  # distinct but descending
+    # the message names the offending point, wherever it sits in the set
+    with pytest.raises(ValueError, match=r"bad point \(1, 7\) for F_5\^2"):
+        PointSet(2, 5, ((0, 0), (1, 7), (2, 2)))
+    with pytest.raises(ValueError, match=r"bad point \(0, 5\) for F_5\^2"):
+        PointSet(2, 5, ((0, 5),))  # p itself is not a residue
+    with pytest.raises(ValueError, match=r"bad point \(3, -1\) for F_5\^2"):
+        PointSet(2, 5, ((0, 0), (3, -1)))
+    with pytest.raises(ValueError, match=r"bad point \(1, 2, 3\) for F_5\^2"):
+        PointSet(2, 5, ((0, 0), (1, 2, 3)))
+    with pytest.raises(ValueError, match=r"bad point \(4,\) for F_5\^2"):
+        PointSet(2, 5, ((4,), (4, 4)))
+    assert len(PointSet(2, 5, ())) == 0
+    assert PointSet.from_iterable([], 2, 5) == PointSet(2, 5, ())
 
 
 def test_lex_prefix():
