@@ -12,18 +12,19 @@ the command does not read is refused):
                (list of [n, k]) for the others; one row per (k or pair,
                step)
   construct    build a family of flats, verify it, and check the exact upper
-               and lower size bounds.  keys: s, t, n, k, p; constant from
-               --upper-constant (default 16)
+               and lower size bounds.  keys: s, t, n, k, p.
+               flag: --upper-constant num/den (default 16)
   exceptional  build an exceptional-set witness and certify its count.
-               keys: a, s, n, k, p; constant from --lower-constant
+               keys: a, s, n, k, p.  flag: --lower-constant num/den
                (default 1/25)
   count        compare enumerated subspace/flat counts against the product
                formula, and optionally the small-projection direction count
-               against its power of p (keys m, l; bound from "factor",
-               one value, default 4).
+               against its power of p (keys m, l, both or neither, with
+               0 <= m <= n; bound from "factor", one value, default 4).
 
-Common flags: --config FILE, --out DIR, --jobs N, --grid-step num/den,
---upper-constant num/den, --lower-constant num/den.
+Every subcommand takes --config FILE, --out DIR and --jobs N; construct and
+exceptional each take their one constant flag, and no other subcommand takes
+either.
 
 Outputs: <out>/<command>.csv with one row per case (schema fixed per
 command, exact decimal integers and num/den rationals only, so identical
@@ -31,9 +32,10 @@ configs give byte-identical files), <out>/summary.json with
 {cases, passes, fails, wall_ms}, and for `lemmas` also
 <out>/counterexamples.csv.  Exit status is nonzero iff some case fails,
 and 2 for a config or flag that is refused before any case runs: --jobs
-outside 1..CPU count, a p that is composite or too large to certify prime,
-a missing required key, a key the command does not read, a key given as an
-empty list, or more than one factor.
+outside 1..CPU count, a constant flag that is not positive, a flag the
+subcommand does not take, a p that is composite or too large to certify
+prime, a missing required key, a key the command does not read, a key given
+as an empty list, m without l or l without m, or more than one factor.
 
 Rationals cross this boundary only as integers or "num/den" strings;
 decimal notation is rejected.
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -50,17 +53,16 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import DegenerateScaleError
 from .exceptional import (
     certify_lower_bound,
     construct_marstrand_witness,
     construct_oberlin_rectangle,
 )
-from .flags import gaussian_binomial
+from .flags import LinearSubspace, enumerate_affine, enumerate_linear, gaussian_binomial
 from .furstenberg import (
     construct_general,
     lower_bound_sanity,
@@ -77,6 +79,7 @@ from .lemmas import (
     reports_to_csv,
 )
 from .primefield import PRIME_LIMIT, is_prime
+from .projections import count_small_projection_subspaces
 
 
 class ConfigError(ValueError):
@@ -105,11 +108,9 @@ CSV_COLUMNS = {
 class ExperimentConfig:
     command: str
     params: dict
-    grid_step: Fraction | None = None
     upper_constant: Fraction = Fraction(16)
     lower_constant: Fraction = Fraction(1, 25)
     jobs: int = 1
-    out: str | None = None
 
 
 @dataclass
@@ -202,38 +203,31 @@ _PARSERS = {
 }
 
 
-def _require(params: dict, key: str, command: str):
-    if key not in params:
-        raise ConfigError(f"{command} requires key {key!r}")
-    return params[key]
-
-
-# The keys each case sweeps, in product order; index sweeps by kind.
-_SWEEPS = {
-    "furstenberg": ("s", "t", "n", "k"),
-    "marstrand": ("a", "s", "n", "k"),
-    "construct": ("s", "t", "n", "k", "p"),
-    "exceptional": ("a", "s", "n", "k", "p"),
-    "count": ("n", "k", "p"),
+# What each config reads, by command, with `index` split by kind and `lemmas`
+# by lemma: the keys swept as a Cartesian product, in product order, and the
+# optional keys with their defaults.  A swept key with no default is required.
+_STEP = {"step": (Fraction(1, 4),)}
+_KEYS = {
+    "furstenberg": (("s", "t", "n", "k"), {}),
+    "marstrand": (("a", "s", "n", "k"), {}),
+    "recursion_f1": (("k", "step"), _STEP),
+    "recursion_f2": (("pairs", "step"), _STEP),
+    "recursion_m": (("pairs", "step"), _STEP),
+    "properties": (("pairs", "step"), {"step": (Fraction(1, 12),)}),
+    "construct": (("s", "t", "n", "k", "p"), {}),
+    "exceptional": (("a", "s", "n", "k", "p"), {}),
+    # m and l sweep their own product within each (n, k, p)
+    "count": (("n", "k", "p"), {"m": (), "l": (), "factor": (Fraction(4),)}),
 }
+# The key that picks the `_KEYS` entry of a command split in two, and its
+# default (None: the key is required).
+_SELECTORS = {"index": ("kind", "furstenberg"), "lemmas": ("lemma", None)}
 
 
-def _check_read_keys(command: str, params: dict):
-    """Refuse a key the command would ignore, so no setting is dropped
-    without a word."""
-    if command == "index":
-        what = params.get("kind", "furstenberg")
-        keys = {"kind", *_SWEEPS[what]}
-    elif command == "lemmas":
-        what = _require(params, "lemma", command)
-        keys = {"lemma", "step", "k" if what == "recursion_f1" else "pairs"}
-    else:
-        what, keys = command, set(_SWEEPS[command])
-        if command == "count":
-            keys |= {"m", "l", "factor"}
-    for key in params:
-        if key not in keys:
-            raise ConfigError(f"{what} does not read key {key!r}")
+def _variant(command: str, params: dict):
+    """The `_KEYS` entry a config reads, and the key that selected it."""
+    selector, default = _SELECTORS.get(command, (None, command))
+    return params.get(selector, default), selector
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -271,180 +265,148 @@ def parse_config(text: str) -> ExperimentConfig:
             params[key] = [parser(v, key) for v in _listify(value, key)]
         else:
             raise ConfigError(f"unknown key {key!r}")
-    _check_read_keys(command, params)
-    return ExperimentConfig(command=command, params=params)
+    what, selector = _variant(command, params)
+    if what is None:
+        raise ConfigError(f"{command} requires key {selector!r}")
+    sweep, optional = _KEYS[what]
+    for key in params:
+        if key not in sweep and key not in optional and key != selector:
+            raise ConfigError(f"{what} does not read key {key!r}")
+    for key in sweep:
+        if key not in params and key not in optional:
+            raise ConfigError(f"{command} requires key {key!r}")
+    if ("m" in params) != ("l" in params):
+        raise ConfigError("count requires both of the keys 'm' and 'l', or neither")
+    if len(params.get("factor", ())) > 1:
+        raise ConfigError("factor: expected one value, since no count column tells factors apart")
+    return ExperimentConfig(command=command, params={**optional, **params})
 
 
-def _eval_index_case(args) -> dict:
-    kind, x, y, n, k = args
-    row = {"kind": kind, "n": n, "k": k, "s": "", "t": "", "a": "", "status": "pass"}
-    try:
-        if kind == "furstenberg":
-            row["s"], row["t"] = str(x), str(y)
-            row["value"] = str(furstenberg_index(x, y, n, k))
-        else:
-            row["a"], row["s"] = str(x), str(y)
-            row["value"] = str(marstrand_index(x, y, n, k))
-    except ValueError as exc:
-        row["value"] = ""
-        row["status"] = f"error: {exc}"
-    return row
+def _eval_index(kind, s, n, k, t=None, a=None) -> dict:
+    value = furstenberg_index(s, t, n, k) if kind == "furstenberg" else marstrand_index(a, s, n, k)
+    return {"value": str(value), "status": "pass"}
 
 
-def _eval_lemma_case(args) -> dict:
-    lemma, n, k, step = args
-    row = {"lemma": lemma, "n": n if n else "", "k": k, "step": str(step)}
-    try:
-        grid = GridSpec(step)
-        if lemma == "recursion_f1":
-            reports = check_recursion_f1(k, grid)
-        elif lemma == "recursion_f2":
-            reports = check_recursion_f2(n, k, grid)
-        elif lemma == "recursion_m":
-            reports = check_recursion_m(n, k, grid)
-        else:
-            reports = check_index_properties(GridSpec(step, ((n, k),)))
-    except ValueError as exc:
-        row.update(violations="", status=f"error: {exc}")
-        return row
-    row.update(
-        violations=len(reports),
-        status="pass" if not reports else "fail",
-        _reports=reports,
-    )
-    return row
+def _eval_lemma(lemma, k, step, n=None) -> dict:
+    grid = GridSpec(step)
+    if lemma == "recursion_f1":
+        reports = check_recursion_f1(k, grid)
+    elif lemma == "recursion_f2":
+        reports = check_recursion_f2(n, k, grid)
+    elif lemma == "recursion_m":
+        reports = check_recursion_m(n, k, grid)
+    else:
+        reports = check_index_properties(GridSpec(step, ((n, k),)))
+    return {"violations": len(reports), "status": "fail" if reports else "pass", "_reports": reports}
 
 
-def _eval_construct_case(args) -> dict:
-    s, t, n, k, p, constant = args
-    row = {"s": str(s), "t": str(t), "n": n, "k": k, "p": p}
-    try:
-        fam = construct_general(s, t, n, k, p)
-    except (DegenerateScaleError, ValueError) as exc:
-        row.update(branch="", members="", size="", exponent="",
-                   upper_ok="", valid="", lower_ok="", status=f"error: {exc}")
-        return row
-    validity = verify_family(fam)
+def _eval_construct(s, t, n, k, p, constant) -> dict:
+    fam = construct_general(s, t, n, k, p)
+    valid = verify_family(fam).is_valid
     upper_ok = meets_upper_bound(fam, constant)
     lower_ok = lower_bound_sanity(fam)
-    row.update(
-        branch=fam.branch,
-        members=len(fam.members),
-        size=len(fam.union),
-        exponent=str(furstenberg_index(s, t, n, k)),
-        upper_ok=upper_ok,
-        valid=validity.is_valid,
-        lower_ok=lower_ok,
-        status="pass" if (validity.is_valid and upper_ok and lower_ok) else "fail",
-    )
-    return row
+    return {
+        "branch": fam.branch,
+        "members": len(fam.members),
+        "size": len(fam.union),
+        "exponent": str(furstenberg_index(s, t, n, k)),
+        "upper_ok": upper_ok,
+        "valid": valid,
+        "lower_ok": lower_ok,
+        "status": "pass" if (valid and upper_ok and lower_ok) else "fail",
+    }
 
 
-def _eval_exceptional_case(args) -> dict:
-    a, s, n, k, p, constant = args
-    row = {"a": str(a), "s": str(s), "n": n, "k": k, "p": p}
-    try:
-        if (n, k) == (2, 1) and a / 2 < s <= min(Fraction(1), a):
-            witness = construct_oberlin_rectangle(a, s, p)
-        else:
-            witness = construct_marstrand_witness(a, s, n, k, p)
-    except (DegenerateScaleError, ValueError) as exc:
-        row.update(type="", branch="", set_size="", claimed="", certified="",
-                   exponent="", certified_ok="", status=f"error: {exc}")
-        return row
+def _eval_exceptional(a, s, n, k, p, constant) -> dict:
+    if (n, k) == (2, 1) and a / 2 < s <= min(Fraction(1), a):
+        witness = construct_oberlin_rectangle(a, s, p)
+    else:
+        witness = construct_marstrand_witness(a, s, n, k, p)
     ok = certify_lower_bound(witness, constant)
-    row.update(
-        type=witness.mtype,
-        branch=witness.branch,
-        set_size=len(witness.set_a),
-        claimed=len(witness.claimed),
-        certified=witness.certified_count,
-        exponent=str(marstrand_index(a, s, n, k)),
-        certified_ok=ok,
-        status="pass" if ok else "fail",
-    )
-    return row
+    return {
+        "type": witness.mtype,
+        "branch": witness.branch,
+        "set_size": len(witness.set_a),
+        "claimed": len(witness.claimed),
+        "certified": witness.certified_count,
+        "exponent": str(marstrand_index(a, s, n, k)),
+        "certified_ok": ok,
+        "status": "pass" if ok else "fail",
+    }
 
 
-def _eval_count_case(args) -> dict:
-    from .flags import LinearSubspace, enumerate_affine, enumerate_linear
-    from .projections import count_small_projection_subspaces
+def _eval_count(kind, n, k, p, m=None, l=None, factor=None) -> dict:
+    if kind == "grassmannian":
+        got = sum(1 for _ in enumerate_linear(n, k, p))
+        expected = gaussian_binomial(n, k, p)
+        ok = got == expected
+    elif kind == "affine":
+        got = sum(1 for _ in enumerate_affine(n, k, p))
+        expected = p ** (n - k) * gaussian_binomial(n, k, p)
+        ok = got == expected
+    else:
+        if not 0 <= m <= n:
+            raise ValueError(f"need 0 <= m <= n, got m = {m} for n = {n}")
+        W = LinearSubspace.coordinate(range(m), n, p)
+        got = count_small_projection_subspaces(W, k, l)
+        expected = p ** (k * (n - k) - (k - l) * (m - l))
+        ok = Fraction(got) <= factor * expected and Fraction(expected) <= factor * got
+    return {"enumerated": got, "expected": expected, "status": "pass" if ok else "fail"}
 
-    kind, n, k, m, l, p, factor = args
-    row = {"kind": kind, "n": n, "k": k, "m": m if m is not None else "",
-           "l": l if l is not None else "", "p": p}
+
+def _evaluate(evaluator, columns, case: dict) -> dict:
+    """One case as a row: its input columns, then the evaluator's output
+    columns, or an `error: <message>` status if the case raises ValueError
+    (DegenerateScaleError is one); every column left unset reads ""."""
+    row = {c: str(case[c]) if isinstance(case[c], Fraction) else case[c]
+           for c in columns if c in case}
     try:
-        if kind == "grassmannian":
-            got = sum(1 for _ in enumerate_linear(n, k, p))
-            expected = gaussian_binomial(n, k, p)
-            ok = got == expected
-        elif kind == "affine":
-            got = sum(1 for _ in enumerate_affine(n, k, p))
-            expected = p ** (n - k) * gaussian_binomial(n, k, p)
-            ok = got == expected
-        else:
-            W = LinearSubspace.coordinate(range(m), n, p)
-            got = count_small_projection_subspaces(W, k, l)
-            expected = p ** (k * (n - k) - (k - l) * (m - l))
-            ok = Fraction(got) <= factor * expected and Fraction(expected) <= factor * got
+        row.update(evaluator(**case))
     except ValueError as exc:
-        row.update(enumerated="", expected="", status=f"error: {exc}")
-        return row
-    row.update(enumerated=got, expected=expected, status="pass" if ok else "fail")
+        row["status"] = f"error: {exc}"
+    for c in columns:
+        row.setdefault(c, "")
     return row
-
-
-def _sweep(params: dict, keys, command: str):
-    return itertools.product(*(_require(params, key, command) for key in keys))
 
 
 def _build_cases(config: ExperimentConfig):
-    p = config.params
-    cmd = config.command
+    """The evaluator and, in row order, the cases of a parsed config; a case
+    maps the evaluator's argument names to their values."""
+    p, cmd = config.params, config.command
+    what, _ = _variant(cmd, p)
+    keys = _KEYS[what][0]
+    sweep = [dict(zip(keys, values)) for values in itertools.product(*(p[key] for key in keys))]
     if cmd == "index":
-        kind = p.get("kind", "furstenberg")
-        return _eval_index_case, [(kind, *case) for case in _sweep(p, _SWEEPS[kind], cmd)]
+        return _eval_index, [{"kind": what, **case} for case in sweep]
     if cmd == "lemmas":
-        lemma = _require(p, "lemma", cmd)
-        default = Fraction(1, 12) if lemma == "properties" else Fraction(1, 4)
-        steps = [config.grid_step] if config.grid_step else p.get("step", [default])
-        if lemma == "recursion_f1":
-            dims = [("", k) for k in _require(p, "k", cmd)]
-        else:
-            dims = _require(p, "pairs", cmd)
-        return _eval_lemma_case, [(lemma, n, k, step) for (n, k) in dims for step in steps]
+        for case in sweep:
+            if "pairs" in case:
+                case["n"], case["k"] = case.pop("pairs")
+        return _eval_lemma, [{"lemma": what, **case} for case in sweep]
     if cmd == "construct":
-        sweep = _sweep(p, _SWEEPS[cmd], cmd)
-        return _eval_construct_case, [(*case, config.upper_constant) for case in sweep]
+        return _eval_construct, [{**case, "constant": config.upper_constant} for case in sweep]
     if cmd == "exceptional":
-        sweep = _sweep(p, _SWEEPS[cmd], cmd)
-        return _eval_exceptional_case, [(*case, config.lower_constant) for case in sweep]
-    # count
-    if ("m" in p) != ("l" in p):
-        raise ConfigError("count requires both of the keys 'm' and 'l', or neither")
-    factors = p.get("factor", [Fraction(4)])
-    if len(factors) != 1:
-        raise ConfigError("factor: expected one value, since no count column tells factors apart")
-    factor = factors[0]
+        return _eval_exceptional, [{**case, "constant": config.lower_constant} for case in sweep]
+    (factor,) = p["factor"]
     cases = []
-    for n, k, prime in _sweep(p, _SWEEPS[cmd], cmd):
-        cases.append(("grassmannian", n, k, None, None, prime, factor))
-        cases.append(("affine", n, k, None, None, prime, factor))
-        for m, l in itertools.product(p.get("m", []), p.get("l", [])):
-            cases.append(("small_projection", n, k, m, l, prime, factor))
-    return _eval_count_case, cases
+    for case in sweep:
+        cases += [{"kind": "grassmannian", **case}, {"kind": "affine", **case}]
+        cases += [{"kind": "small_projection", **case, "m": m, "l": l, "factor": factor}
+                  for m, l in itertools.product(p["m"], p["l"])]
+    return _eval_count, cases
 
 
 def run(config: ExperimentConfig) -> RunReport:
     """Execute every case of the config; deterministic row order (case order),
-    degenerate-scale failures surfaced per case rather than fatally."""
+    a case's ValueError surfaced as its row's status rather than fatally."""
     start = time.monotonic()
     evaluator, cases = _build_cases(config)
+    evaluate = functools.partial(_evaluate, evaluator, CSV_COLUMNS[config.command])
     if config.jobs > 1 and len(cases) > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            rows = list(pool.map(evaluator, cases))
+            rows = list(pool.map(evaluate, cases))
     else:
-        rows = [evaluator(case) for case in cases]
+        rows = [evaluate(case) for case in cases]
     report = RunReport(command=config.command)
     reports = []
     for row in rows:
@@ -470,6 +432,14 @@ def write_report(report: RunReport, out_dir: str | Path) -> Path:
     return out
 
 
+# The constant flag of each subcommand that takes one, and the
+# ExperimentConfig field it sets.
+_CONSTANT_FLAGS = {
+    "construct": ("--upper-constant", "upper_constant"),
+    "exceptional": ("--lower-constant", "lower_constant"),
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="fpfurst",
@@ -485,9 +455,11 @@ def main(argv=None) -> int:
         cmd.add_argument("--config", required=True, help="JSON config file")
         cmd.add_argument("--out", default=None, help="output directory")
         cmd.add_argument("--jobs", type=int, default=1, help="worker processes, 1..CPU count")
-        cmd.add_argument("--grid-step", default=None, help="rational like 1/4")
-        cmd.add_argument("--upper-constant", default=None, help="rational like 16")
-        cmd.add_argument("--lower-constant", default=None, help="rational like 1/25")
+        if name in _CONSTANT_FLAGS:
+            flag, attr = _CONSTANT_FLAGS[name]
+            default = getattr(ExperimentConfig, attr)
+            cmd.add_argument(flag, dest="constant", metavar="NUM/DEN",
+                             help=f"positive rational, default {default}")
     args = parser.parse_args(argv)
 
     try:
@@ -500,28 +472,20 @@ def main(argv=None) -> int:
                 f"config says command={config.command!r} but subcommand "
                 f"{args.command!r} was invoked"
             )
-        overrides = {"jobs": args.jobs, "out": args.out}
-        if args.grid_step is not None:
-            overrides["grid_step"] = _parse_rational(args.grid_step, "--grid-step")
-        if args.upper_constant is not None:
-            overrides["upper_constant"] = _parse_rational(
-                args.upper_constant, "--upper-constant")
-        if args.lower_constant is not None:
-            overrides["lower_constant"] = _parse_rational(
-                args.lower_constant, "--lower-constant")
-        from dataclasses import replace
+        overrides = {"jobs": args.jobs}
+        if args.command in _CONSTANT_FLAGS and args.constant is not None:
+            flag, attr = _CONSTANT_FLAGS[args.command]
+            overrides[attr] = _parse_rational(args.constant, flag)
+            if overrides[attr] <= 0:
+                raise ConfigError(f"{flag} must be positive, got {overrides[attr]}")
         config = replace(config, **overrides)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    try:
-        report = run(config)
-    except ConfigError as exc:  # a missing or unpaired key, found before any case runs
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if config.out:
-        write_report(report, config.out)
+    report = run(config)
+    if args.out:
+        write_report(report, args.out)
     else:
         sys.stdout.write(report.to_csv())
     summary = report.summary()

@@ -68,9 +68,11 @@ class LinearSubspace:
 
     @classmethod
     def coordinate(cls, coords, n: int, p: int) -> "LinearSubspace":
-        """Span of the given coordinate axes."""
+        """Span of the given coordinate axes, each in `range(n)`."""
         rows = []
         for c in sorted(coords):
+            if not 0 <= c < n:
+                raise ValueError(f"axis {c} is outside range({n})")
             row = [0] * n
             row[c] = 1
             rows.append(row)

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -170,14 +171,128 @@ def test_help_documents_csv_schemas(capsys):
 
 
 def test_main_flag_overrides(tmp_path):
+    # --grid-step is gone: the config's "step" key gives the row it gave
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"command": "lemmas", "lemma": "recursion_f1", "k": 2}))
     out = tmp_path / "out"
-    code = main(
-        ["lemmas", "--config", str(cfg), "--grid-step", "1/2", "--out", str(out)]
-    )
-    assert code == 0
-    assert "1/2" in (out / "lemmas.csv").read_text()
+    with pytest.raises(SystemExit) as exc:
+        main(["lemmas", "--config", str(cfg), "--grid-step", "1/2", "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+    cfg.write_text(json.dumps(
+        {"command": "lemmas", "lemma": "recursion_f1", "k": 2, "step": "1/2"}))
+    assert main(["lemmas", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "lemmas.csv").read_text().splitlines()[1] == "recursion_f1,,2,1/2,0,pass"
+
+
+_CONFIGS = {
+    "index": {"command": "index", "s": "1/2", "t": "1", "n": 2, "k": 1},
+    "lemmas": {"command": "lemmas", "lemma": "recursion_f1", "k": 2, "step": "1/2"},
+    "construct": {"command": "construct", "s": "1/2", "t": "1", "n": 2, "k": 1, "p": 5},
+    "exceptional": {"command": "exceptional", "a": "3/2", "s": "1", "n": 2, "k": 1, "p": 7},
+    "count": {"command": "count", "n": 2, "k": 1, "p": 2},
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(command, flag) for command in _CONFIGS
+     for flag in ("--upper-constant", "--lower-constant")
+     if (command, flag) not in {("construct", "--upper-constant"),
+                                ("exceptional", "--lower-constant")}],
+)
+def test_main_refuses_a_constant_flag_the_subcommand_does_not_read(command, flag, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_CONFIGS[command]))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg), "--out", str(out), flag, "5"])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag", [("construct", "--upper-constant"), ("exceptional", "--lower-constant")]
+)
+@pytest.mark.parametrize("value", ["0", "-3", "0/5"])
+def test_main_refuses_a_non_positive_constant(command, flag, value, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_CONFIGS[command]))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out), f"{flag}={value}"]) == 2
+    assert f"error: {flag} must be positive" in capsys.readouterr().err
+    assert not out.exists()
+    positive = {"construct": "32", "exceptional": "1/50"}[command]
+    assert main([command, "--config", str(cfg), "--out", str(out), flag, positive]) == 0
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        *_CONFIGS.values(),
+        {"command": "index", "kind": "marstrand", "a": ["1", "3"], "s": "1", "n": [2, 3], "k": 1},
+        {"command": "index", "s": [1, 3], "t": 1, "n": 2, "k": 1},
+        {"command": "lemmas", "lemma": "recursion_f2", "pairs": [[3, 2], [4, 2]], "step": "1/2"},
+        {"command": "lemmas", "lemma": "recursion_m", "pairs": [[4, 2]], "step": "2/3"},
+        {"command": "lemmas", "lemma": "properties", "pairs": [[2, 1]], "step": "1/2"},
+        {"command": "construct", "s": "5", "t": "1", "n": 3, "k": 2, "p": 5},
+        {"command": "exceptional", "a": "9", "s": "1", "n": 2, "k": 1, "p": 3},
+        {"command": "count", "n": 3, "k": [1, 5], "p": 3, "m": [-1, 1, 4], "l": [0, 9],
+         "factor": 2},
+    ],
+)
+def test_run_raises_no_config_error_on_a_parsed_config(config):
+    from fpfurst.cli import CSV_COLUMNS, _build_cases
+
+    cfg = parse_config(json.dumps(config))
+    _, cases = _build_cases(cfg)
+    report = run(cfg)
+    assert report.cases == len(cases)
+    for row in report.rows:
+        assert list(row) and set(row) == set(CSV_COLUMNS[cfg.command])
+        assert row["status"] == "pass" or row["status"].startswith(("fail", "error: "))
+
+
+def test_count_refuses_m_outside_0_to_n(tmp_path):
+    config = {"command": "count", "n": 3, "k": 1, "p": 3, "m": [-1, 4], "l": 0}
+    rows = [r for r in run(parse_config(json.dumps(config))).rows
+            if r["kind"] == "small_projection"]
+    assert [r["m"] for r in rows] == [-1, 4]
+    for row in rows:
+        assert row["enumerated"] == row["expected"] == ""
+        assert row["status"].startswith("error: need 0 <= m <= n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["count", "--config", str(cfg), "--out", str(out)]) == 1
+    with open(out / "count.csv", newline="") as fh:
+        written = list(csv.DictReader(fh))
+    assert [r["status"] for r in written[:2]] == ["pass", "pass"]
+    assert [(r["m"], r["enumerated"]) for r in written[2:]] == [("-1", ""), ("4", "")]
+    assert all(r["status"].startswith("error: need 0 <= m <= n") for r in written[2:])
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
+    # Each `echo ... > x.json` and `fpfurst ...` line of README's CLI block.
+    import shlex
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    launched = 0
+    for line in block.splitlines():
+        words = shlex.split(line)
+        if words[:1] == ["echo"]:
+            assert words[2] == ">"
+            Path(words[3]).write_text(words[1])
+        elif words[:1] == ["fpfurst"]:
+            assert main(words[1:]) == 0, line
+            out = Path(words[words.index("--out") + 1])
+            rows = (out / f"{words[1]}.csv").read_text().splitlines()[1:]
+            assert rows and all(row.endswith(",pass") for row in rows), line
+            launched += 1
+    assert launched == 5
 
 
 def test_main_missing_required_key_exits_2(tmp_path, capsys):
@@ -186,6 +301,10 @@ def test_main_missing_required_key_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["construct", "--config", str(cfg), "--out", str(out)]) == 2
     assert "error: construct requires key 'p'" in capsys.readouterr().err
+    assert not out.exists()
+    cfg.write_text('{"command":"lemmas","k":2}')
+    assert main(["lemmas", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "error: lemmas requires key 'lemma'" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -97,6 +97,14 @@ def test_subspace_membership_and_points():
     assert not V.contains_vector((0, 1, 0))
 
 
+@pytest.mark.parametrize("axis", [-1, 3])
+def test_coordinate_rejects_axis_outside_range(axis):
+    # -1 would index the last axis and n would overrun the row
+    assert LinearSubspace.coordinate([0, 2], 3, 5).contains_vector((1, 0, 4))
+    with pytest.raises(ValueError, match="outside range"):
+        LinearSubspace.coordinate([axis], 3, 5)
+
+
 def test_canonical_flat_base():
     D = LinearSubspace.from_rows([[1, 1]], 2, 3)
     flat = AffineFlat.through((2, 0), D)
