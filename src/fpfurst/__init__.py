@@ -30,7 +30,6 @@ from .indices import (
     canonical_split,
     ceil_rational_power,
     classify_marstrand_type,
-    compare_count_to_power,
     furstenberg_index,
     marstrand_index,
 )

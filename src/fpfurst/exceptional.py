@@ -33,7 +33,7 @@ from .indices import (
     NEG_INF,
     as_fraction,
     ceil_rational_power,
-    compare_to_scaled_power,
+    ceil_scaled_power,
     floor_scaled_power,
     marstrand_index,
     marstrand_params,
@@ -231,4 +231,4 @@ def certify_lower_bound(w: ExceptionalWitness, c) -> bool:
     target = marstrand_index(w.a, w.s, w.n, w.k)
     if target is NEG_INF:
         return True
-    return compare_to_scaled_power(w.certified_count, as_fraction(c), w.p, target) >= 0
+    return w.certified_count >= ceil_scaled_power(c, w.p, target)

@@ -83,13 +83,6 @@ class LinearSubspace:
         """The basis in the form `_kernel._reduce` takes, built once."""
         return _reduction_rows(self.basis.entries, self.n, self.k, self.pivots)
 
-    def contains_vector(self, v) -> bool:
-        """Membership test by reducing v against the RREF basis."""
-        return not any(reduce_mod_subspace(v, self))
-
-    def contains_subspace(self, other: "LinearSubspace") -> bool:
-        return all(self.contains_vector(r) for r in other.basis.to_rows())
-
     def points(self) -> list[tuple[int, ...]]:
         """All p^k points, in lexicographic order of the coefficient vector."""
         p, n = self.p, self.n
@@ -240,9 +233,8 @@ def relate(V: AffineFlat, W: AffineFlat) -> FlatRelation:
     n, p = V.n, V.p
     rows = join_rows(V.direction, W.direction)
     r = len(rows)
-
-    small, big = (V, W) if V.k <= W.k else (W, V)
-    parallel = big.direction.contains_subspace(small.direction)
+    # The smaller direction lies in the larger iff their sum is no bigger.
+    parallel = r == max(V.k, W.k)
 
     diff = [(a - b) % p for a, b in zip(W.base, V.base)]
     nonempty = not any(_reduce(diff, rows, p))

@@ -37,7 +37,7 @@ from .indices import (
     canonical_split,
     ceil_rational_power,
     ceil_scaled_power,
-    compare_to_scaled_power,
+    floor_scaled_power,
     furstenberg_index,
     furstenberg_params,
     is_admissible,
@@ -247,7 +247,7 @@ def _general_case_b(s, t, n, k, p, d) -> FurstenbergFamily:
     need = ceil_rational_power(p, t)
     hosts = list(
         itertools.islice(
-            (U for U in enumerate_linear(n, k, p) if U.contains_subspace(core)),
+            (U for U in enumerate_linear(n, k, p) if len(join_rows(U, core)) == k),
             need,
         )
     )
@@ -412,10 +412,11 @@ def _lift_transverse(members, n: int, k: int, p: int, slice_dim: int):
 def verify_family(f: FurstenbergFamily) -> FamilyValidity:
     """Exact check of the three defining conditions plus structural sanity."""
     failures = []
-    if compare_to_scaled_power(len(f.members), f.lam, f.p, f.t) < 0:
+    if len(f.members) < ceil_scaled_power(f.lam, f.p, f.t):
         failures.append(
             f"family has {len(f.members)} flats, fewer than lambda*p^t"
         )
+    min_points = ceil_scaled_power(f.lam, f.p, f.s)
     seen = set()
     for i, (flat, ys) in enumerate(f.members):
         if flat.n != f.n or flat.p != f.p:
@@ -427,12 +428,16 @@ def verify_family(f: FurstenbergFamily) -> FamilyValidity:
         if key in seen:
             failures.append(f"member {i}: duplicate flat")
         seen.add(key)
-        if compare_to_scaled_power(len(ys), f.lam, f.p, f.s) < 0:
+        if len(ys) < min_points:
             failures.append(f"member {i}: y-set has {len(ys)} points, below lambda*p^s")
-        if not all(map(flat.contains_point, ys.points)):
+        if ys.n != f.n or ys.p != f.p:
+            failures.append(f"member {i}: y-set in wrong space")
+        elif not all(map(flat.contains_point, ys.points)):
             pt = next(pt for pt in ys.points if not flat.contains_point(pt))
             failures.append(f"member {i}: point {pt} lies off its flat")
-    if _union_points(f.members) != list(f.union.points):
+    if f.union.n != f.n or f.union.p != f.p:
+        failures.append("stored union in wrong space")
+    elif _union_points(f.members) != list(f.union.points):
         failures.append("stored union does not match the union of the y-sets")
     return FamilyValidity(not failures, tuple(failures))
 
@@ -441,13 +446,13 @@ def lower_bound_sanity(f: FurstenbergFamily) -> bool:
     """The two unconditional lower bounds, checked exactly:
     #E >= lambda * p^s and #E * #G(k, F_p^n) >= lambda^2 * p^(s+t)."""
     count = len(f.union)
-    if compare_to_scaled_power(count, f.lam, f.p, f.s) < 0:
+    if count < ceil_scaled_power(f.lam, f.p, f.s):
         return False
     grass = gaussian_binomial(f.n, f.k, f.p)
-    return compare_to_scaled_power(count * grass, f.lam * f.lam, f.p, f.s + f.t) >= 0
+    return count * grass >= ceil_scaled_power(f.lam * f.lam, f.p, f.s + f.t)
 
 
 def meets_upper_bound(f: FurstenbergFamily, constant) -> bool:
     """#E <= constant * p^F(s,t;n,k), decided exactly in integers."""
     exponent = furstenberg_index(f.s, f.t, f.n, f.k)
-    return compare_to_scaled_power(len(f.union), as_fraction(constant), f.p, exponent) <= 0
+    return len(f.union) <= floor_scaled_power(constant, f.p, exponent)

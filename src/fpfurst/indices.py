@@ -1,9 +1,10 @@
 """Exact rational-power arithmetic and the two piecewise index functions.
 
 Everything here is exact: exponents are `Fraction`s, every comparison of a
-count against a fractional power of p is decided in arbitrary-precision
-integers (`c < p^(r/d)` iff `c^d < p^r`), and minus infinity is a distinguished
-value rather than a float sentinel.
+count c against coeff * p^e is an int comparison with the threshold
+`floor_scaled_power` or `ceil_scaled_power`, computed once from
+`integer_nth_root` (`c < p^e` iff `c < ceil(p^e)`), and minus infinity is a
+distinguished value rather than a float sentinel.
 
 The two index functions:
 
@@ -107,61 +108,36 @@ def integer_nth_root(x: int, n: int) -> int:
 
 
 def ceil_rational_power(p: int, e) -> int:
-    """Exact ceil(p**e) for a nonnegative rational exponent e.
-
-    Decided through the integer e_den-th root of p**e_num; no floating point.
-    """
-    e = as_fraction(e)
-    if e < 0:
-        raise ValueError("exponent must be nonnegative")
-    t = p ** e.numerator
-    r = integer_nth_root(t, e.denominator)
-    return r if r ** e.denominator == t else r + 1
+    """Exact ceil(p**e) for a nonnegative rational exponent e."""
+    return ceil_scaled_power(1, p, e)
 
 
 def floor_scaled_power(coeff, p: int, e) -> int:
-    """Exact floor(coeff * p**e) for a nonnegative rational coefficient."""
-    coeff = as_fraction(coeff)
-    e = as_fraction(e)
-    if coeff < 0 or e < 0:
-        raise ValueError("floor_scaled_power needs coeff >= 0 and e >= 0")
-    d = e.denominator
-    big = coeff.numerator ** d * p ** e.numerator
-    # floor(big**(1/d) / coeff.denominator); the inner floor loses nothing
-    # because no integer lies strictly between floor(big**(1/d)) and big**(1/d).
-    return integer_nth_root(big, d) // coeff.denominator
+    """Exact floor(coeff * p**e); `c <= coeff * p**e` iff `c <= floor`."""
+    return _scaled_root(coeff, p, e)[0]
 
 
 def ceil_scaled_power(coeff, p: int, e) -> int:
-    """Exact ceil(coeff * p**e) for a positive rational coefficient."""
-    f = floor_scaled_power(coeff, p, e)
-    return f if compare_to_scaled_power(f, coeff, p, e) == 0 else f + 1
+    """Exact ceil(coeff * p**e); `c < coeff * p**e` iff `c < ceil`, and
+    `c >= coeff * p**e` iff `c >= ceil`."""
+    f, exact = _scaled_root(coeff, p, e)
+    return f if exact else f + 1
 
 
-def compare_count_to_power(c: int, p: int, e) -> int:
-    """Sign of c - p**e, decided exactly: -1, 0 or +1.
+def _scaled_root(coeff, p: int, e) -> tuple[int, bool]:
+    """floor(coeff * p**e) and whether it is attained, for a positive
+    rational coeff = a/b and a nonnegative rational e = r/d.
 
-    This is the comparison the exceptional-set definition demands
-    ("fewer than p^s cosets"), so it must never touch floats.
+    coeff * p**e = (a**d * p**r)**(1/d) / b, and the inner floor of the d-th
+    root loses nothing, since no integer lies strictly between it and the root.
     """
-    e = as_fraction(e)
-    if c < 0 or e < 0:
-        raise ValueError("compare_count_to_power needs c >= 0 and e >= 0")
-    lhs = c ** e.denominator
-    rhs = p ** e.numerator
-    return (lhs > rhs) - (lhs < rhs)
-
-
-def compare_to_scaled_power(c: int, coeff, p: int, e) -> int:
-    """Sign of c - coeff * p**e, exactly; coeff a positive rational."""
-    coeff = as_fraction(coeff)
-    e = as_fraction(e)
-    if coeff <= 0:
-        raise ValueError("coefficient must be positive")
-    d = e.denominator
-    lhs = (c * coeff.denominator) ** d
-    rhs = coeff.numerator ** d * p ** e.numerator
-    return (lhs > rhs) - (lhs < rhs)
+    coeff, e = as_fraction(coeff), as_fraction(e)
+    if coeff <= 0 or e < 0:
+        raise ValueError(f"need a positive coefficient and a nonnegative exponent, got {coeff}, {e}")
+    b, d = coeff.denominator, e.denominator
+    big = coeff.numerator ** d * p ** e.numerator
+    f = integer_nth_root(big, d) // b
+    return f, (f * b) ** d == big
 
 
 def is_admissible(s, t, n: int, k: int) -> bool:

@@ -4,7 +4,8 @@ The projection of a point set A by a subspace V is the set of distinct cosets
 of V meeting A, represented canonically (zero at V's pivot coordinates).  A
 direction V in G(n-k, F_p^n) is s-exceptional for A when A meets strictly
 fewer than p^s such cosets; the strictness follows the definition verbatim
-and is decided exactly (count^den < p^num), never in floats.
+and is decided exactly, as `count < ceil(p^s)` with the integer threshold
+computed once by `ceil_rational_power`, never in floats.
 
 A note on indexing: the exceptional set for parameter k collects subspaces of
 dimension n-k -- the k names the dimension of the projection target, not of V.
@@ -20,7 +21,7 @@ from fractions import Fraction
 
 from . import _kernel
 from .flags import LinearSubspace, enumerate_linear, join_rows, reduce_mod_subspace
-from .indices import as_fraction, compare_count_to_power
+from .indices import as_fraction, ceil_rational_power
 from .primefield import check_prime
 
 
@@ -118,10 +119,10 @@ def exceptional_set(A: PointSet, q: ExceptionalQuery) -> list[LinearSubspace]:
         raise ValueError(f"need 0 < k < n, got k={q.k}, n={A.n}")
     flat = A.flat()
     npts = len(A)
+    bound = ceil_rational_power(A.p, q.s)
     out = []
     for V in enumerate_linear(A.n, A.n - q.k, A.p):
-        cnt = _kernel.project_count_flat(flat, npts, A.n, V.basis.entries, V.k, V.pivots, A.p)
-        if compare_count_to_power(cnt, A.p, q.s) < 0:
+        if _kernel.project_count_flat(flat, npts, A.n, V.basis.entries, V.k, V.pivots, A.p) < bound:
             out.append(V)
     return out
 

@@ -35,8 +35,8 @@ from fpfurst.furstenberg import (
 )
 from fpfurst.indices import (
     NEG_INF,
-    compare_count_to_power,
-    compare_to_scaled_power,
+    ceil_rational_power,
+    ceil_scaled_power,
     furstenberg_index,
     marstrand_index,
 )
@@ -192,11 +192,11 @@ def test_criterion_08_oberlin_witnesses():
     for p in (41, 101):
         for a, s in ((F(3, 2), F(1)), (F(1), F(3, 4))):
             w = construct_oberlin_rectangle(a, s, p)
-            ok &= compare_to_scaled_power(len(w.set_a), F(1, 25), p, a) >= 0
-            ok &= compare_to_scaled_power(w.certified_count, F(1, 5), p, 2 * s - a) >= 0
+            ok &= len(w.set_a) >= ceil_scaled_power(F(1, 25), p, a)
+            ok &= w.certified_count >= ceil_scaled_power(F(1, 5), p, 2 * s - a)
             ok &= len(w.claimed) >= 1
             for V in w.claimed:
-                ok &= compare_count_to_power(projection_count(w.set_a, V), p, s) < 0
+                ok &= projection_count(w.set_a, V) < ceil_rational_power(p, s)
     _finish(8, "rectangle witnesses at p in {41, 101}", ok, t0, 30)
 
 
@@ -207,7 +207,7 @@ def test_criterion_09_higher_dimensional_witnesses():
     w2 = construct_marstrand_witness(F(5, 2), F(7, 4), 4, 2, 5)
     ok &= w2.mtype == 2
     for V in w2.claimed:
-        ok &= compare_count_to_power(projection_count(w2.set_a, V), 5, F(7, 4)) < 0
+        ok &= projection_count(w2.set_a, V) < ceil_rational_power(5, F(7, 4))
     ok &= certify_lower_bound(w2, F(1, 25))
 
     for p in (5, 7):
@@ -215,7 +215,7 @@ def test_criterion_09_higher_dimensional_witnesses():
             w3 = construct_marstrand_witness(F(3, 2), s, 4, 2, p)
             ok &= w3.mtype == 3
             for V in w3.claimed:
-                ok &= compare_count_to_power(projection_count(w3.set_a, V), p, s) < 0
+                ok &= projection_count(w3.set_a, V) < ceil_rational_power(p, s)
             ok &= certify_lower_bound(w3, F(1, 25))
         fams = type3_direction_families(F(3, 2), F(3, 2), 4, 2, p)
         keys = [frozenset(V.basis.entries for V in vs) for vs in fams.values()]

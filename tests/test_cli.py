@@ -1,6 +1,9 @@
 import csv
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -134,6 +137,27 @@ def test_main_end_to_end(tmp_path, capsys):
     assert code == 0
     csv_text = (tmp_path / "out" / "index.csv").read_text()
     assert "5/4" in csv_text
+
+
+def test_benchmark_tracer_wraps_the_package(tmp_path):
+    # clibench's tracer wraps functions by name and parameter list; a traced
+    # launch fails or miscounts when a wrapped signature changes.
+    root = pathlib.Path(__file__).resolve().parents[1]
+    (tmp_path / "tiny.json").write_text(
+        json.dumps({"command": "exceptional", "a": "3/2", "s": "3/2", "n": 4, "k": 2, "p": 3})
+    )
+    proc = subprocess.run(
+        [sys.executable, str(root / "clibench" / "launch.py"), "rec.json", "1",
+         "exceptional", "--config", "tiny.json", "--out", "out"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    with open(tmp_path / "out" / "exceptional.csv", newline="") as fh:
+        assert [row["status"] for row in csv.DictReader(fh)] == ["pass"]
+    trace = json.loads((tmp_path / "rec.json").read_text())["trace"]
+    # (n, k, p, kernel calls): one call per direction, gaussian_binomial(n, n - k, p)
+    assert trace["exceptional_spans"] == [[2, 1, 3, 4], [4, 2, 3, 130]]
 
 
 def test_main_exit_codes(tmp_path):

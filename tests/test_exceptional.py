@@ -10,7 +10,7 @@ from fpfurst.exceptional import (
     type3_direction_families,
 )
 from fpfurst.flags import enumerate_linear, gaussian_binomial, reduce_mod_subspace
-from fpfurst.indices import compare_count_to_power, floor_scaled_power
+from fpfurst.indices import ceil_rational_power, floor_scaled_power
 from fpfurst.projections import ExceptionalQuery, exceptional_set, projection_count
 
 F = Fraction
@@ -28,7 +28,7 @@ def test_oberlin_claims_individually_exceptional():
     w = construct_oberlin_rectangle(1, F(3, 4), 101)
     assert len(w.claimed) == 5
     for V in w.claimed:
-        assert compare_count_to_power(projection_count(w.set_a, V), 101, F(3, 4)) < 0
+        assert projection_count(w.set_a, V) < ceil_rational_power(101, F(3, 4))
 
 
 def test_oberlin_boundary_s_equals_a():
@@ -50,7 +50,7 @@ def test_type2_slab_spec_case():
     assert w.certified_count >= len(w.claimed) > 0
     assert certify_lower_bound(w, F(1, 25))
     for V in w.claimed:
-        assert compare_count_to_power(projection_count(w.set_a, V), 5, F(7, 4)) < 0
+        assert projection_count(w.set_a, V) < ceil_rational_power(5, F(7, 4))
 
 
 def test_type4_certifies_empty():
@@ -72,12 +72,21 @@ def test_type3_rectangle_branch(p):
     assert w.branch == "type3-rectangle"
     assert certify_lower_bound(w, F(1, 25))
     for V in w.claimed:
-        assert compare_count_to_power(projection_count(w.set_a, V), p, F(3, 2)) < 0
+        assert projection_count(w.set_a, V) < ceil_rational_power(p, F(3, 2))
 
 
-@pytest.mark.parametrize("p", [5, 7])
-def test_type3_families_pairwise_disjoint(p):
-    fams = type3_direction_families(F(3, 2), F(3, 2), 4, 2, p)
+@pytest.mark.parametrize(
+    "p,ask",
+    [
+        pytest.param(5, (F(3, 2), F(3, 2), 4, 2), id="5"),
+        pytest.param(7, (F(3, 2), F(3, 2), 4, 2), id="7"),
+        # type 2 with gamma > (beta + 1)/2: the rectangle-product branch at m - 1
+        pytest.param(7, (F(3, 2), F(1), 3, 1), id="type2-7"),
+        pytest.param(11, (F(3, 2), F(1), 3, 1), id="type2-11"),
+    ],
+)
+def test_type3_families_pairwise_disjoint(p, ask):
+    fams = type3_direction_families(*ask, p)
     assert len(fams) >= 2
     keys = [frozenset(V.basis.entries for V in vs) for vs in fams.values()]
     assert all(vs for vs in keys), "no family should be empty at this scale"
@@ -112,6 +121,13 @@ def test_certified_count_monotone_in_s():
 def test_certify_negative_control():
     w = construct_oberlin_rectangle(F(3, 2), 1, 41)
     assert not certify_lower_bound(w, 10**6)
+
+
+def test_certify_refuses_nonpositive_constant():
+    w = construct_oberlin_rectangle(F(3, 2), 1, 41)
+    for c in (0, F(-1, 5)):
+        with pytest.raises(ValueError):
+            certify_lower_bound(w, c)
 
 
 def test_witness_round_trip():

@@ -182,6 +182,36 @@ def test_verify_family_detects_union_mismatch():
         )
 
 
+@pytest.mark.parametrize(
+    "ys",
+    [
+        PointSet(2, 11, ((3, 3), (10, 10))),  # (10, 10) mod 7 lies on the diagonal
+        PointSet(1, 7, ((0,), (1,))),
+    ],
+)
+def test_verify_family_reports_y_set_in_wrong_space(ys):
+    fam = construct_2d(F(1, 2), 1, 7)
+    diagonal = AffineFlat.through((0, 0), LinearSubspace.from_rows([[1, 1]], 2, 7))
+    validity = verify_family(replace(fam, members=((diagonal, ys),) + fam.members[1:]))
+    assert not validity.is_valid
+    assert "member 0: y-set in wrong space" in validity.failures
+
+
+def test_verify_family_reports_union_in_wrong_space():
+    fam = construct_2d(F(1, 2), 1, 7)
+    pts = fam.union.points
+    for union in (PointSet(2, 11, pts), PointSet(3, 7, tuple(q + (0,) for q in pts))):
+        validity = verify_family(replace(fam, union=union))
+        assert validity.failures == ("stored union in wrong space",)
+
+
+def test_meets_upper_bound_refuses_nonpositive_constant():
+    fam = construct_2d(1, 2, 5)
+    for constant in (0, -1):
+        with pytest.raises(ValueError):
+            meets_upper_bound(fam, constant)
+
+
 def _strip_reference(s, t, p):
     """Each non-horizontal line's own points, filtered by strip row."""
     rows = {r % p for r in range(1, ceil_rational_power(p, s) + 1)}

@@ -10,8 +10,6 @@ from fpfurst.indices import (
     ceil_rational_power,
     ceil_scaled_power,
     classify_marstrand_type,
-    compare_count_to_power,
-    compare_to_scaled_power,
     floor_scaled_power,
     furstenberg_index,
     integer_nth_root,
@@ -56,24 +54,45 @@ def test_ceil_rational_power_oracle_inequalities():
     assert 31**4 < 101**3 <= 32**4
 
 
+def _sign_by_thresholds(c, p, e):
+    """Sign of c - p^e: c > p^e iff c > floor(p^e), c < p^e iff c < ceil(p^e)."""
+    return (c > floor_scaled_power(1, p, e)) - (c < ceil_rational_power(p, e))
+
+
 @pytest.mark.parametrize(
     "c,p,e,sign", [(5, 5, F(1), 0), (6, 29, F(1, 2), 1), (2, 5, F(1, 2), -1)]
 )
 def test_compare_count_to_power(c, p, e, sign):
-    assert compare_count_to_power(c, p, e) == sign
+    assert _sign_by_thresholds(c, p, e) == sign
 
 
 def test_scaled_power_helpers_match_bruteforce():
-    # oracle: scan integers around coeff * p^e decided via compare
+    def sign(c, coeff, p, e):
+        # cross-multiplied oracle: c - coeff * p^e has the sign of
+        # (c * den(coeff))^den(e) - num(coeff)^den(e) * p^num(e)
+        d = e.denominator
+        lhs = (c * coeff.denominator) ** d
+        rhs = coeff.numerator ** d * p ** e.numerator
+        return (lhs > rhs) - (lhs < rhs)
+
     for coeff in (F(1, 5), F(1, 2), F(3), F(7, 3)):
         for p in (2, 5, 29):
             for e in (F(0), F(1, 2), F(3, 4), F(5, 4)):
                 fl = floor_scaled_power(coeff, p, e)
-                assert compare_to_scaled_power(fl, coeff, p, e) <= 0
-                assert compare_to_scaled_power(fl + 1, coeff, p, e) > 0
+                assert sign(fl, coeff, p, e) <= 0
+                assert sign(fl + 1, coeff, p, e) > 0
                 ce = ceil_scaled_power(coeff, p, e)
-                assert compare_to_scaled_power(ce, coeff, p, e) >= 0
+                assert sign(ce, coeff, p, e) >= 0
+                assert sign(ce - 1, coeff, p, e) < 0
                 assert ce - fl in (0, 1)
+
+
+@pytest.mark.parametrize("threshold", [floor_scaled_power, ceil_scaled_power])
+@pytest.mark.parametrize("coeff,e", [(1, F(-1, 2)), (F(1, 2), -1), (0, F(1, 2)), (F(-1, 3), 1)])
+def test_thresholds_reject_negative_exponent_and_nonpositive_coeff(threshold, coeff, e):
+    # a negative exponent would otherwise make p**num(e) a float
+    with pytest.raises(ValueError):
+        threshold(coeff, 7, e)
 
 
 def test_floats_rejected():
@@ -202,10 +221,10 @@ def test_marstrand_index_range(dims, a_raw, s):
        st.integers(0, 40), st.integers(1, 6))
 @settings(max_examples=200, deadline=None)
 def test_compare_count_to_power_against_integer_oracle(c, p, num, den):
-    # cross-multiplied big-int oracle, written independently of the helper
+    # cross-multiplied big-int oracle, written independently of the thresholds
     lhs, rhs = c**den, p**num
     want = 0 if lhs == rhs else (1 if lhs > rhs else -1)
-    assert compare_count_to_power(c, p, F(num, den)) == want
+    assert _sign_by_thresholds(c, p, F(num, den)) == want
 
 
 def test_neg_inf_ordering_and_absorption():

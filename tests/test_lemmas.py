@@ -126,6 +126,29 @@ def test_properties_negative_control_broken_furstenberg():
     assert "closed_form_f21" in lemmas and "easybound" in lemmas
 
 
+def _m_plus_one(a, s, n, k):
+    return marstrand_index(a, s, n, k) + 1
+
+
+# one break per property family; type_partition breaks the classifier instead
+PROPERTY_BREAKS = {
+    "t_lipschitz": {"furstenberg_fn": lambda s, t, n, k: 2 * furstenberg_index(s, t, n, k)},
+    "left_lipschitz": {"lipschitz_constant": 0},
+    "m_diagonal": {"marstrand_fn": lambda a, s, n, k: marstrand_index(a, s, n, k) + (-a)},
+    "easym_upper": {"marstrand_fn": _m_plus_one},
+    "closed_form_m21": {"marstrand_fn": _m_plus_one},
+    "type_partition": {},
+}
+
+
+@pytest.mark.parametrize("family", list(PROPERTY_BREAKS))
+def test_properties_negative_control_each_family(family, monkeypatch):
+    if family == "type_partition":
+        monkeypatch.setattr("fpfurst.lemmas.classify_marstrand_type", lambda a, s, n, k: 1)
+    reports = check_index_properties(GridSpec(F(1, 4), ((2, 1),)), **PROPERTY_BREAKS[family])
+    assert family in {r.lemma for r in reports}
+
+
 def test_determinism_identical_reports():
     a = check_recursion_f1(2, GridSpec(F(1, 3)), slack=F(1, 10))
     b = check_recursion_f1(2, GridSpec(F(1, 3)), slack=F(1, 10))
