@@ -35,7 +35,9 @@ and 2 for a config or flag that is refused before any case runs: --jobs
 outside 1..CPU count, a constant flag that is not positive, a flag the
 subcommand does not take, a p that is composite or too large to certify
 prime, a missing required key, a key the command does not read, a key given
-as an empty list, m without l or l without m, or more than one factor.
+as an empty list, m without l or l without m, more than one factor, or an
+--out that cannot be made a directory (a file, or a path under one).  A
+refused config creates no output directory.
 
 Rationals cross this boundary only as integers or "num/den" strings;
 decimal notation is rejected.
@@ -479,6 +481,8 @@ def main(argv=None) -> int:
             if overrides[attr] <= 0:
                 raise ConfigError(f"{flag} must be positive, got {overrides[attr]}")
         config = replace(config, **overrides)
+        if args.out:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

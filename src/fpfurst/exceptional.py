@@ -92,8 +92,7 @@ def construct_oberlin_rectangle(a, s, p: int) -> ExceptionalWitness:
         raise DegenerateScaleError(f"row range floor(p^s / 5) is empty at p = {p}")
     set_a = _rectangle(a, s, p)
     slope_bound = floor_scaled_power(FIFTH, p, 2 * s - a)
-    claimed = tuple(_slope_line(kappa, p) for kappa in range(-slope_bound, slope_bound + 1))
-    claimed = tuple(sorted(set(claimed), key=lambda V: V.basis.entries))
+    claimed = tuple(_slope_line(kappa, p) for kappa in _sym_range(slope_bound, p))
     return _certify(a, s, 2, 1, p, "oberlin-rectangle", set_a, claimed)
 
 
@@ -108,21 +107,28 @@ def construct_marstrand_witness(a, s, n: int, k: int, p: int) -> ExceptionalWitn
     if pr.mtype == 4:
         set_a = PointSet.lex_prefix(n, p, ceil_rational_power(p, a))
         return _certify(a, s, n, k, p, "type4-empty", set_a, ())
+    product = _rectangle_product(pr)
+    if product is not None:
+        set_a, claimed = _rectangle_product_witness(n, k, p, *product, pr.gamma, pr.l)
+        return _certify(a, s, n, k, p, f"type{pr.mtype}-rectangle", set_a, claimed)
     if pr.mtype == 2:
-        if pr.gamma <= (pr.beta + 1) / 2:
-            set_a, claimed = _slab_witness(n, k, p, pr.m, ceil_rational_power(p, pr.beta), pr.l)
-            return _certify(a, s, n, k, p, "type2-slab", set_a, claimed)
-        set_a, claimed = _rectangle_product_witness(
-            n, k, p, pr.m - 1, pr.beta + 1, pr.gamma, pr.l
-        )
-        return _certify(a, s, n, k, p, "type2-rectangle", set_a, claimed)
+        set_a, claimed = _slab_witness(n, k, p, pr.m, ceil_rational_power(p, pr.beta), pr.l)
+        return _certify(a, s, n, k, p, "type2-slab", set_a, claimed)
     # type 3
-    if pr.gamma > pr.beta / 2:
-        set_a, claimed = _rectangle_product_witness(n, k, p, pr.m, pr.beta, pr.gamma, pr.l)
-        return _certify(a, s, n, k, p, "type3-rectangle", set_a, claimed)
     full, claimed = _slab_witness(n, k, p, pr.m + 1, 1, pr.l)
     subset = PointSet(n, p, full.points[: ceil_rational_power(p, a)])
     return _certify(a, s, n, k, p, "type3-enlarged", subset, claimed)
+
+
+def _rectangle_product(pr):
+    """(m, beta_eff) of the rectangle-product branch -- type 3 with
+    gamma > beta/2, or type 2 with gamma > (beta+1)/2 at a = (m-1)+(beta+1)
+    -- or None when the parameters take another branch."""
+    if pr.mtype == 3 and pr.gamma > pr.beta / 2:
+        return pr.m, pr.beta
+    if pr.mtype == 2 and pr.gamma > (pr.beta + 1) / 2:
+        return pr.m - 1, pr.beta + 1
+    return None
 
 
 def _slab_witness(n, k, p, m, isize, l):
@@ -158,16 +164,9 @@ def _rectangle_product_witness(n, k, p, m, beta_eff, gamma, l):
         for z in itertools.product(range(p), repeat=m)
     ]
     set_a = PointSet.from_iterable(pts, n, p)
-    families = _theta_families(rect, gamma, n, k, p, m, l)
-    claimed_keys = set()
-    claimed = []
-    for vs in families.values():
-        for V in vs:
-            if V.basis.entries not in claimed_keys:
-                claimed_keys.add(V.basis.entries)
-                claimed.append(V)
-    claimed.sort(key=lambda V: (V.pivots, V.basis.entries))
-    return set_a, tuple(claimed)
+    directions, families = _theta_families(rect, gamma, n, k, p, m, l)
+    keys = {V.basis.entries for vs in families.values() for V in vs}
+    return set_a, tuple(V for V in directions if V.basis.entries in keys)
 
 
 def _theta_families(rect: PointSet, gamma: Fraction, n, k, p, m, l):
@@ -180,6 +179,8 @@ def _theta_families(rect: PointSet, gamma: Fraction, n, k, p, m, l):
 
     Subtracting the two degenerate conditions makes the families pairwise
     disjoint across theta, which is what turns a union bound into a sum.
+    Returns the directions meeting those two conditions, in enumeration
+    order, and the families, each a subsequence of them.
     """
     theta_list = exceptional_set(rect, ExceptionalQuery(gamma, 1))
     mid = LinearSubspace.coordinate(range(2, 2 + m), n, p)
@@ -195,21 +196,19 @@ def _theta_families(rect: PointSet, gamma: Fraction, n, k, p, m, l):
         lifted_rows = [list(r) + [0] * (n - 2) for r in theta.basis.to_rows()]
         span = LinearSubspace.from_rows(lifted_rows + mid.basis.to_rows(), n, p)
         out[theta] = tuple(V for V in directions if subspace_projection_exponent(span, V) <= l)
-    return out
+    return directions, out
 
 
 def type3_direction_families(a, s, n: int, k: int, p: int):
     """The per-theta disjoint families used by the rectangle-product branches,
     exposed for the disjointness checks."""
     pr = marstrand_params(a, s, n, k)
-    if pr.mtype == 3 and pr.gamma > pr.beta / 2:
-        m, beta_eff = pr.m, pr.beta
-    elif pr.mtype == 2 and pr.gamma > (pr.beta + 1) / 2:
-        m, beta_eff = pr.m - 1, pr.beta + 1
-    else:
+    product = _rectangle_product(pr)
+    if product is None:
         raise ValueError("no rectangle-product branch applies to these parameters")
+    m, beta_eff = product
     rect = _rectangle(beta_eff, pr.gamma, p)
-    return _theta_families(rect, pr.gamma, n, k, p, m, pr.l)
+    return _theta_families(rect, pr.gamma, n, k, p, m, pr.l)[1]
 
 
 def _certify(a, s, n, k, p, branch, set_a, claimed) -> ExceptionalWitness:

@@ -11,8 +11,9 @@ byte-identical families.
 The two-dimensional recipes (point pencil, trivial sum-bound family, the
 Szemeredi-Trotter-style grid of lines, and the horizontal strip) seed the
 general one: the seed is extruded by a full F_p^d factor, then by graph flats
-over an F_p^M factor, and finally each flat is lifted to the k-flats through
-it that are transverse to the ambient coordinate slice.
+over an F_p^M factor, padded with zero coordinates to F_p^n, and finally each
+flat is lifted to the k-flats through it that are transverse to the ambient
+coordinate slice.
 """
 
 from __future__ import annotations
@@ -30,17 +31,14 @@ from .flags import (
     enumerate_linear,
     gaussian_binomial,
     join_rows,
-    relate,
 )
 from .indices import (
     as_fraction,
-    canonical_split,
     ceil_rational_power,
     ceil_scaled_power,
     floor_scaled_power,
     furstenberg_index,
     furstenberg_params,
-    is_admissible,
 )
 from .primefield import PrimeMatrix, check_prime
 from .projections import PointSet
@@ -198,23 +196,20 @@ def _strip_family(s: Fraction, t: Fraction, p: int) -> FurstenbergFamily:
 def construct_general(s, t, n: int, k: int, p: int) -> FurstenbergFamily:
     """A small (s, t)-family of k-flats in F_p^n with lambda = 1/2.
 
-    Dispatch: s = 0 pencils through few points; small t reuses one point set
-    on flats through a fixed coordinate subspace; otherwise the seeded
-    extrusion construction (with the tau > 2 range reduced to tau = 0 and one
-    more extrusion step).
+    Dispatch on the case of `furstenberg_params`: (a) s = 0 pencils through
+    few points; (b) small t reuses one point set on flats through a fixed
+    coordinate subspace; (c) and (d) the seeded extrusion construction, with
+    the tau > 2 range of (d) reduced to tau = 0 and one more extrusion step.
     """
-    s, t = as_fraction(s), as_fraction(t)
     check_prime(p)
-    if not is_admissible(s, t, n, k):
-        raise ValueError(f"({s},{t};{n},{k}) is not admissible")
+    pr = furstenberg_params(s, t, n, k)
     if (n, k) == (2, 1):
-        return construct_2d(s, t, p)
-    if s == 0:
-        return _general_case_a(t, n, k, p)
-    d, sigma = canonical_split(s)
-    if t <= (k - d - 1) * (n - k):
-        return _general_case_b(s, t, n, k, p, d)
-    return _general_case_cd(s, t, n, k, p)
+        return construct_2d(pr.s, pr.t, p)
+    if pr.case == "a":
+        return _general_case_a(pr.t, n, k, p)
+    if pr.case == "b":
+        return _general_case_b(pr.s, pr.t, n, k, p, pr.d)
+    return _general_case_cd(pr, p)
 
 
 def _general_case_a(t: Fraction, n: int, k: int, p: int) -> FurstenbergFamily:
@@ -258,9 +253,8 @@ def _general_case_b(s, t, n, k, p, d) -> FurstenbergFamily:
     return _family(s, t, n, k, p, "general-b-shared", members, ys)
 
 
-def _general_case_cd(s, t, n, k, p) -> FurstenbergFamily:
-    pr = furstenberg_params(s, t, n, k)
-    d, sigma = pr.d, pr.sigma
+def _general_case_cd(pr, p: int) -> FurstenbergFamily:
+    s, t, n, k, d, sigma = pr.s, pr.t, pr.n, pr.k, pr.d, pr.sigma
     if pr.case == "c":
         seed_tau, depth = pr.tau, pr.m
     else:
@@ -278,44 +272,40 @@ def _general_case_cd(s, t, n, k, p) -> FurstenbergFamily:
         ambient = 2
 
     if d > 0:
-        members = [_extrude_full(m, d, p) for m in members]
+        members = [_cross(m, d, p, full=True) for m in members]
         ambient += d
     if depth > 0:
         shared = {}
         members = [w for m in members for w in _extrude_graphs(m, depth, p, shared)]
         ambient += depth
     if ambient < n:
-        members = [_pad_member(m, n, p) for m in members]
+        members = [_cross(m, n - ambient, p, full=False) for m in members]
     if k - d - 1 > 0:
-        slice_dim = n - k + d + 1
-        members = _lift_transverse(members, n, k, p, slice_dim)
+        members = _lift_transverse(members, n, k, p, n - k + d + 1)
         branch = f"general-{pr.case}-lifted"
     else:
         branch = f"general-{pr.case}"
     return _family(s, t, n, k, p, branch, members)
 
 
-def _extrude_full(member, r: int, p: int):
-    """Cross a flat and its point set with a full F_p^r factor."""
+def _cross(member, r: int, p: int, full: bool):
+    """Cross a flat and its point set with F_p^r: with the full factor the r
+    new axes join the direction and each point is crossed with all of F_p^r;
+    otherwise (padding) each point is crossed with the origin."""
     flat, ys = member
-    q = flat.n
-    dim = flat.k
-    rows = [list(row) + [0] * r for row in flat.direction.basis.to_rows()]
-    for i in range(r):
-        fresh = [0] * (q + r)
-        fresh[q + i] = 1
-        rows.append(fresh)
-    pivots = flat.direction.pivots + tuple(range(q, q + r))
-    direction = LinearSubspace(
-        q + r, dim + r, p, PrimeMatrix.from_rows(rows, p), pivots
+    q, dim, pivots = flat.n, flat.k, flat.direction.pivots
+    rows = [row + [0] * r for row in flat.direction.basis.to_rows()]
+    factor = [(0,) * r]
+    if full:
+        rows += [[int(j == q + i) for j in range(q + r)] for i in range(r)]
+        dim, pivots = dim + r, pivots + tuple(range(q, q + r))
+        factor = list(itertools.product(range(p), repeat=r))
+    basis = PrimeMatrix(p, dim, q + r, tuple([e for row in rows for e in row]))
+    pts = tuple(pt + z for pt in ys.points for z in factor)
+    return (
+        AffineFlat(LinearSubspace(q + r, dim, p, basis, pivots), flat.base + (0,) * r),
+        PointSet(q + r, p, pts),
     )
-    base = flat.base + (0,) * r
-    pts = tuple(
-        pt + z
-        for pt in ys.points
-        for z in itertools.product(range(p), repeat=r)
-    )
-    return AffineFlat(direction, base), PointSet(q + r, p, pts)
 
 
 def _extrude_graphs(member, depth: int, p: int, shared: dict):
@@ -366,46 +356,34 @@ def _extrude_graphs(member, depth: int, p: int, shared: dict):
     return out
 
 
-def _pad_member(member, n: int, p: int):
-    flat, ys = member
-    q = flat.n
-    extra = n - q
-    rows = [list(row) + [0] * extra for row in flat.direction.basis.to_rows()]
-    direction = LinearSubspace(
-        n, flat.k, p,
-        PrimeMatrix.from_rows(rows, p) if rows else PrimeMatrix(p, 0, n, ()),
-        flat.direction.pivots,
-    )
-    base = flat.base + (0,) * extra
-    pts = tuple(pt + (0,) * extra for pt in ys.points)
-    return AffineFlat(direction, base), PointSet(n, p, pts)
-
-
 def _lift_transverse(members, n: int, k: int, p: int, slice_dim: int):
-    """Replace each low-dimensional flat W by every k-flat through it that
-    meets the coordinate slice F_p^slice_dim exactly in W."""
-    coordinate_slice = AffineFlat.through(
-        (0,) * n, LinearSubspace.coordinate(range(slice_dim), n, p)
-    )
-    extension_dim = k - (members[0][0].k)
+    """Replace each flat W by every k-flat through it that meets the
+    coordinate slice S = F_p^slice_dim exactly in W.
+
+    With s = d + sigma, every W has dimension d+1 and lies in S, since its
+    ambient space has at most slice_dim = n-k+d+1 coordinates.  So for an
+    extension direction D of dimension k-d-1, W + D is a k-flat meeting S
+    exactly in W iff D + S = F_p^n.  These D are chosen once, by rank, and
+    shared by all members; the k-flats W + D are kept once each in
+    first-seen order, and there must be p^((k-d-1)(n-k)) of them per member.
+    """
+    coordinate_slice = LinearSubspace.coordinate(range(slice_dim), n, p)
+    extension_dim = k - members[0][0].k
+    extensions = [
+        D.basis.to_rows()
+        for D in enumerate_linear(n, extension_dim, p)
+        if len(join_rows(D, coordinate_slice)) == n
+    ]
+    expected = p ** (extension_dim * (n - k))
     out = []
     for flat, ys in members:
-        seen = set()
-        for D in enumerate_linear(n, extension_dim, p):
-            direction = LinearSubspace.from_rows(
-                flat.direction.basis.to_rows() + D.basis.to_rows(), n, p
-            )
-            if direction.k != k or direction in seen:
-                continue
-            candidate = AffineFlat.through(flat.base, direction)
-            if relate(candidate, coordinate_slice).transverse:
-                seen.add(direction)
-                out.append((candidate, ys))
-        expected = p ** (extension_dim * (n - k))
-        if len(seen) != expected:
+        rows = flat.direction.basis.to_rows()
+        lifts = dict.fromkeys(LinearSubspace.from_rows(rows + D, n, p) for D in extensions)
+        if len(lifts) != expected:
             raise DegenerateScaleError(
-                f"transverse lift found {len(seen)} flats, expected {expected}"
+                f"transverse lift found {len(lifts)} flats, expected {expected}"
             )
+        out.extend((AffineFlat.through(flat.base, U), ys) for U in lifts)
     return out
 
 

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from fpfurst import cli
 from fpfurst.cli import (
     ConfigError,
     main,
@@ -139,25 +140,58 @@ def test_main_end_to_end(tmp_path, capsys):
     assert "5/4" in csv_text
 
 
-def test_benchmark_tracer_wraps_the_package(tmp_path):
+# One tiny config per subcommand, each with the trace counters it must give;
+# the construct case is a lifted family.
+TRACED = [
+    pytest.param(
+        {"command": "construct", "s": "1/2", "t": "3", "n": 4, "k": 2, "p": 3},
+        {"furstenberg.members": 54}, id="construct",
+    ),
+    pytest.param(
+        {"command": "count", "n": 3, "k": 1, "p": 3, "m": 1, "l": 0}, {}, id="count",
+    ),
+    pytest.param(
+        {"command": "lemmas", "lemma": "recursion_m", "pairs": [[4, 2]], "step": "1/2"},
+        {"lemmas.reports": 0}, id="lemmas-recursion_m",
+    ),
+    pytest.param(
+        {"command": "lemmas", "lemma": "properties", "pairs": [[2, 1]], "step": "1/2"},
+        {"lemmas.reports": 0}, id="lemmas-properties",
+    ),
+    pytest.param(
+        {"command": "index", "kind": "marstrand", "a": "3", "s": "1", "n": 3, "k": 1},
+        {}, id="index",
+    ),
+    pytest.param(
+        {"command": "exceptional", "a": "3/2", "s": "3/2", "n": 4, "k": 2, "p": 3},
+        {}, id="exceptional",
+    ),
+]
+
+
+@pytest.mark.parametrize("config, counters", TRACED)
+def test_benchmark_tracer_wraps_the_package(tmp_path, config, counters):
     # clibench's tracer wraps functions by name and parameter list; a traced
     # launch fails or miscounts when a wrapped signature changes.
     root = pathlib.Path(__file__).resolve().parents[1]
-    (tmp_path / "tiny.json").write_text(
-        json.dumps({"command": "exceptional", "a": "3/2", "s": "3/2", "n": 4, "k": 2, "p": 3})
-    )
+    command = config["command"]
+    (tmp_path / "tiny.json").write_text(json.dumps(config))
     proc = subprocess.run(
         [sys.executable, str(root / "clibench" / "launch.py"), "rec.json", "1",
-         "exceptional", "--config", "tiny.json", "--out", "out"],
+         command, "--config", "tiny.json", "--out", "out"],
         cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(root / "src")},
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    with open(tmp_path / "out" / "exceptional.csv", newline="") as fh:
-        assert [row["status"] for row in csv.DictReader(fh)] == ["pass"]
+    with open(tmp_path / "out" / f"{command}.csv", newline="") as fh:
+        statuses = [row["status"] for row in csv.DictReader(fh)]
+    assert statuses and all(status == "pass" for status in statuses)
     trace = json.loads((tmp_path / "rec.json").read_text())["trace"]
-    # (n, k, p, kernel calls): one call per direction, gaussian_binomial(n, n - k, p)
-    assert trace["exceptional_spans"] == [[2, 1, 3, 4], [4, 2, 3, 130]]
+    for key, value in counters.items():
+        assert trace["counters"][key] == value
+    if command == "exceptional":
+        # (n, k, p, kernel calls): one call per direction, gaussian_binomial(n, n - k, p)
+        assert trace["exceptional_spans"] == [[2, 1, 3, 4], [4, 2, 3, 130]]
 
 
 def test_main_exit_codes(tmp_path):
@@ -182,6 +216,18 @@ def test_main_rejects_jobs_out_of_range(tmp_path, capsys):
         assert code == 2
         assert "--jobs" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under-file"])
+def test_main_refuses_out_that_is_not_a_directory(tmp_path, capsys, monkeypatch, sub):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "index", "s": "1/2", "t": "1", "n": 2, "k": 1}))
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    monkeypatch.setattr(cli, "run", lambda config: pytest.fail("a case ran"))
+    assert main(["index", "--config", str(cfg), "--out", str(afile / sub)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert afile.read_text() == "kept\n"
 
 
 def test_help_documents_csv_schemas(capsys):

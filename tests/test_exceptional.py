@@ -95,6 +95,20 @@ def test_type3_families_pairwise_disjoint(p, ask):
             assert not (keys[i] & keys[j])
 
 
+@pytest.mark.parametrize(
+    "ask",
+    [
+        pytest.param((F(5, 2), F(7, 4), 4, 2), id="type2-slab"),
+        pytest.param((F(3, 2), F(5, 4), 4, 2), id="type3-enlarged"),
+        pytest.param((1, 2, 3, 1), id="type1"),
+        pytest.param((3, 1, 4, 2), id="type4"),
+    ],
+)
+def test_type3_families_refuse_non_product_branches(ask):
+    with pytest.raises(ValueError, match="no rectangle-product branch"):
+        type3_direction_families(*ask, 5)
+
+
 def test_type3_enlarged_branch():
     w = construct_marstrand_witness(F(3, 2), F(5, 4), 4, 2, 5)
     assert w.branch == "type3-enlarged"

@@ -7,7 +7,7 @@ import pytest
 
 from fpfurst.flags import AffineFlat, LinearSubspace, enumerate_affine
 from fpfurst.furstenberg import (
-    _extrude_full,
+    _cross,
     _extrude_graphs,
     _strip_family,
     construct_2d,
@@ -110,12 +110,26 @@ def test_general_case_d():
     assert len(fam.union) == 7**3  # the extreme corner fills the space
 
 
-def test_general_transverse_lift():
-    fam = construct_general(F(1, 2), 3, 4, 2, 3)
-    assert fam.branch == "general-c-lifted"
+@pytest.mark.parametrize(
+    "case, branch, d, members",
+    [
+        pytest.param((F(1, 2), 3, 4, 2, 3), "general-c-lifted", 0, 54, id="c-lifted"),
+        pytest.param((2, F(7, 2), 4, 3, 3), "general-d-lifted", 1, 81, id="d-lifted"),
+    ],
+)
+def test_general_transverse_lift(case, branch, d, members):
+    fam = construct_general(*case)
+    _, _, n, k, p = case
+    assert fam.branch == branch and len(fam.members) == members
     assert verify_family(fam).is_valid and meets_upper_bound(fam, 16)
-    # every member flat meets the coordinate 3-space in exactly its seed line
-    assert all(flat.k == 2 for flat, _ in fam.members)
+    # every member k-flat meets the coordinate slice F_p^(n-k+d+1) exactly in
+    # its (d+1)-dimensional seed flat, which carries the marked points
+    slice_dim = n - k + d + 1
+    for flat, ys in fam.members:
+        assert flat.k == k
+        inside = {q for q in flat.points() if not any(q[slice_dim:])}
+        assert len(inside) == p ** (d + 1)
+        assert set(ys.points) <= inside
 
 
 def test_inadmissible_rejected():
@@ -272,7 +286,7 @@ def test_extrude_graphs_matches_point_formula(p, depth):
     strip = _strip_family(F(1, 2), F(2), p).members
     members = [line, strip[1], strip[-1]]  # slanted and vertical lines
     if p ** (3 * depth) <= 729:
-        members.append(_extrude_full(strip[p + 1], 1, p))  # a 2-flat of F_p^3
+        members.append(_cross(strip[p + 1], 1, p, full=True))  # a 2-flat of F_p^3
     for member in members:
         got = _extrude_graphs(member, depth, p, {})
         assert got == _graphs_reference(member, depth, p)
