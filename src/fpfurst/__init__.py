@@ -15,7 +15,6 @@ from .flags import (
     enumerate_affine,
     enumerate_linear,
     gaussian_binomial,
-    relate,
 )
 from .furstenberg import (
     FurstenbergFamily,

@@ -20,7 +20,8 @@ the command does not read is refused):
   count        compare enumerated subspace/flat counts against the product
                formula, and optionally the small-projection direction count
                against its power of p (keys m, l, both or neither, with
-               0 <= m <= n; bound from "factor", one value, default 4).
+               0 <= m <= n; bound from "factor", one value of at least 1,
+               default 4).
 
 Every subcommand takes --config FILE, --out DIR and --jobs N; construct and
 exceptional each take their one constant flag, and no other subcommand takes
@@ -35,9 +36,10 @@ and 2 for a config or flag that is refused before any case runs: --jobs
 outside 1..CPU count, a constant flag that is not positive, a flag the
 subcommand does not take, a p that is composite or too large to certify
 prime, a missing required key, a key the command does not read, a key given
-as an empty list, m without l or l without m, more than one factor, or an
---out that cannot be made a directory (a file, or a path under one).  A
-refused config creates no output directory.
+as an empty list, m without l or l without m, more than one factor, a factor
+below 1 (which no count can meet), or an --out that cannot be made a
+directory (a file, or a path under one).  A refused config creates no output
+directory.
 
 Rationals cross this boundary only as integers or "num/den" strings;
 decimal notation is rejected.
@@ -279,8 +281,11 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"{command} requires key {key!r}")
     if ("m" in params) != ("l" in params):
         raise ConfigError("count requires both of the keys 'm' and 'l', or neither")
-    if len(params.get("factor", ())) > 1:
+    factors = params.get("factor", ())
+    if len(factors) > 1:
         raise ConfigError("factor: expected one value, since no count column tells factors apart")
+    if factors and factors[0] < 1:
+        raise ConfigError(f"factor: must be at least 1, got {factors[0]}")
     return ExperimentConfig(command=command, params={**optional, **params})
 
 

@@ -1,5 +1,5 @@
 """Canonical subspaces and affine flats of F_p^n: representation, enumeration,
-counting, and relation predicates.
+counting, and subspace sums by rank.
 
 Canonical forms make equality structural: a linear subspace is named by its
 RREF basis, an affine flat by (direction, base) where the base is the unique
@@ -212,35 +212,3 @@ def enumerate_affine(n: int, k: int, p: int):
                 base[c] = v
             yield AffineFlat(direction, tuple(base))
 
-
-@dataclass(frozen=True)
-class FlatRelation:
-    """How two flats meet: exact affine intersection dimension (None when
-    disjoint), parallelism, transversality."""
-
-    intersection_dim: int | None
-    parallel: bool
-    transverse: bool
-
-
-def relate(V: AffineFlat, W: AffineFlat) -> FlatRelation:
-    """Exact incidence record for two flats of the same ambient space.
-
-    transverse iff the intersection is nonempty of the generic dimension
-    dim V + dim W - n; parallel iff the smaller direction is contained in
-    the larger.
-    """
-    n, p = V.n, V.p
-    rows = join_rows(V.direction, W.direction)
-    r = len(rows)
-    # The smaller direction lies in the larger iff their sum is no bigger.
-    parallel = r == max(V.k, W.k)
-
-    diff = [(a - b) % p for a, b in zip(W.base, V.base)]
-    nonempty = not any(_reduce(diff, rows, p))
-
-    if not nonempty:
-        return FlatRelation(None, parallel, False)
-    inter_dim = V.k + W.k - r
-    transverse = inter_dim == V.k + W.k - n
-    return FlatRelation(inter_dim, parallel, transverse)

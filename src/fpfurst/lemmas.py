@@ -1,32 +1,30 @@
-"""Exhaustive rational-grid verification of the index recursion inequalities
-and the index-property lemmas, with counterexample reporting.
+"""Exhaustive integer-lattice checks of the index recursion inequalities and
+the index-property lemmas, with counterexample reporting.
 
 Grids cannot certify an inequality for all reals; they corroborate it on a
-finite rational mesh and, just as importantly, the checkers are falsifiable:
-every checker accepts a `slack` (and the property checker injectable index
-functions) so tests can deliberately break an inequality and confirm a
-nonempty report.  Constraint equalities (t1 + t2 = t, u + v = F(s1,t2;2,1),
-...) are enforced by deriving the dependent variable, never by filtering a
-product grid, so a silently empty witness set is impossible.
+finite rational mesh, and the checkers are falsifiable: each accepts a
+`slack` (the property checker, injectable index functions) so tests can
+break an inequality and see a nonempty report.  Constraint equalities
+(t1 + t2 = t, u + v = F(s1,t2;2,1), ...) derive the dependent variable
+rather than filter a product grid, so no witness set is silently empty.
 
-The three recursion checkers run on an integer lattice: for step 1/q and a
-given slack, every value is held as its numerator x of x/D at one scale
-D = lcm(c*q, den(slack)) per call, and every sum and comparison is an int
-operation.  The scale is exact because both index functions are piecewise
-affine with coefficients in {1, 1/2}:
+All four checkers hold each value as the numerator x of x/D, at one scale
+D = lcm(c*q, den(slack)) per call for step 1/q; every sum and comparison is
+an int operation.  Both indices are piecewise affine with coefficients in
+{1, 1/2}, so the scale is exact:
 
-* recursion_m, c = 1: M(a, s) on the 1/q grid has denominator q
-  (2*gamma - beta and the integer parts stay on the grid);
-* recursion_f2, c = 2: F(s, t) on the 1/q grid has denominator 2q, from the
-  (sigma + tau)/2 term;
+* recursion_m, c = 1: M on the 1/q grid has denominator q;
+* recursion_f2 and the properties, c = 2: F has denominator 2q, from
+  (sigma + tau)/2, and the stride D/q = 2 keeps 3s/2 + t/2 on the lattice;
 * recursion_f1, c = 4: v = F(s1, t2; 2, 1) - u has denominator 2q, so
-  F(s2, t1 + v; k, k-1) halves a 1/(2q) value and has denominator 4q.
+  F(s2, t1 + v; k, k-1) has 4q.
 
-Index values come from `_scaled_index`, which evaluates the Fraction formulas
-of `indices` once per lattice point and raises if a value is off the lattice.
-Reports convert back to Fractions, so they are the same as a Fraction sweep
-of the same grid would give.  The property checker stays on Fractions: its
-injectable index functions may return any denominator.
+`_scaled_index` evaluates the Fraction formulas of `indices` once per
+lattice point and raises ValueError for a value off the lattice, so an
+injected index function must take values on the 1/(2q) lattice.  NEG_INF
+stays NEG_INF: `x + NEG_INF` and `x > NEG_INF` work for an int x, and no
+checker subtracts from it.  Reports convert back to Fractions, equal to
+those of a Fraction sweep of the same grid.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ from .indices import (
     NEG_INF,
     Exponent,
     as_fraction,
-    canonical_split,
     classify_marstrand_type,
     furstenberg_index,
     marstrand_index,
@@ -52,7 +49,6 @@ _findex = lru_cache(maxsize=None)(furstenberg_index)
 _mindex = lru_cache(maxsize=None)(marstrand_index)
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -104,20 +100,22 @@ class CounterexampleReport:
         return dict(self.witness)
 
 
-def _report(lemma, witness, lhs, rhs, deficit):
-    return CounterexampleReport(lemma, tuple(witness), lhs, rhs, deficit)
-
-
-def _lattice_report(lemma, dims, D, witness, lhs, rhs):
+def _lattice_report(lemma, dims, D, witness, lhs, rhs, deficit=None):
     """A report from lattice numerators at scale D; `dims` are the integer
-    (name, value) parameters, `witness` the (name, numerator) pairs."""
+    (name, value) parameters, `witness` the (name, numerator) pairs.  A
+    NEG_INF side passes through unchanged; the deficit defaults to
+    |rhs - lhs|, so a caller with a side that can be NEG_INF passes it."""
+
+    def exact(x):
+        return x if x is NEG_INF else Fraction(x, D)
+
     return CounterexampleReport(
         lemma,
         tuple((name, Fraction(x)) for name, x in dims)
         + tuple((name, Fraction(x, D)) for name, x in witness),
-        Fraction(lhs, D),
-        Fraction(rhs, D),
-        Fraction(abs(rhs - lhs), D),
+        exact(lhs),
+        exact(rhs),
+        Fraction(abs(rhs - lhs) if deficit is None else deficit, D),
     )
 
 
@@ -140,7 +138,7 @@ def reports_to_csv(reports) -> str:
 
 def _scaled_index(index, D: int):
     """`index` on the lattice point (x/D, y/D; n, k), as the integer numerator
-    of value * D, or None for NEG_INF.
+    of value * D, or NEG_INF.
 
     The cache is keyed on plain ints and lives for one checker call, whose
     scale D is fixed.  A miss evaluates `index` on Fractions, so the formulas
@@ -158,7 +156,7 @@ def _scaled_index(index, D: int):
     def scaled(x: int, y: int, n: int, k: int):
         value = index(frac(x), frac(y), n, k)
         if value is NEG_INF:
-            return None
+            return value
         num, rem = divmod(value.numerator * D, value.denominator)
         if rem:
             raise ValueError(f"index value {value} is not on the 1/{D} lattice")
@@ -173,6 +171,13 @@ def _scale(grid: GridSpec, factor: int, slack: Fraction) -> tuple[int, int, int]
     q = grid.step.denominator
     D = math.lcm(factor * q, slack.denominator)
     return D, D // q, slack.numerator * (D // slack.denominator)
+
+
+def _split(x: int, D: int) -> tuple[int, int]:
+    """`canonical_split` on the lattice: x/D = d + sigma with sigma in (0, 1],
+    as (d, sigma * D), for a positive numerator x."""
+    d = (x - 1) // D
+    return d, x - d * D
 
 
 def check_recursion_f1(k: int, grid: GridSpec, slack=ZERO) -> list[CounterexampleReport]:
@@ -267,11 +272,7 @@ def check_recursion_m(n: int, k: int, grid: GridSpec, slack=ZERO) -> list[Counte
             rhs = M(a, s, n, k) - eps
             for a1 in range(max(g, a - D), min((n - 1) * D, a) + 1, g):
                 for s1 in range(g, s + 1, g):
-                    first = M(a1, s1, n - 1, k)
-                    second = M(s1 + a - a1, s, k + 1, k)
-                    if first is None or second is None:
-                        continue
-                    lhs = first + second
+                    lhs = M(a1, s1, n - 1, k) + M(s1 + a - a1, s, k + 1, k)
                     if lhs > rhs:
                         out.append(_lattice_report(
                             "recursion_m", [("n", n), ("k", k)], D,
@@ -294,134 +295,112 @@ def check_index_properties(
     constant, diagonal monotonicity of M, the easyM sandwich, the
     four-type partition, and -- for (2, 1) -- the closed forms of both
     indices.  Index functions are injectable so negative controls can
-    falsify a formula and watch the checker notice.
+    falsify a formula and watch the checker notice; their values must lie
+    on the 1/(2q) lattice of step 1/q (see the module docstring).
     """
-    F = lru_cache(maxsize=None)(furstenberg_fn) if furstenberg_fn else _findex
-    M = lru_cache(maxsize=None)(marstrand_fn) if marstrand_fn else _mindex
+    D, g, _ = _scale(grid, 2, ZERO)
+    # per-call caches only: no two (n, k) pairs share a key, so a shared
+    # Fraction cache would only hold memory
+    F = _scaled_index(furstenberg_fn or furstenberg_index, D)
+    M = _scaled_index(marstrand_fn or marstrand_index, D)
     C = as_fraction(lipschitz_constant)
+    if C.denominator == 1:
+        C = C.numerator  # an int constant keeps C * theta an int
     out = []
     for (n, k) in grid.pairs:
-        kk = k * (n - k)
-        tmax = (k + 1) * (n - k)
-        svals = grid.values(0, k)
-        tvals = grid.values(0, tmax)
+
+        def report(lemma, witness, lhs, rhs, deficit=None):
+            out.append(_lattice_report(lemma, [("n", n), ("k", k)], D, witness, lhs, rhs, deficit))
+
+        kk = k * (n - k) * D
+        tmax = (k + 1) * (n - k) * D
+        svals = range(0, k * D + 1, g)
+        tvals = range(0, tmax + 1, g)
 
         for s in svals:
             for t in tvals:
                 val = F(s, t, n, k)
-                bound = s + max(ZERO, t - kk)
+                bound = s + max(0, t - kk)
                 if val < bound:
-                    out.append(_report(
-                        "easybound",
-                        [("n", Fraction(n)), ("k", Fraction(k)), ("s", s), ("t", t)],
-                        val, bound, bound - val))
+                    report("easybound", [("s", s), ("t", t)], val, bound)
 
         for s in svals:
             for t2 in tvals:
                 base = F(s, t2, n, k)
-                for t1 in grid.values(0, tmax - t2):
+                for t1 in range(0, tmax - t2 + 1, g):
                     val = F(s, t1 + t2, n, k)
                     if val > t1 + base:
-                        out.append(_report(
-                            "t_lipschitz",
-                            [("n", Fraction(n)), ("k", Fraction(k)), ("s", s),
-                             ("t1", t1), ("t2", t2)],
-                            val, t1 + base, val - (t1 + base)))
+                        report("t_lipschitz", [("s", s), ("t1", t1), ("t2", t2)], val, t1 + base)
 
-        for s in svals:
-            if s == 0:
-                continue
-            _, sigma = canonical_split(s)
+        for s in svals[1:]:
+            _, sigma = _split(s, D)
             for t in tvals:
                 val = F(s, t, n, k)
-                for theta in grid.values(0, sigma, include_hi=False):
+                for theta in range(0, sigma, g):
                     # theta < sigma keeps s - theta inside the same piece (d unchanged)
                     lower = val - C * theta
                     shifted = F(s - theta, t, n, k)
                     if shifted < lower:
-                        out.append(_report(
-                            "left_lipschitz",
-                            [("n", Fraction(n)), ("k", Fraction(k)), ("s", s),
-                             ("t", t), ("theta", theta)],
-                            shifted, lower, lower - shifted))
+                        report("left_lipschitz", [("s", s), ("t", t), ("theta", theta)],
+                               shifted, lower)
 
-        avals = grid.values(0, n, include_lo=False)
-        smvals = grid.values(0, k + 1, include_lo=False)
+        avals = range(g, n * D + 1, g)
+        smvals = range(g, (k + 1) * D + 1, g)
 
         for a in avals:
             for s in smvals:
                 base = M(a, s, n, k)
-                for theta in grid.values(0, min(a, s), include_hi=False):
+                for theta in range(0, min(a, s), g):
                     moved = M(a - theta, s - theta, n, k)
                     if moved > base:
-                        out.append(_report(
-                            "m_diagonal",
-                            [("n", Fraction(n)), ("k", Fraction(k)), ("a", a),
-                             ("s", s), ("theta", theta)],
-                            moved, base, moved - base))
+                        report("m_diagonal", [("a", a), ("s", s), ("theta", theta)], moved, base)
 
         for a in avals:
-            for s in grid.values(max(ZERO, a - (n - k)), min(a, Fraction(k)), include_lo=False):
-                m_int, beta = canonical_split(a)
-                l_int, gamma = canonical_split(s)
-                upper = kk - (m_int - l_int) * (k - l_int) + max(
-                    2 * gamma - (beta + 1), ZERO)
-                lower = kk - (m_int + 1 - l_int) * (k - l_int) + max(
-                    2 * gamma - beta, ZERO)
+            m_int, beta = _split(a, D)
+            for s in range(max(0, a - (n - k) * D) + g, min(a, k * D) + 1, g):
+                l_int, gamma = _split(s, D)
+                upper = kk - (m_int - l_int) * (k - l_int) * D + max(2 * gamma - beta - D, 0)
+                lower = kk - (m_int + 1 - l_int) * (k - l_int) * D + max(2 * gamma - beta, 0)
                 val = M(a, s, n, k)
                 if val > upper:
-                    out.append(_report(
-                        "easym_upper",
-                        [("n", Fraction(n)), ("k", Fraction(k)), ("a", a), ("s", s)],
-                        val, upper, val - upper))
+                    report("easym_upper", [("a", a), ("s", s)], val, upper)
                 if val < lower:
-                    out.append(_report(
-                        "easym_lower",
-                        [("n", Fraction(n)), ("k", Fraction(k)), ("a", a), ("s", s)],
-                        val, lower, lower - val))
+                    report("easym_lower", [("a", a), ("s", s)], val, lower)
 
         for a in avals:
+            m_int, beta = _split(a, D)
             for s in smvals:
-                m_int, beta = canonical_split(a)
-                l_int, gamma = canonical_split(s)
+                l_int, gamma = _split(s, D)
+                inside = s <= min(a, k * D)
                 conds = [
-                    s > min(a, Fraction(k)),
-                    s <= min(a, Fraction(k))
-                    and l_int + 1 <= m_int <= n + l_int - k
-                    and gamma > beta,
-                    s <= min(a, Fraction(k))
-                    and l_int <= m_int <= n + l_int - k - 1
-                    and gamma <= beta,
-                    s <= a - (n - k),
+                    not inside,
+                    inside and l_int + 1 <= m_int <= n + l_int - k and gamma > beta,
+                    inside and l_int <= m_int <= n + l_int - k - 1 and gamma <= beta,
+                    s <= a - (n - k) * D,
                 ]
-                if sum(conds) != 1 or classify_marstrand_type(a, s, n, k) != conds.index(True) + 1:
-                    out.append(_report(
-                        "type_partition",
-                        [("n", Fraction(n)), ("k", Fraction(k)), ("a", a), ("s", s)],
-                        Fraction(sum(conds)), ONE, ONE))
+                if sum(conds) != 1 or classify_marstrand_type(
+                    Fraction(a, D), Fraction(s, D), n, k
+                ) != conds.index(True) + 1:
+                    report("type_partition", [("a", a), ("s", s)], sum(conds) * D, D, D)
 
         if (n, k) == (2, 1):
-            for s in grid.values(0, 1, include_lo=False):
-                for t in grid.values(0, 2):
+            for s in range(g, D + 1, g):
+                for t in range(0, 2 * D + 1, g):
                     val = F(s, t, 2, 1)
-                    closed = min(s + t, 3 * s / 2 + t / 2, s + 1)
+                    closed = min(s + t, (3 * s + t) // 2, s + D)
                     if val != closed:
-                        out.append(_report(
-                            "closed_form_f21",
-                            [("s", s), ("t", t)],
-                            val, closed, abs(closed - val)))
-            for a in grid.values(0, 2, include_lo=False):
-                for s in grid.values(0, 2, include_lo=False):
-                    val = M(a, s, 2, 1)
-                    if s > min(a, ONE):
-                        closed = ONE
-                    elif s > a - 1:
-                        closed = max(ZERO, 2 * s - a)
+                        out.append(_lattice_report(
+                            "closed_form_f21", [], D, [("s", s), ("t", t)], val, closed))
+            for a in range(g, 2 * D + 1, g):
+                for s in range(g, 2 * D + 1, g):
+                    if s > min(a, D):
+                        closed = D
+                    elif s > a - D:
+                        closed = max(0, 2 * s - a)
                     else:
                         closed = NEG_INF
+                    val = M(a, s, 2, 1)
                     if val != closed:
-                        out.append(_report(
-                            "closed_form_m21",
-                            [("a", a), ("s", s)],
-                            val, closed, ONE))
+                        out.append(_lattice_report(
+                            "closed_form_m21", [], D, [("a", a), ("s", s)], val, closed, D))
     return out

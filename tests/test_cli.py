@@ -140,8 +140,8 @@ def test_main_end_to_end(tmp_path, capsys):
     assert "5/4" in csv_text
 
 
-# One tiny config per subcommand, each with the trace counters it must give;
-# the construct case is a lifted family.
+# One tiny config per subcommand and per lemma checker, each with the trace
+# counters it must give; the construct case is a lifted family.
 TRACED = [
     pytest.param(
         {"command": "construct", "s": "1/2", "t": "3", "n": 4, "k": 2, "p": 3},
@@ -149,6 +149,14 @@ TRACED = [
     ),
     pytest.param(
         {"command": "count", "n": 3, "k": 1, "p": 3, "m": 1, "l": 0}, {}, id="count",
+    ),
+    pytest.param(
+        {"command": "lemmas", "lemma": "recursion_f1", "k": 2, "step": "1/2"},
+        {"lemmas.reports": 0}, id="lemmas-recursion_f1",
+    ),
+    pytest.param(
+        {"command": "lemmas", "lemma": "recursion_f2", "pairs": [[4, 2]], "step": "1/2"},
+        {"lemmas.reports": 0}, id="lemmas-recursion_f2",
     ),
     pytest.param(
         {"command": "lemmas", "lemma": "recursion_m", "pairs": [[4, 2]], "step": "1/2"},
@@ -442,6 +450,22 @@ def test_count_refuses_several_factors(tmp_path, capsys):
     assert main(["count", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert "factor" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("factor", ["1/2", "0", "-2"])
+def test_count_refuses_a_factor_below_one(factor, tmp_path, capsys):
+    # got <= f * expected and expected <= f * got cannot both hold for f < 1
+    config = {"command": "count", "n": 3, "k": 1, "p": 3, "m": 1, "l": 0, "factor": factor}
+    with pytest.raises(ConfigError, match="factor: must be at least 1"):
+        parse_config(json.dumps(config))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["count", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "factor: must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+    cfg.write_text(json.dumps({"command": "count", "n": 3, "k": 1, "p": 3, "factor": "1"}))
+    assert main(["count", "--config", str(cfg), "--out", str(out)]) == 0
 
 
 @pytest.mark.parametrize(

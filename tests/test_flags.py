@@ -1,6 +1,4 @@
 import gc
-import itertools
-import random
 import sys
 
 import pytest
@@ -11,8 +9,8 @@ from fpfurst.flags import (
     enumerate_affine,
     enumerate_linear,
     gaussian_binomial,
+    join_rows,
     reduce_mod_subspace,
-    relate,
 )
 
 
@@ -115,72 +113,12 @@ def test_canonical_flat_base():
     assert same == flat
 
 
-def test_relate_parallel_lines():
-    D = LinearSubspace.from_rows([[1, 0]], 2, 3)
-    r = relate(AffineFlat.through((0, 0), D), AffineFlat.through((0, 1), D))
-    assert r.intersection_dim is None and r.parallel and not r.transverse
-
-
-def test_relate_axes_transverse():
-    ax = AffineFlat.through((0, 0), LinearSubspace.from_rows([[1, 0]], 2, 5))
-    ay = AffineFlat.through((0, 0), LinearSubspace.from_rows([[0, 1]], 2, 5))
-    r = relate(ax, ay)
-    assert r.intersection_dim == 0 and r.transverse and not r.parallel
-
-
-def test_relate_line_inside_plane():
-    plane = AffineFlat.through(
-        (0, 0, 0), LinearSubspace.from_rows([[1, 0, 0], [0, 1, 0]], 3, 3)
-    )
-    line = AffineFlat.through((0, 0, 0), LinearSubspace.from_rows([[1, 0, 0]], 3, 3))
-    r = relate(line, plane)
-    assert r.intersection_dim == 1 and r.parallel and not r.transverse
-
-
-def test_relate_transverse_fraction():
-    # lines meeting a fixed plane of F_3^3 in a point: a solid fraction of all
-    plane = AffineFlat.through(
-        (0, 0, 0), LinearSubspace.from_rows([[1, 0, 0], [0, 1, 0]], 3, 3)
-    )
-    total = transverse = 0
-    for line in enumerate_affine(3, 1, 3):
-        total += 1
-        if relate(line, plane).transverse:
-            transverse += 1
-    assert total == 117
-    assert 4 * transverse >= total
-    # exact count: 9 directions off the plane, 9 lines each
-    assert transverse == 81
-
-
 def test_relate_rejects_mixed_spaces():
-    a = AffineFlat.through((0, 0), LinearSubspace.from_rows([[1, 0]], 2, 3))
-    b = AffineFlat.through((0, 0, 0), LinearSubspace.from_rows([[1, 0, 0]], 3, 3))
-    with pytest.raises(ValueError):
-        relate(a, b)
-
-
-def _check_relate_by_points(V, W):
-    """All three FlatRelation fields against point-set arithmetic."""
-    got = relate(V, W)
-    common = set(V.points()) & set(W.points())
-    dim = {V.p**d: d for d in range(V.n + 1)}[len(common)] if common else None
-    assert got.intersection_dim == dim
-    small, big = (V, W) if V.k <= W.k else (W, V)
-    assert got.parallel == (set(small.direction.points()) <= set(big.direction.points()))
-    assert got.transverse == (dim == V.k + W.k - V.n)
-
-
-def test_intersection_dim_bruteforce():
-    flats = list(enumerate_affine(3, 1, 2)) + list(enumerate_affine(3, 2, 2))
-    lines, planes = list(enumerate_affine(3, 1, 3)), list(enumerate_affine(3, 2, 3))
-    pairs = itertools.chain(
-        itertools.product(flats[:20], flats[-10:]),
-        itertools.product(lines, planes),
-        itertools.product(random.Random(3).sample(lines, 40), lines),
-    )
-    for V, W in pairs:
-        _check_relate_by_points(V, W)
+    # the sum of two subspaces of different spaces is refused
+    a = LinearSubspace.from_rows([[1, 0]], 2, 3)
+    b = LinearSubspace.from_rows([[1, 0, 0]], 3, 3)
+    with pytest.raises(ValueError, match="different spaces"):
+        join_rows(a, b)
 
 
 def test_enumerate_linear_leaves_no_blocks_behind():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -5,11 +6,18 @@ from itertools import product
 
 import pytest
 
-from fpfurst.indices import NEG_INF, furstenberg_index, marstrand_index
+from fpfurst.indices import (
+    NEG_INF,
+    canonical_split,
+    classify_marstrand_type,
+    furstenberg_index,
+    marstrand_index,
+)
 from fpfurst.lemmas import (
     CounterexampleReport,
     GridSpec,
     _scaled_index,
+    _split,
     check_index_properties,
     check_recursion_f1,
     check_recursion_f2,
@@ -98,19 +106,18 @@ def test_properties_closed_form_grid():
     assert check_index_properties(GridSpec(F(1, 12), ((2, 1),))) == []
 
 
+def _m_unclamped_type3(a, s, n, k):
+    """M with the max{., 0} clamp of the type-3 formula dropped."""
+    if classify_marstrand_type(a, s, n, k) == 3:
+        m, beta = canonical_split(a)
+        l, gamma = canonical_split(s)
+        return k * (n - k) - (m + 1 - l) * (k - l) + (2 * gamma - beta)
+    return marstrand_index(a, s, n, k)
+
+
 def test_properties_negative_control_broken_type3():
-    # drop the max{., 0} clamp in the type-3 formula
-    def broken_marstrand(a, s, n, k):
-        from fpfurst.indices import canonical_split, classify_marstrand_type
-
-        if classify_marstrand_type(a, s, n, k) == 3:
-            m, beta = canonical_split(a)
-            l, gamma = canonical_split(s)
-            return k * (n - k) - (m + 1 - l) * (k - l) + (2 * gamma - beta)
-        return marstrand_index(a, s, n, k)
-
     reports = check_index_properties(
-        GridSpec(F(1, 6), ((3, 2),)), marstrand_fn=broken_marstrand
+        GridSpec(F(1, 6), ((3, 2),)), marstrand_fn=_m_unclamped_type3
     )
     assert reports
     assert {r.lemma for r in reports} & {"easym_lower", "m_diagonal", "closed_form_m21"}
@@ -130,12 +137,32 @@ def _m_plus_one(a, s, n, k):
     return marstrand_index(a, s, n, k) + 1
 
 
+# NEG_INF has no __sub__, so a shift of M is written as an addition
+def _m_minus_one(a, s, n, k):
+    return marstrand_index(a, s, n, k) + (-1)
+
+
+def _m_minus_a(a, s, n, k):
+    return marstrand_index(a, s, n, k) + (-a)
+
+
+def _f_minus_one(s, t, n, k):
+    return furstenberg_index(s, t, n, k) - 1
+
+
+def _f_doubled(s, t, n, k):
+    return 2 * furstenberg_index(s, t, n, k)
+
+
 # one break per property family; type_partition breaks the classifier instead
 PROPERTY_BREAKS = {
-    "t_lipschitz": {"furstenberg_fn": lambda s, t, n, k: 2 * furstenberg_index(s, t, n, k)},
+    "easybound": {"furstenberg_fn": _f_minus_one},
+    "t_lipschitz": {"furstenberg_fn": _f_doubled},
     "left_lipschitz": {"lipschitz_constant": 0},
-    "m_diagonal": {"marstrand_fn": lambda a, s, n, k: marstrand_index(a, s, n, k) + (-a)},
+    "m_diagonal": {"marstrand_fn": _m_minus_a},
     "easym_upper": {"marstrand_fn": _m_plus_one},
+    "easym_lower": {"marstrand_fn": _m_minus_one},
+    "closed_form_f21": {"furstenberg_fn": _f_minus_one},
     "closed_form_m21": {"marstrand_fn": _m_plus_one},
     "type_partition": {},
 }
@@ -147,6 +174,54 @@ def test_properties_negative_control_each_family(family, monkeypatch):
         monkeypatch.setattr("fpfurst.lemmas.classify_marstrand_type", lambda a, s, n, k: 1)
     reports = check_index_properties(GridSpec(F(1, 4), ((2, 1),)), **PROPERTY_BREAKS[family])
     assert family in {r.lemma for r in reports}
+
+
+# sha256 of repr([(lemma, witness, lhs, rhs, deficit), ...]) for each break on
+# GOLDEN_GRID, with the report count; the digests were taken from the Fraction
+# sweep that the lattice property checker replaced.
+GOLDEN_GRID = GridSpec(F(1, 3), ((2, 1), (3, 2), (4, 2)))
+GOLDEN = {
+    "clean": ({}, 0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "2F": ({"furstenberg_fn": _f_doubled}, 335,
+           "07b070576c435159ce3cd965f350e04e86b1b106c0277568ed1cf25755ab54fe"),
+    "C=1/3": ({"lipschitz_constant": F(1, 3)}, 195,
+              "ac829a194e3ddb994d18d3e2e872732783f01440f10a458f254454f47eeacc3e"),
+    "M-a": ({"marstrand_fn": _m_minus_a}, 394,
+            "f6c1b316f57a80f5d742667c9f138de1020423551eafade151df76bfa1abf048"),
+    "M+1": ({"marstrand_fn": _m_plus_one}, 67,
+            "919a703b081e2b74e9c9c39178c08536dba7068d547e5c2e43e66eda01d165de"),
+    "M-1": ({"marstrand_fn": _m_minus_one}, 84,
+            "26862eea2b7e59403b9f731d358cac51681b0d4f686db9c95bdb570e7b6aef36"),
+    "F-1": ({"furstenberg_fn": _f_minus_one}, 190,
+            "2e6cae569540bec1070ddc944f12306267e8b4c8c91f7d459dd2b6a143f02347"),
+    "type3": ({"marstrand_fn": _m_unclamped_type3}, 8,
+              "ded4a992e4dd6e7117bc7e2118224930635ecd20734a5f86d0ed62dcf1b5aeed"),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_properties_reports_match_golden_digests(name):
+    kwargs, count, digest = GOLDEN[name]
+    reports = check_index_properties(GOLDEN_GRID, **kwargs)
+    text = repr([(r.lemma, r.witness, r.lhs, r.rhs, r.deficit) for r in reports])
+    assert len(reports) == count
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_properties_refuse_an_injection_off_the_lattice():
+    # step 1/4 puts the properties on the 1/8 lattice; 1/16 is off it
+    def off(s, t, n, k):
+        return furstenberg_index(s, t, n, k) + F(1, 16)
+
+    with pytest.raises(ValueError, match="lattice"):
+        check_index_properties(GridSpec(F(1, 4), ((2, 1),)), furstenberg_fn=off)
+
+
+@pytest.mark.parametrize("D", [1, 2, 6, 8])
+def test_split_is_canonical_split_on_the_lattice(D):
+    for x in range(1, 5 * D + 1):
+        d, sigma = canonical_split(F(x, D))
+        assert _split(x, D) == (d, sigma * D)
 
 
 def test_determinism_identical_reports():
@@ -258,4 +333,4 @@ def test_scaled_index_refuses_values_off_the_lattice():
     with pytest.raises(ValueError, match="lattice"):
         _scaled_index(furstenberg_index, 2)(1, 2, 2, 1)
     assert _scaled_index(furstenberg_index, 4)(2, 4, 2, 1) == 5
-    assert _scaled_index(marstrand_index, 1)(3, 1, 3, 1) is None  # M = NEG_INF
+    assert _scaled_index(marstrand_index, 1)(3, 1, 3, 1) is NEG_INF
