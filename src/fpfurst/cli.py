@@ -61,11 +61,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 
-from .exceptional import (
-    certify_lower_bound,
-    construct_marstrand_witness,
-    construct_oberlin_rectangle,
-)
+from .exceptional import certify_lower_bound, construct_marstrand_witness
 from .flags import LinearSubspace, enumerate_affine, enumerate_linear, gaussian_binomial
 from .furstenberg import (
     construct_general,
@@ -325,10 +321,7 @@ def _eval_construct(s, t, n, k, p, constant) -> dict:
 
 
 def _eval_exceptional(a, s, n, k, p, constant) -> dict:
-    if (n, k) == (2, 1) and a / 2 < s <= min(Fraction(1), a):
-        witness = construct_oberlin_rectangle(a, s, p)
-    else:
-        witness = construct_marstrand_witness(a, s, n, k, p)
+    witness = construct_marstrand_witness(a, s, n, k, p)
     ok = certify_lower_bound(witness, constant)
     return {
         "type": witness.mtype,

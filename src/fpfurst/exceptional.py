@@ -97,7 +97,9 @@ def construct_oberlin_rectangle(a, s, p: int) -> ExceptionalWitness:
 
 
 def construct_marstrand_witness(a, s, n: int, k: int, p: int) -> ExceptionalWitness:
-    """Dispatch on the type of (a, s) and build the matching witness."""
+    """Dispatch on the type of (a, s) and build the matching witness; in
+    F_p^2 the rectangle-product branch is the Oberlin rectangle, whose slope
+    lines are the claims."""
     pr = marstrand_params(a, s, n, k)
     a, s = pr.a, pr.s
     if pr.mtype == 1:
@@ -109,6 +111,8 @@ def construct_marstrand_witness(a, s, n: int, k: int, p: int) -> ExceptionalWitn
         return _certify(a, s, n, k, p, "type4-empty", set_a, ())
     product = _rectangle_product(pr)
     if product is not None:
+        if n == 2:
+            return construct_oberlin_rectangle(a, s, p)
         set_a, claimed = _rectangle_product_witness(n, k, p, *product, pr.gamma, pr.l)
         return _certify(a, s, n, k, p, f"type{pr.mtype}-rectangle", set_a, claimed)
     if pr.mtype == 2:

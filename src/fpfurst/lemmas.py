@@ -4,7 +4,10 @@ the index-property lemmas, with counterexample reporting.
 Grids cannot certify an inequality for all reals; they corroborate it on a
 finite rational mesh, and the checkers are falsifiable: each accepts a
 `slack` (the property checker, injectable index functions) so tests can
-break an inequality and see a nonempty report.  Constraint equalities
+break an inequality and see a nonempty report.  The slack also checks
+tightness: at slack = 1/D, one unit of the checker's lattice (below), an
+outer point is reported exactly when some witness attains the index, since
+every gap is a multiple of 1/D.  Constraint equalities
 (t1 + t2 = t, u + v = F(s1,t2;2,1), ...) derive the dependent variable
 rather than filter a product grid, so no witness set is silently empty.
 
@@ -22,9 +25,10 @@ an int operation.  Both indices are piecewise affine with coefficients in
 `_scaled_index` evaluates the Fraction formulas of `indices` once per
 lattice point and raises ValueError for a value off the lattice, so an
 injected index function must take values on the 1/(2q) lattice.  NEG_INF
-stays NEG_INF: `x + NEG_INF` and `x > NEG_INF` work for an int x, and no
-checker subtracts from it.  Reports convert back to Fractions, equal to
-those of a Fraction sweep of the same grid.
+stays NEG_INF: `x + NEG_INF` and `x > NEG_INF` work for an int x, and the
+one subtraction, a report's default deficit |rhs - lhs|, is one whole unit
+when a side is NEG_INF.  Reports convert back to Fractions, equal to those
+of a Fraction sweep of the same grid.
 """
 
 from __future__ import annotations
@@ -100,25 +104,6 @@ class CounterexampleReport:
         return dict(self.witness)
 
 
-def _lattice_report(lemma, dims, D, witness, lhs, rhs, deficit=None):
-    """A report from lattice numerators at scale D; `dims` are the integer
-    (name, value) parameters, `witness` the (name, numerator) pairs.  A
-    NEG_INF side passes through unchanged; the deficit defaults to
-    |rhs - lhs|, so a caller with a side that can be NEG_INF passes it."""
-
-    def exact(x):
-        return x if x is NEG_INF else Fraction(x, D)
-
-    return CounterexampleReport(
-        lemma,
-        tuple((name, Fraction(x)) for name, x in dims)
-        + tuple((name, Fraction(x, D)) for name, x in witness),
-        exact(lhs),
-        exact(rhs),
-        Fraction(abs(rhs - lhs) if deficit is None else deficit, D),
-    )
-
-
 def reports_to_csv(reports) -> str:
     """Serialize reports; columns: lemma, union of witness fields, lhs, rhs,
     deficit.  Deterministic field order, exact num/den values."""
@@ -165,12 +150,39 @@ def _scaled_index(index, D: int):
     return scaled
 
 
-def _scale(grid: GridSpec, factor: int, slack: Fraction) -> tuple[int, int, int]:
-    """The common scale D = lcm(factor * q, den(slack)) for step 1/q, the
-    lattice stride g = D / q of the grid, and slack * D."""
+def _frame(grid: GridSpec, factor: int, slack, *indices):
+    """The set-up every checker shares: each of `indices` as a `_scaled_index`
+    at the scale D = lcm(factor * q, den(slack)) for step 1/q, then D, the
+    lattice stride g = D / q, slack * D, the report list and `report`.
+
+    `report(lemma, dims, lhs, rhs, deficit=None, **witness)` appends one
+    CounterexampleReport from lattice numerators: `dims` are the integer
+    (name, value) parameters and each witness keyword a numerator.  A NEG_INF
+    side passes through unchanged; the deficit defaults to |rhs - lhs|, and
+    to one whole unit when a side is NEG_INF.
+    """
+    slack = as_fraction(slack)
     q = grid.step.denominator
     D = math.lcm(factor * q, slack.denominator)
-    return D, D // q, slack.numerator * (D // slack.denominator)
+    out = []
+
+    def exact(x):
+        return x if x is NEG_INF else Fraction(x, D)
+
+    def report(lemma, dims, lhs, rhs, deficit=None, **witness):
+        if deficit is None:
+            deficit = D if lhs is NEG_INF or rhs is NEG_INF else abs(rhs - lhs)
+        out.append(CounterexampleReport(
+            lemma,
+            tuple((name, Fraction(x)) for name, x in dims)
+            + tuple((name, Fraction(x, D)) for name, x in witness.items()),
+            exact(lhs),
+            exact(rhs),
+            Fraction(deficit, D),
+        ))
+
+    scaled = (_scaled_index(index, D) for index in indices)
+    return (*scaled, D, D // q, slack.numerator * (D // slack.denominator), out, report)
 
 
 def _split(x: int, D: int) -> tuple[int, int]:
@@ -194,10 +206,7 @@ def check_recursion_f1(k: int, grid: GridSpec, slack=ZERO) -> list[Counterexampl
     """
     if k < 2:
         raise ValueError("recursion needs k >= 2")
-    slack = as_fraction(slack)
-    D, g, eps = _scale(grid, 4, slack)
-    F = _scaled_index(_findex, D)
-    out = []
+    F, D, g, eps, out, report = _frame(grid, 4, slack, _findex)
     for s in range(0, k * D + 1, g):
         for t in range(0, (k + 1) * D + 1, g):
             target = F(s, t, k + 1, k) + eps
@@ -211,12 +220,8 @@ def check_recursion_f1(k: int, grid: GridSpec, slack=ZERO) -> list[Counterexampl
                         v = f12 - u
                         lhs = u + max(F(s2, t1 + v, k, k - 1), s2 + v)
                         if lhs < target:
-                            out.append(_lattice_report(
-                                "recursion_f1", [("k", k)], D,
-                                [("s", s), ("t", t), ("t1", t1), ("t2", t2),
-                                 ("s1", s1), ("s2", s2), ("u", u), ("v", v)],
-                                lhs, target,
-                            ))
+                            report("recursion_f1", [("k", k)], lhs, target, s=s, t=t,
+                                   t1=t1, t2=t2, s1=s1, s2=s2, u=u, v=v)
     return out
 
 
@@ -230,10 +235,7 @@ def check_recursion_f2(n: int, k: int, grid: GridSpec, slack=ZERO) -> list[Count
     """
     if n < k + 2:
         raise ValueError("recursion needs n >= k + 2")
-    slack = as_fraction(slack)
-    D, g, eps = _scale(grid, 2, slack)
-    F = _scaled_index(_findex, D)
-    out = []
+    F, D, g, eps, out, report = _frame(grid, 2, slack, _findex)
     for s in range(0, k * D + 1, g):
         for t in range(0, (k + 1) * (n - k) * D + 1, g):
             target = F(s, t, n, k) + eps
@@ -243,11 +245,8 @@ def check_recursion_f2(n: int, k: int, grid: GridSpec, slack=ZERO) -> list[Count
                 for s1 in range(s, k * D + 1, g):
                     lhs = F(s1, t1, n - 1, k) + max(inner - s1, 0)
                     if lhs < target:
-                        out.append(_lattice_report(
-                            "recursion_f2", [("n", n), ("k", k)], D,
-                            [("s", s), ("t", t), ("t1", t1), ("t2", t2), ("s1", s1)],
-                            lhs, target,
-                        ))
+                        report("recursion_f2", [("n", n), ("k", k)], lhs, target,
+                               s=s, t=t, t1=t1, t2=t2, s1=s1)
     return out
 
 
@@ -263,10 +262,7 @@ def check_recursion_m(n: int, k: int, grid: GridSpec, slack=ZERO) -> list[Counte
     """
     if n < k + 2:
         raise ValueError("recursion needs n >= k + 2")
-    slack = as_fraction(slack)
-    D, g, eps = _scale(grid, 1, slack)
-    M = _scaled_index(_mindex, D)
-    out = []
+    M, D, g, eps, out, report = _frame(grid, 1, slack, _mindex)
     for a in range(g, n * D + 1, g):
         for s in range(max(0, a - (n - k) * D) + g, min(a, k * D) + 1, g):
             rhs = M(a, s, n, k) - eps
@@ -274,11 +270,8 @@ def check_recursion_m(n: int, k: int, grid: GridSpec, slack=ZERO) -> list[Counte
                 for s1 in range(g, s + 1, g):
                     lhs = M(a1, s1, n - 1, k) + M(s1 + a - a1, s, k + 1, k)
                     if lhs > rhs:
-                        out.append(_lattice_report(
-                            "recursion_m", [("n", n), ("k", k)], D,
-                            [("a", a), ("s", s), ("a1", a1), ("s1", s1)],
-                            lhs, rhs,
-                        ))
+                        report("recursion_m", [("n", n), ("k", k)], lhs, rhs,
+                               a=a, s=s, a1=a1, s1=s1)
     return out
 
 
@@ -298,20 +291,15 @@ def check_index_properties(
     falsify a formula and watch the checker notice; their values must lie
     on the 1/(2q) lattice of step 1/q (see the module docstring).
     """
-    D, g, _ = _scale(grid, 2, ZERO)
     # per-call caches only: no two (n, k) pairs share a key, so a shared
     # Fraction cache would only hold memory
-    F = _scaled_index(furstenberg_fn or furstenberg_index, D)
-    M = _scaled_index(marstrand_fn or marstrand_index, D)
+    F, M, D, g, _, out, report = _frame(
+        grid, 2, ZERO, furstenberg_fn or furstenberg_index, marstrand_fn or marstrand_index)
     C = as_fraction(lipschitz_constant)
     if C.denominator == 1:
         C = C.numerator  # an int constant keeps C * theta an int
-    out = []
     for (n, k) in grid.pairs:
-
-        def report(lemma, witness, lhs, rhs, deficit=None):
-            out.append(_lattice_report(lemma, [("n", n), ("k", k)], D, witness, lhs, rhs, deficit))
-
+        nk = [("n", n), ("k", k)]
         kk = k * (n - k) * D
         tmax = (k + 1) * (n - k) * D
         svals = range(0, k * D + 1, g)
@@ -322,7 +310,7 @@ def check_index_properties(
                 val = F(s, t, n, k)
                 bound = s + max(0, t - kk)
                 if val < bound:
-                    report("easybound", [("s", s), ("t", t)], val, bound)
+                    report("easybound", nk, val, bound, s=s, t=t)
 
         for s in svals:
             for t2 in tvals:
@@ -330,7 +318,7 @@ def check_index_properties(
                 for t1 in range(0, tmax - t2 + 1, g):
                     val = F(s, t1 + t2, n, k)
                     if val > t1 + base:
-                        report("t_lipschitz", [("s", s), ("t1", t1), ("t2", t2)], val, t1 + base)
+                        report("t_lipschitz", nk, val, t1 + base, s=s, t1=t1, t2=t2)
 
         for s in svals[1:]:
             _, sigma = _split(s, D)
@@ -341,8 +329,7 @@ def check_index_properties(
                     lower = val - C * theta
                     shifted = F(s - theta, t, n, k)
                     if shifted < lower:
-                        report("left_lipschitz", [("s", s), ("t", t), ("theta", theta)],
-                               shifted, lower)
+                        report("left_lipschitz", nk, shifted, lower, s=s, t=t, theta=theta)
 
         avals = range(g, n * D + 1, g)
         smvals = range(g, (k + 1) * D + 1, g)
@@ -353,7 +340,7 @@ def check_index_properties(
                 for theta in range(0, min(a, s), g):
                     moved = M(a - theta, s - theta, n, k)
                     if moved > base:
-                        report("m_diagonal", [("a", a), ("s", s), ("theta", theta)], moved, base)
+                        report("m_diagonal", nk, moved, base, a=a, s=s, theta=theta)
 
         for a in avals:
             m_int, beta = _split(a, D)
@@ -363,9 +350,9 @@ def check_index_properties(
                 lower = kk - (m_int + 1 - l_int) * (k - l_int) * D + max(2 * gamma - beta, 0)
                 val = M(a, s, n, k)
                 if val > upper:
-                    report("easym_upper", [("a", a), ("s", s)], val, upper)
+                    report("easym_upper", nk, val, upper, a=a, s=s)
                 if val < lower:
-                    report("easym_lower", [("a", a), ("s", s)], val, lower)
+                    report("easym_lower", nk, val, lower, a=a, s=s)
 
         for a in avals:
             m_int, beta = _split(a, D)
@@ -381,7 +368,7 @@ def check_index_properties(
                 if sum(conds) != 1 or classify_marstrand_type(
                     Fraction(a, D), Fraction(s, D), n, k
                 ) != conds.index(True) + 1:
-                    report("type_partition", [("a", a), ("s", s)], sum(conds) * D, D, D)
+                    report("type_partition", nk, sum(conds) * D, D, D, a=a, s=s)
 
         if (n, k) == (2, 1):
             for s in range(g, D + 1, g):
@@ -389,8 +376,7 @@ def check_index_properties(
                     val = F(s, t, 2, 1)
                     closed = min(s + t, (3 * s + t) // 2, s + D)
                     if val != closed:
-                        out.append(_lattice_report(
-                            "closed_form_f21", [], D, [("s", s), ("t", t)], val, closed))
+                        report("closed_form_f21", [], val, closed, s=s, t=t)
             for a in range(g, 2 * D + 1, g):
                 for s in range(g, 2 * D + 1, g):
                     if s > min(a, D):
@@ -401,6 +387,5 @@ def check_index_properties(
                         closed = NEG_INF
                     val = M(a, s, 2, 1)
                     if val != closed:
-                        out.append(_lattice_report(
-                            "closed_form_m21", [], D, [("a", a), ("s", s)], val, closed, D))
+                        report("closed_form_m21", [], val, closed, D, a=a, s=s)
     return out

@@ -16,6 +16,37 @@ from fpfurst.projections import ExceptionalQuery, exceptional_set, projection_co
 F = Fraction
 
 
+class _Oberlin(Exception):
+    pass
+
+
+def test_dispatcher_picks_oberlin_exactly_where_the_2d_rectangle_applies(monkeypatch):
+    """In F_p^2 the dispatcher builds the Oberlin rectangle exactly where
+    a/2 < s <= min(1, a), on every point of the 1/24 grid of (0, 2]^2."""
+
+    def oberlin(a, s, p):
+        raise _Oberlin
+
+    monkeypatch.setattr("fpfurst.exceptional.construct_oberlin_rectangle", oberlin)
+    grid = [F(j, 24) for j in range(1, 49)]
+    for a in grid:
+        for s in grid:
+            try:
+                construct_marstrand_witness(a, s, 2, 1, 2)
+                chose = False
+            except _Oberlin:
+                chose = True
+            except DegenerateScaleError:  # another branch, too small at p = 2
+                chose = False
+            assert chose == (a / 2 < s <= min(F(1), a)), (a, s)
+
+
+def test_dispatcher_returns_the_oberlin_witness_in_2d():
+    assert construct_marstrand_witness(F(3, 2), 1, 2, 1, 41) == construct_oberlin_rectangle(
+        F(3, 2), 1, 41
+    )
+
+
 def test_oberlin_rectangle_spec_case():
     w = construct_oberlin_rectangle(F(3, 2), 1, 101)
     assert len(w.set_a) == 5 * 41 == 205

@@ -334,3 +334,88 @@ def test_scaled_index_refuses_values_off_the_lattice():
         _scaled_index(furstenberg_index, 2)(1, 2, 2, 1)
     assert _scaled_index(furstenberg_index, 4)(2, 4, 2, 1) == 5
     assert _scaled_index(marstrand_index, 1)(3, 1, 3, 1) is NEG_INF
+
+
+def test_properties_report_an_injected_neg_inf():
+    # M = -inf everywhere: easym_lower sees val < lower with val = -inf, whose
+    # deficit is one whole unit rather than |rhs - lhs|
+    reports = check_index_properties(
+        GridSpec(F(1, 2), ((2, 1),)), marstrand_fn=lambda a, s, n, k: NEG_INF
+    )
+    lemmas = {r.lemma for r in reports}
+    assert "easym_lower" in lemmas
+    for r in reports:
+        if r.lemma == "easym_lower":
+            assert r.lhs is NEG_INF and r.deficit == 1
+
+
+def test_properties_report_m_diagonal_from_a_neg_inf_base():
+    # M(1, 1; 2, 1) = 1 replaced by -inf: M(1/2, 1/2) is finite and larger
+    def holed(a, s, n, k):
+        return NEG_INF if (a, s, n, k) == (1, 1, 2, 1) else marstrand_index(a, s, n, k)
+
+    reports = check_index_properties(GridSpec(F(1, 2), ((2, 1),)), marstrand_fn=holed)
+    diagonal = [r for r in reports if r.lemma == "m_diagonal"]
+    assert diagonal == [CounterexampleReport(
+        "m_diagonal",
+        (("n", F(2)), ("k", F(1)), ("a", F(1)), ("s", F(1)), ("theta", F(1, 2))),
+        marstrand_index(F(1, 2), F(1, 2), 2, 1), NEG_INF, F(1),
+    )]
+
+
+# -- tightness: at slack = one unit 1/D of a checker's lattice, a point is
+# reported exactly when some witness attains the index --
+
+TIGHT_GRID = GridSpec(F(1, 6))
+
+
+@pytest.mark.parametrize(
+    "checker, dims, unit, outer",
+    [
+        # recursion_f1 works at scale 4q = 24, recursion_f2 at 2q = 12
+        (check_recursion_f1, (2,), F(1, 24), 247),
+        (check_recursion_f1, (3,), F(1, 24), 475),
+        (check_recursion_f2, (4, 2), F(1, 12), 481),
+        (check_recursion_f2, (5, 3), F(1, 12), 931),
+        (check_recursion_f2, (4, 1), F(1, 12), 259),
+        (check_recursion_f2, (5, 2), F(1, 12), 715),
+    ],
+    ids=["f1-2", "f1-3", "f2-42", "f2-53", "f2-41", "f2-52"],
+)
+def test_f_recursions_are_equalities(checker, dims, unit, outer):
+    """min over witnesses of the left side equals F at every outer point: each
+    point has a reported witness (gap < unit, so gap 0), and every reported
+    witness has deficit exactly unit (no left side below F)."""
+    reports = checker(*dims, TIGHT_GRID, slack=unit)
+    points = {(r.witness_dict()["s"], r.witness_dict()["t"]) for r in reports}
+    k = dims[-1]
+    n = dims[0] if len(dims) == 2 else k + 1
+    grid = set(product(_grid(6, 0, k), _grid(6, 0, (k + 1) * (n - k))))
+    assert len(grid) == outer
+    assert points == grid
+    assert {r.deficit for r in reports} == {unit}
+
+
+# sha256 of repr(sorted reported (a, s)) at slack 1/6, the lattice unit of
+# recursion_m at step 1/6: the points where some witness attains M
+M_TIGHT = {
+    (4, 2): (52, 144, "aa2571d11851f1fd36d2067f8ee3a2230dadf074fcc834fae73f2806a4594024"),
+    (4, 1): (43, 108, "5d149deb3a89b7dd543a8a64e2c596fc5e6d70207e30c771029e8492f50896b0"),
+}
+
+
+@pytest.mark.parametrize("dims", list(M_TIGHT))
+def test_recursion_m_tight_set_is_pinned(dims):
+    """The M recursion is not tight on the lattice, so the assertion that makes
+    the F recursions equalities fails here: only part of the outer grid has a
+    witness attaining M."""
+    tight, outer, digest = M_TIGHT[dims]
+    n, k = dims
+    reports = check_recursion_m(n, k, TIGHT_GRID, slack=F(1, 6))
+    points = sorted({(r.witness_dict()["a"], r.witness_dict()["s"]) for r in reports})
+    grid = [(a, s) for a, s in product(_grid(6, 0, n), _grid(6, 0, k))
+            if 0 < a and max(0, a - (n - k)) < s <= min(a, k)]
+    assert len(grid) == outer
+    assert len(points) == tight < outer
+    assert {r.deficit for r in reports} == {F(1, 6)}
+    assert hashlib.sha256(repr(points).encode()).hexdigest() == digest
