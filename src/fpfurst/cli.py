@@ -25,7 +25,9 @@ the command does not read is refused):
 
 Every subcommand takes --config FILE, --out DIR and --jobs N; construct and
 exceptional each take their one constant flag, and no other subcommand takes
-either.
+either.  --jobs 1 (the default) evaluates every case in this process and
+loads no process pool; N > 1 fans the cases out over N worker processes
+without changing row order.
 
 Outputs: <out>/<command>.csv with one row per case (schema fixed per
 command, exact decimal integers and num/den rationals only, so identical
@@ -56,7 +58,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
@@ -69,7 +70,7 @@ from .furstenberg import (
     meets_upper_bound,
     verify_family,
 )
-from .indices import furstenberg_index, marstrand_index
+from .indices import as_fraction, furstenberg_index, marstrand_index
 from .lemmas import (
     GridSpec,
     check_index_properties,
@@ -85,9 +86,6 @@ from .projections import count_small_projection_subspaces
 class ConfigError(ValueError):
     pass
 
-
-COMMANDS = ("index", "lemmas", "construct", "exceptional", "count")
-LEMMA_NAMES = ("recursion_f1", "recursion_f2", "recursion_m", "properties")
 
 CSV_COLUMNS = {
     "index": ["kind", "s", "t", "a", "n", "k", "value", "status"],
@@ -108,8 +106,7 @@ CSV_COLUMNS = {
 class ExperimentConfig:
     command: str
     params: dict
-    upper_constant: Fraction = Fraction(16)
-    lower_constant: Fraction = Fraction(1, 25)
+    constant: Fraction | None = None  # the bound's constant, for construct and exceptional
     jobs: int = 1
 
 
@@ -152,18 +149,12 @@ class RunReport:
 
 
 def _parse_rational(value, key: str) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ConfigError(f"{key}: rationals must be num/den")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        if any(c in value for c in ".eE"):
-            raise ConfigError(f"{key}: rationals must be num/den")
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"{key}: {exc}") from exc
-    raise ConfigError(f"{key}: rationals must be num/den")
+    try:
+        return as_fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def _parse_int(value, key: str) -> int:
@@ -203,33 +194,6 @@ _PARSERS = {
 }
 
 
-# What each config reads, by command, with `index` split by kind and `lemmas`
-# by lemma: the keys swept as a Cartesian product, in product order, and the
-# optional keys with their defaults.  A swept key with no default is required.
-_STEP = {"step": (Fraction(1, 4),)}
-_KEYS = {
-    "furstenberg": (("s", "t", "n", "k"), {}),
-    "marstrand": (("a", "s", "n", "k"), {}),
-    "recursion_f1": (("k", "step"), _STEP),
-    "recursion_f2": (("pairs", "step"), _STEP),
-    "recursion_m": (("pairs", "step"), _STEP),
-    "properties": (("pairs", "step"), {"step": (Fraction(1, 12),)}),
-    "construct": (("s", "t", "n", "k", "p"), {}),
-    "exceptional": (("a", "s", "n", "k", "p"), {}),
-    # m and l sweep their own product within each (n, k, p)
-    "count": (("n", "k", "p"), {"m": (), "l": (), "factor": (Fraction(4),)}),
-}
-# The key that picks the `_KEYS` entry of a command split in two, and its
-# default (None: the key is required).
-_SELECTORS = {"index": ("kind", "furstenberg"), "lemmas": ("lemma", None)}
-
-
-def _variant(command: str, params: dict):
-    """The `_KEYS` entry a config reads, and the key that selected it."""
-    selector, default = _SELECTORS.get(command, (None, command))
-    return params.get(selector, default), selector
-
-
 def parse_config(text: str) -> ExperimentConfig:
     """Exact parse of a JSON experiment config, or a diagnostic naming the
     offending key."""
@@ -244,14 +208,10 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"command must be one of {COMMANDS}, got {command!r}")
     params: dict = {}
     for key, value in raw.items():
-        if key == "kind":
-            if value not in ("furstenberg", "marstrand"):
-                raise ConfigError(f"kind must be furstenberg or marstrand, got {value!r}")
-            params["kind"] = value
-        elif key == "lemma":
-            if value not in LEMMA_NAMES:
-                raise ConfigError(f"lemma must be one of {LEMMA_NAMES}, got {value!r}")
-            params["lemma"] = value
+        if key in _CHOICES:
+            if value not in _CHOICES[key]:
+                raise ConfigError(f"{key} must be one of {_CHOICES[key]}, got {value!r}")
+            params[key] = value
         elif key == "pairs":
             if not isinstance(value, list) or not all(
                 isinstance(pair, list) and len(pair) == 2 for pair in value
@@ -268,7 +228,7 @@ def parse_config(text: str) -> ExperimentConfig:
     what, selector = _variant(command, params)
     if what is None:
         raise ConfigError(f"{command} requires key {selector!r}")
-    sweep, optional = _KEYS[what]
+    _, _, sweep, optional = _KEYS[what]
     for key in params:
         if key not in sweep and key not in optional and key != selector:
             raise ConfigError(f"{what} does not read key {key!r}")
@@ -282,7 +242,8 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("factor: expected one value, since no count column tells factors apart")
     if factors and factors[0] < 1:
         raise ConfigError(f"factor: must be at least 1, got {factors[0]}")
-    return ExperimentConfig(command=command, params={**optional, **params})
+    return ExperimentConfig(command=command, params={**optional, **params},
+                            constant=_CONSTANT_FLAGS.get(command, (None, None))[1])
 
 
 def _eval_index(kind, s, n, k, t=None, a=None) -> dict:
@@ -354,6 +315,44 @@ def _eval_count(kind, n, k, p, m=None, l=None, factor=None) -> dict:
     return {"enumerated": got, "expected": expected, "status": "pass" if ok else "fail"}
 
 
+# Every variant a config can select, one row each: an `index` kind, a lemma,
+# or an unsplit command.  A row names the command, the evaluator (module-level,
+# so --jobs can pickle it), the keys swept as a Cartesian product, in product
+# order, and the optional keys with their defaults.  A swept key with no
+# default is required.
+_STEP = {"step": (Fraction(1, 4),)}
+_KEYS = {
+    "furstenberg": ("index", _eval_index, ("s", "t", "n", "k"), {}),
+    "marstrand": ("index", _eval_index, ("a", "s", "n", "k"), {}),
+    "recursion_f1": ("lemmas", _eval_lemma, ("k", "step"), _STEP),
+    "recursion_f2": ("lemmas", _eval_lemma, ("pairs", "step"), _STEP),
+    "recursion_m": ("lemmas", _eval_lemma, ("pairs", "step"), _STEP),
+    "properties": ("lemmas", _eval_lemma, ("pairs", "step"), {"step": (Fraction(1, 12),)}),
+    "construct": ("construct", _eval_construct, ("s", "t", "n", "k", "p"), {}),
+    "exceptional": ("exceptional", _eval_exceptional, ("a", "s", "n", "k", "p"), {}),
+    # m and l sweep their own product within each (n, k, p)
+    "count": ("count", _eval_count, ("n", "k", "p"),
+              {"m": (), "l": (), "factor": (Fraction(4),)}),
+}
+COMMANDS = tuple(dict.fromkeys(row[0] for row in _KEYS.values()))
+# The key that selects the variant of a command split in two, and its default
+# (None: the key is required); the variants each selector accepts.
+_SELECTORS = {"index": ("kind", "furstenberg"), "lemmas": ("lemma", None)}
+_CHOICES = {key: tuple(v for v, row in _KEYS.items() if row[0] == command)
+            for command, (key, _) in _SELECTORS.items()}
+# The constant flag of each command that takes one, and its default.
+_CONSTANT_FLAGS = {
+    "construct": ("--upper-constant", Fraction(16)),
+    "exceptional": ("--lower-constant", Fraction(1, 25)),
+}
+
+
+def _variant(command: str, params: dict):
+    """The `_KEYS` entry a config reads, and the key that selected it."""
+    selector, default = _SELECTORS.get(command, (None, command))
+    return params.get(selector, default), selector
+
+
 def _evaluate(evaluator, columns, case: dict) -> dict:
     """One case as a row: its input columns, then the evaluator's output
     columns, or an `error: <message>` status if the case raises ValueError
@@ -372,28 +371,24 @@ def _evaluate(evaluator, columns, case: dict) -> dict:
 def _build_cases(config: ExperimentConfig):
     """The evaluator and, in row order, the cases of a parsed config; a case
     maps the evaluator's argument names to their values."""
-    p, cmd = config.params, config.command
-    what, _ = _variant(cmd, p)
-    keys = _KEYS[what][0]
-    sweep = [dict(zip(keys, values)) for values in itertools.product(*(p[key] for key in keys))]
-    if cmd == "index":
-        return _eval_index, [{"kind": what, **case} for case in sweep]
-    if cmd == "lemmas":
-        for case in sweep:
-            if "pairs" in case:
-                case["n"], case["k"] = case.pop("pairs")
-        return _eval_lemma, [{"lemma": what, **case} for case in sweep]
-    if cmd == "construct":
-        return _eval_construct, [{**case, "constant": config.upper_constant} for case in sweep]
-    if cmd == "exceptional":
-        return _eval_exceptional, [{**case, "constant": config.lower_constant} for case in sweep]
-    (factor,) = p["factor"]
+    p = config.params
+    what, selector = _variant(config.command, p)
+    _, evaluator, keys, _ = _KEYS[what]
+    fixed = {selector: what} if selector else {}
+    if config.constant is not None:
+        fixed["constant"] = config.constant
     cases = []
-    for case in sweep:
+    for values in itertools.product(*(p[key] for key in keys)):
+        case = {**fixed, **dict(zip(keys, values))}
+        if "pairs" in case:
+            case["n"], case["k"] = case.pop("pairs")
+        if what != "count":
+            cases.append(case)
+            continue
         cases += [{"kind": "grassmannian", **case}, {"kind": "affine", **case}]
-        cases += [{"kind": "small_projection", **case, "m": m, "l": l, "factor": factor}
+        cases += [{"kind": "small_projection", **case, "m": m, "l": l, "factor": p["factor"][0]}
                   for m, l in itertools.product(p["m"], p["l"])]
-    return _eval_count, cases
+    return evaluator, cases
 
 
 def run(config: ExperimentConfig) -> RunReport:
@@ -403,6 +398,8 @@ def run(config: ExperimentConfig) -> RunReport:
     evaluator, cases = _build_cases(config)
     evaluate = functools.partial(_evaluate, evaluator, CSV_COLUMNS[config.command])
     if config.jobs > 1 and len(cases) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only here: --jobs 1 loads no pool
+
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             rows = list(pool.map(evaluate, cases))
     else:
@@ -432,14 +429,6 @@ def write_report(report: RunReport, out_dir: str | Path) -> Path:
     return out
 
 
-# The constant flag of each subcommand that takes one, and the
-# ExperimentConfig field it sets.
-_CONSTANT_FLAGS = {
-    "construct": ("--upper-constant", "upper_constant"),
-    "exceptional": ("--lower-constant", "lower_constant"),
-}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="fpfurst",
@@ -456,8 +445,7 @@ def main(argv=None) -> int:
         cmd.add_argument("--out", default=None, help="output directory")
         cmd.add_argument("--jobs", type=int, default=1, help="worker processes, 1..CPU count")
         if name in _CONSTANT_FLAGS:
-            flag, attr = _CONSTANT_FLAGS[name]
-            default = getattr(ExperimentConfig, attr)
+            flag, default = _CONSTANT_FLAGS[name]
             cmd.add_argument(flag, dest="constant", metavar="NUM/DEN",
                              help=f"positive rational, default {default}")
     args = parser.parse_args(argv)
@@ -474,10 +462,10 @@ def main(argv=None) -> int:
             )
         overrides = {"jobs": args.jobs}
         if args.command in _CONSTANT_FLAGS and args.constant is not None:
-            flag, attr = _CONSTANT_FLAGS[args.command]
-            overrides[attr] = _parse_rational(args.constant, flag)
-            if overrides[attr] <= 0:
-                raise ConfigError(f"{flag} must be positive, got {overrides[attr]}")
+            flag = _CONSTANT_FLAGS[args.command][0]
+            constant = overrides["constant"] = _parse_rational(args.constant, flag)
+            if constant <= 0:
+                raise ConfigError(f"{flag} must be positive, got {constant}")
         config = replace(config, **overrides)
         if args.out:
             Path(args.out).mkdir(parents=True, exist_ok=True)

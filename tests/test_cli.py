@@ -129,6 +129,42 @@ def test_jobs_parallel_matches_serial():
     assert serial == parallel
 
 
+def test_jobs_1_loads_no_process_pool():
+    # the pool is imported only when --jobs is above 1
+    root = pathlib.Path(__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        "from fpfurst.cli import parse_config, run\n"
+        "run(parse_config('{\"command\": \"index\", \"s\": 1, \"t\": 1, \"n\": 2, \"k\": 1}'))\n"
+        "print('concurrent.futures' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+@pytest.mark.parametrize(
+    "workload", ["witness-certify", "construct-verify", "count-enumerate", "lemma-sweep"]
+)
+def test_seed_0_launches_give_the_benchmark_reference_bytes(workload, monkeypatch):
+    # every CSV byte of the benchmark's seed-0 launches, run in-process
+    clibench = pathlib.Path(__file__).resolve().parents[1] / "clibench"
+    monkeypatch.syspath_prepend(str(clibench))
+    import checks
+    import workloads
+
+    reference = json.loads((clibench / "reference.json").read_text(encoding="utf-8"))
+    for launch in workloads.launches(workload, workloads.DEFAULT_SEED):
+        report = run(parse_config(json.dumps(launch.config())))
+        got = {launch.csv_names()[0]: report.to_csv().encode()}
+        if launch.command == "lemmas":
+            got["counterexamples.csv"] = report.counterexample_csv.encode()
+        assert got == checks.expected_outputs(launch, reference), launch
+
+
 def test_main_end_to_end(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(
