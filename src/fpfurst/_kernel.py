@@ -30,9 +30,9 @@ def _reduction_rows(basis, n: int, kdim: int, pivots) -> tuple:
 def _reduce(x, rows, p: int) -> tuple[int, ...]:
     """Canonical representative of x + V: zero at V's pivot coordinates.
 
-    x must hold residues in [0, p).  Exact because each RREF row is 1 at its
-    own pivot and 0 at the other pivots and left of its pivot, so clearing one
-    pivot leaves every other pivot coordinate unchanged.
+    x must hold residues in [0, p).  Exact because each row is 1 at its own
+    pivot and 0 left of it and at every earlier row's pivot, so clearing one
+    pivot leaves the pivots cleared before it at zero.
     """
     w = list(x)
     for c, entries in rows:
@@ -48,7 +48,9 @@ def project_count_flat(pts, npts: int, n: int, basis, kdim: int, pivots, p: int)
     """Number of distinct cosets x + V met by the points.
 
     pts: row-major flat sequence of npts points of F_p^n (coords reduced);
-    basis: row-major flat RREF basis of V (kdim rows); pivots: pivot columns.
+    basis: row-major flat basis of V (kdim rows) in echelon order, each row 1
+    at its pivot and zero left of it and at every earlier row's pivot (an
+    RREF basis is one case); pivots: the rows' pivot columns.
     """
     rows = _reduction_rows(basis, n, kdim, pivots)
     return len({_reduce(pts[b : b + n], rows, p) for b in range(0, npts * n, n)})

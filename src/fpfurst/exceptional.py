@@ -3,10 +3,12 @@ full enumeration.
 
 Each constructor returns the set A, the specific directions the recipe claims
 are exceptional, and a certified count obtained by enumerating every direction
-in G(n-k, F_p^n) and testing "#proj_V(A) < p^s" exactly.  No claim is taken on
-faith: every claimed direction is individually re-verified, and a construction
-whose claims fail (possible only below its degeneracy scale) raises instead of
-returning an unsound witness.
+in G(n-k, F_p^n) and testing "#proj_V(A) < p^s" exactly; only the count is
+taken over one point of A per coset of its axis stabiliser (see
+`projections`).  No claim is taken on faith: every claimed direction is
+individually re-verified, and a construction whose claims fail (possible
+only below its degeneracy scale) raises instead of returning an unsound
+witness.
 
 Branches, by type of (a, s):
   type 1  -- any set of ceil(p^a) points; every direction is claimed.

@@ -1,7 +1,11 @@
+import json
+import pathlib
 from fractions import Fraction
 
 import pytest
 
+from fpfurst import _kernel
+from fpfurst.cli import parse_config, run
 from fpfurst.errors import DegenerateScaleError
 from fpfurst.exceptional import (
     certify_lower_bound,
@@ -11,7 +15,7 @@ from fpfurst.exceptional import (
 )
 from fpfurst.flags import enumerate_linear, gaussian_binomial, reduce_mod_subspace
 from fpfurst.indices import ceil_rational_power, floor_scaled_power
-from fpfurst.projections import ExceptionalQuery, exceptional_set, projection_count
+from fpfurst.projections import ExceptionalQuery, PointSet, exceptional_set, projection_count
 
 F = Fraction
 
@@ -190,3 +194,38 @@ def test_slab_slicing_identity():
             counts[rep] = counts.get(rep, 0) + 1
         assert sum(counts.values()) == len(w.set_a)
         assert len(counts) == projection_count(w.set_a, V)
+
+
+def test_seed_0_witness_certify_counts_one_point_per_stabiliser_coset(monkeypatch):
+    """The benchmark's seed-0 witness-certify cases, run in-process: each
+    `exceptional_set` makes one kernel call per direction, each on #A / p^dim S
+    points for the axis stabiliser S of A, 39,772 points in all."""
+    clibench = pathlib.Path(__file__).resolve().parents[1] / "clibench"
+    monkeypatch.syspath_prepend(str(clibench))
+    import workloads
+
+    kernel, certify, points, spans = _kernel.project_count_flat, exceptional_set, [], []
+
+    def counted(pts, npts, *args):
+        points.append(npts)
+        return kernel(pts, npts, *args)
+
+    def traced(A, q):
+        start = len(points)
+        result = certify(A, q)
+        spans.append((A, q.k, points[start:]))
+        return result
+
+    monkeypatch.setattr(_kernel, "project_count_flat", counted)
+    monkeypatch.setattr("fpfurst.exceptional.exceptional_set", traced)
+    for launch in workloads.launches("witness-certify", workloads.DEFAULT_SEED):
+        assert run(parse_config(json.dumps(launch.config()))).fails == 0
+    for A, k, block in spans:
+        shifts = ({x[:c] + ((x[c] + 1) % A.p,) + x[c + 1 :] for x in A} for c in range(A.n))
+        dim_s = sum(shifted == set(A.points) for shifted in shifts)
+        assert len(block) == gaussian_binomial(A.n, A.n - k, A.p)
+        assert set(block) == {len(A) // A.p**dim_s}
+    assert len(spans) == 11 and sum(len(block) for _, _, block in spans) == len(points)
+    prefix = PointSet.lex_prefix(4, 7, 343)  # the type-4 set {0} x F_7^3
+    assert [block for A, _, block in spans if A == prefix] == [[1] * 2850]
+    assert sum(points) == 39_772

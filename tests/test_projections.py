@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpfurst import _kernel
 from fpfurst._kernel import _reduce
 from fpfurst.flags import LinearSubspace, enumerate_linear, join_rows, reduce_mod_subspace
 from fpfurst.indices import floor_scaled_power
@@ -98,6 +99,51 @@ def test_exceptional_oberlin_containment():
         V = LinearSubspace.from_rows([[1, kappa % 101]], 2, 101)
         assert V.basis.entries in keys
     assert 2 * floor_scaled_power(FIFTH, 101, F(1, 2)) + 1 == 5
+
+
+def _coset_unions():
+    """Seeded unions of cosets of coordinate subspaces of F_p^n, with random
+    sets (most have no stabilising axis), the full space and the empty set."""
+    rng = random.Random(20261018)
+    sets = []
+    for p, n in itertools.product((2, 3, 5), (2, 3, 4)):
+        point = lambda: [rng.randrange(p) for _ in range(n)]
+        sets += [PointSet.full_space(n, p), PointSet(n, p, ())]
+        sets.append(PointSet.from_iterable([point() for _ in range(rng.randint(1, 2 * p))], n, p))
+        for _ in range(2):
+            axes = rng.sample(range(n), rng.randint(1, n - 1))
+            pts = []
+            for x in [point() for _ in range(rng.randint(1, p))]:
+                for values in itertools.product(range(p), repeat=len(axes)):
+                    pts.append([values[axes.index(c)] if c in axes else e for c, e in enumerate(x)])
+            sets.append(PointSet.from_iterable(pts, n, p))
+    return sets
+
+
+@pytest.mark.parametrize("A", _coset_unions(), ids=lambda A: f"p{A.p}n{A.n}size{len(A)}")
+def test_quotient_count_equals_projection_count(A, monkeypatch):
+    # exceptional_set makes one kernel call per direction, modulo S + V for
+    # the axis stabiliser S; scaled by p^(dim(S+V) - dim V) its count is
+    # #proj_V(A), and the exceptional sets on a 1/4 grid of s equal the
+    # brute-force filter, decided as count^den < p^num
+    kernel, calls = _kernel.project_count_flat, []
+
+    def counted(pts, npts, n, basis, kdim, pivots, p):
+        calls.append((kernel(pts, npts, n, basis, kdim, pivots, p), kdim))
+        return calls[-1][0]
+
+    for k in range(1, A.n):
+        directions = list(enumerate_linear(A.n, A.n - k, A.p))
+        brute = [projection_count(A, V) for V in directions]
+        calls.clear()
+        monkeypatch.setattr(_kernel, "project_count_flat", counted)
+        exceptional_set(A, ExceptionalQuery(F(1, 4), k))
+        monkeypatch.undo()
+        assert [c * A.p ** (kdim - V.k) for (c, kdim), V in zip(calls, directions)] == brute
+        assert len(calls) == len(directions)
+        for s in (F(j, 4) for j in range(1, 4 * A.n + 1)):
+            want = [V for V, c in zip(directions, brute) if c**s.denominator < A.p**s.numerator]
+            assert exceptional_set(A, ExceptionalQuery(s, k)) == want
 
 
 @pytest.mark.parametrize(
