@@ -3,8 +3,10 @@
 Every canonical coset name in the package -- `flags.reduce_mod_subspace`,
 subspace membership, flat membership and the projection counts -- is computed
 by `_reduce`.  It also decides dim(U + V): `flags.join_rows` reduces U's basis
-modulo V's rows and keeps the nonzero remainders.  It works on pure Python
-ints, so there is no limit on p**n.
+modulo V's rows and keeps the nonzero remainders.  Those rows, V's then U's
+remainders, are in the echelon order `project_count_flat` accepts, so
+join_rows also supplies `projections.exceptional_set`'s basis of S + V.
+`_reduce` works on pure Python ints, so there is no limit on p**n.
 """
 
 from __future__ import annotations

@@ -39,9 +39,9 @@ outside 1..CPU count, a constant flag that is not positive, a flag the
 subcommand does not take, a p that is composite or too large to certify
 prime, a missing required key, a key the command does not read, a key given
 as an empty list, m without l or l without m, more than one factor, a factor
-below 1 (which no count can meet), or an --out that cannot be made a
-directory (a file, or a path under one).  A refused config creates no output
-directory.
+below 1 (which no count can meet), a config file that is not UTF-8, or an
+--out that cannot be made a directory (a file, or a path under one).  A
+refused config creates no output directory.
 
 Rationals cross this boundary only as integers or "num/den" strings;
 decimal notation is rejected.
@@ -469,7 +469,7 @@ def main(argv=None) -> int:
         config = replace(config, **overrides)
         if args.out:
             Path(args.out).mkdir(parents=True, exist_ok=True)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,7 +5,9 @@ Canonical forms make equality structural: a linear subspace is named by its
 RREF basis, an affine flat by (direction, base) where the base is the unique
 coset representative vanishing on the direction's pivot coordinates.  The
 streams produced here are deterministic -- lexicographic in (pivot pattern,
-free entries) -- so "the first N flats" is a reproducible choice.
+free entries) -- so "the first N flats" is a reproducible choice.  Each basis
+and each base is generated entry by entry, as one product over per-entry
+choices, in that same order.
 """
 
 from __future__ import annotations
@@ -158,12 +160,12 @@ def join_rows(U: LinearSubspace, V: LinearSubspace) -> list:
         raise ValueError("subspaces live in different spaces")
     p, n = V.p, V.n
     rows = list(V._rows)
-    for i in range(U.k):
-        w = _reduce(U.basis.row(i), rows, p)
-        c = next((j for j in range(n) if w[j]), None)
-        if c is not None:
-            inv = pow(w[c], -1, p)
-            rows.append((c, tuple([(j, w[j] * inv % p) for j in range(c + 1, n) if w[j]])))
+    for i in range(0, U.k * n, n):
+        w = _reduce(U.basis.entries[i : i + n], rows, p)
+        nonzero = [j for j in range(n) if w[j]]
+        if nonzero:
+            inv = pow(w[nonzero[0]], -1, p)
+            rows.append((nonzero[0], tuple([(j, w[j] * inv % p) for j in nonzero[1:]])))
     return rows
 
 
@@ -171,44 +173,30 @@ def enumerate_linear(n: int, k: int, p: int):
     """Yield every k-subspace of F_p^n exactly once.
 
     Order: lexicographic in (pivot-column pattern, free-entry vector); the
-    free entries of the RREF basis are filled row-major.  Total count is
-    gaussian_binomial(n, k, p).
+    free entries of the RREF basis are filled row-major.  The basis is
+    generated entry by entry: entry (i, j) is 1 at row i's pivot, 0 left of
+    that pivot or at another pivot, and free elsewhere, so the product over
+    the entries in row-major order is the RREF entry tuple, in that order.
+    Total count is gaussian_binomial(n, k, p).
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     check_prime(p)
-    if k == 0:
-        yield LinearSubspace.zero(n, p)
-        return
+    free = range(p)
     for pivots in itertools.combinations(range(n), k):
-        pivot_set = set(pivots)
-        free_positions = [
-            (i, j)
-            for i in range(k)
-            for j in range(pivots[i] + 1, n)
-            if j not in pivot_set
+        choices = [
+            (1,) if j == c else (0,) if j < c or j in pivots else free
+            for c in pivots
+            for j in range(n)
         ]
-        template = [[0] * n for _ in range(k)]
-        for i, c in enumerate(pivots):
-            template[i][c] = 1
-        for values in itertools.product(range(p), repeat=len(free_positions)):
-            rows = [row[:] for row in template]
-            for (i, j), v in zip(free_positions, values):
-                rows[i][j] = v
-            # tuple() of a list, not a generator: see _kernel._reduction_rows
-            flat = tuple([e for row in rows for e in row])
-            basis = PrimeMatrix(p, k, n, flat)
-            yield LinearSubspace(n, k, p, basis, pivots)
+        for entries in itertools.product(*choices):
+            yield LinearSubspace(n, k, p, PrimeMatrix(p, k, n, entries), pivots)
 
 
 def enumerate_affine(n: int, k: int, p: int):
     """Yield every affine k-flat once: directions in enumerate_linear order,
     then canonical bases in lexicographic order of the free coordinates."""
     for direction in enumerate_linear(n, k, p):
-        free_cols = [c for c in range(n) if c not in direction.pivots]
-        for values in itertools.product(range(p), repeat=len(free_cols)):
-            base = [0] * n
-            for c, v in zip(free_cols, values):
-                base[c] = v
-            yield AffineFlat(direction, tuple(base))
-
+        pivots = direction.pivots
+        for base in itertools.product(*[(0,) if c in pivots else range(p) for c in range(n)]):
+            yield AffineFlat(direction, base)

@@ -13,7 +13,8 @@ disjoint cosets of (S + V) / V, so
 
     #proj_V(A) = #{x mod (S + V) : x in R} * p^(dim(S + V) - dim V).
 
-S is the axis stabiliser of A, spanned by the axes e_c with A + e_c = A.
+S is the axis stabiliser of A, spanned by the axes e_c with A + e_c = A.  A set
+with no such axis has S = 0 and R = A, and the identity is the per-point count.
 
 A note on indexing: the exceptional set for parameter k collects subspaces of
 dimension n-k -- the k names the dimension of the projection target, not of V.
@@ -123,8 +124,8 @@ def exceptional_set(A: PointSet, q: ExceptionalQuery) -> list[LinearSubspace]:
     Returned as an explicit list, in enumeration order, so constructions can
     assert containment of specific witnesses.  Every V is decided by the
     quotient identity of the module docstring, with S the axis stabiliser and
-    R the points of A that are zero on its axes; with S = 0, V's own basis is
-    used and R = A.
+    R the points of A that are zero on its axes.  The echelon basis of S + V
+    is `join_rows(V, S)`: S's axis rows, then V's nonzero remainders.
     """
     if not 0 < q.k < A.n:
         raise ValueError(f"need 0 < k < n, got k={q.k}, n={A.n}")
@@ -133,31 +134,20 @@ def exceptional_set(A: PointSet, q: ExceptionalQuery) -> list[LinearSubspace]:
     axes = [c for c in range(n) if all(x[:c] + ((x[c] + 1) % p,) + x[c + 1 :] in has for x in pts)]
     reps = [x for x in pts if not any([x[c] for c in axes])]
     flat = [e for x in reps for e in x]
-    unit = [int(j == c) for c in axes for j in range(n)]
+    S = LinearSubspace.coordinate(axes, n, p)
     bound = ceil_rational_power(p, q.s)
     out = []
     for V in enumerate_linear(n, n - q.k, p):
-        basis, pivots = V.basis.entries, V.pivots
-        if axes:
-            # An echelon basis of S + V: the axis rows, then V's rows reduced
-            # modulo the rows so far and scaled to 1 at their first nonzero.
-            basis, pivots = unit[:], axes[:]
-            for i in range(0, len(V.basis.entries), n):
-                w = list(V.basis.entries[i : i + n])
-                for c in axes:
-                    w[c] = 0
-                for r in range(len(axes), len(pivots)):
-                    f = w[pivots[r]]
-                    if f:
-                        w = [(e - f * b) % p for e, b in zip(w, basis[r * n : r * n + n])]
-                for c in range(n):
-                    if w[c]:
-                        f = pow(w[c], -1, p)
-                        basis += [e * f % p for e in w]
-                        pivots.append(c)
-                        break
-        count = _kernel.project_count_flat(flat, len(reps), n, basis, len(pivots), pivots, p)
-        if count * p ** (len(pivots) - V.k) < bound:
+        rows = join_rows(V, S)
+        basis = []
+        for c, entries in rows:
+            row = [0] * n
+            row[c] = 1
+            for j, b in entries:
+                row[j] = b
+            basis += row
+        count = _kernel.project_count_flat(flat, len(reps), n, basis, len(rows), [c for c, _ in rows], p)
+        if count * p ** (len(rows) - V.k) < bound:
             out.append(V)
     return out
 

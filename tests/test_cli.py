@@ -274,6 +274,17 @@ def test_main_refuses_out_that_is_not_a_directory(tmp_path, capsys, monkeypatch,
     assert afile.read_text() == "kept\n"
 
 
+def test_main_refuses_a_config_that_is_not_utf8(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b"\xff\xfe{}")
+    out = tmp_path / "out"
+    monkeypatch.setattr(cli, "run", lambda config: pytest.fail("a case ran"))
+    assert main(["index", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_help_documents_csv_schemas(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

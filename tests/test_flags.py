@@ -1,4 +1,5 @@
 import gc
+import itertools
 import sys
 
 import pytest
@@ -63,6 +64,26 @@ def test_enumerate_linear_order_is_pinned():
     ]
 
 
+ORACLE_CASES = [(n, k, p) for p in (2, 3) for n in range(1, 4) for k in range(n + 1)]
+ORACLE_CASES += [(4, 2, 2), (4, 2, 3), (4, 3, 2)]
+
+
+@pytest.mark.parametrize("n,k,p", ORACLE_CASES)
+def test_enumeration_order_matches_rref_oracle(n, k, p):
+    # The oracle spans every k-tuple of vectors through rref, the reference
+    # implementation, and sorts the distinct subspaces by their RREF names.
+    space = list(itertools.product(range(p), repeat=n))
+    spans = {LinearSubspace.from_rows(list(rows), n, p) for rows in itertools.product(space, repeat=k)}
+    oracle = sorted((V for V in spans if V.k == k), key=lambda V: (V.pivots, V.basis.entries))
+    assert list(enumerate_linear(n, k, p)) == oracle
+    flats = [
+        AffineFlat(V, b)
+        for V in oracle
+        for b in sorted({reduce_mod_subspace(x, V) for x in space})
+    ]
+    assert list(enumerate_affine(n, k, p)) == flats
+
+
 def test_enumerations_have_no_duplicates():
     for p in (2, 3):
         for n in range(1, 4):
@@ -121,14 +142,22 @@ def test_relate_rejects_mixed_spaces():
         join_rows(a, b)
 
 
-def test_enumerate_linear_leaves_no_blocks_behind():
+def _blocks_left_behind(stream):
     # see test_primefield.test_from_rows_leaves_no_blocks_behind
     def sweep():
-        for _ in enumerate_linear(4, 3, 7):
+        for _ in stream():
             pass
 
     sweep()  # warm-up
     gc.collect()
     before = sys.getallocatedblocks()
     sweep()
-    assert sys.getallocatedblocks() - before < 200
+    return sys.getallocatedblocks() - before
+
+
+def test_enumerate_linear_leaves_no_blocks_behind():
+    assert _blocks_left_behind(lambda: enumerate_linear(4, 3, 7)) < 200
+
+
+def test_enumerate_affine_leaves_no_blocks_behind():
+    assert _blocks_left_behind(lambda: enumerate_affine(4, 2, 5)) < 200
