@@ -61,10 +61,6 @@ class LinearSubspace:
         return cls(n, k, p, trimmed, pivots)
 
     @classmethod
-    def zero(cls, n: int, p: int) -> "LinearSubspace":
-        return cls(n, 0, p, PrimeMatrix(p, 0, n, ()), ())
-
-    @classmethod
     def full(cls, n: int, p: int) -> "LinearSubspace":
         return cls(n, n, p, PrimeMatrix.identity(n, p), tuple(range(n)))
 

@@ -23,6 +23,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._kernel import _reduce
 from .errors import DegenerateScaleError
 from .flags import (
     AffineFlat,
@@ -388,7 +389,15 @@ def _lift_transverse(members, n: int, k: int, p: int, slice_dim: int):
 
 
 def verify_family(f: FurstenbergFamily) -> FamilyValidity:
-    """Exact check of the three defining conditions plus structural sanity."""
+    """Exact check of the three defining conditions plus structural sanity.
+
+    Membership of the marked points is decided by one reduction per point: a
+    y-set lies on base + V iff each of its points reduces modulo V to the
+    base.  A y-set in the family's space holds residues already, so the
+    points go to `_kernel._reduce` as they are, with the direction's cached
+    rows; only a failure goes back through `contains_point` to name the
+    first point off the flat.
+    """
     failures = []
     if len(f.members) < ceil_scaled_power(f.lam, f.p, f.t):
         failures.append(
@@ -410,7 +419,9 @@ def verify_family(f: FurstenbergFamily) -> FamilyValidity:
             failures.append(f"member {i}: y-set has {len(ys)} points, below lambda*p^s")
         if ys.n != f.n or ys.p != f.p:
             failures.append(f"member {i}: y-set in wrong space")
-        elif not all(map(flat.contains_point, ys.points)):
+            continue
+        rows = itertools.repeat(flat.direction._rows)
+        if not set(map(_reduce, ys.points, rows, itertools.repeat(f.p))) <= {flat.base}:
             pt = next(pt for pt in ys.points if not flat.contains_point(pt))
             failures.append(f"member {i}: point {pt} lies off its flat")
     if f.union.n != f.n or f.union.p != f.p:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _kernel
-from .flags import LinearSubspace, enumerate_linear, join_rows, reduce_mod_subspace
+from .flags import LinearSubspace, enumerate_linear, join_rows
 from .indices import as_fraction, ceil_rational_power
 from .primefield import check_prime
 
@@ -105,11 +105,11 @@ class ExceptionalQuery:
 
 
 def project_set(A: PointSet, V: LinearSubspace) -> PointSet:
-    """The distinct cosets of V meeting A, as canonical representatives."""
+    """The distinct cosets of V meeting A, as canonical representatives.
+    A's points are residues already, so each goes to `_kernel._reduce` as is."""
     _check_compatible(A, V)
-    return PointSet.from_iterable(
-        (reduce_mod_subspace(q, V) for q in A.points), A.n, A.p
-    )
+    rows, p = V._rows, A.p
+    return PointSet.from_iterable((_kernel._reduce(q, rows, p) for q in A.points), A.n, p)
 
 
 def projection_count(A: PointSet, V: LinearSubspace) -> int:

@@ -150,6 +150,39 @@ def test_verify_family_detects_point_off_flat():
     assert any("member 0" in f and "off its flat" in f for f in validity.failures)
 
 
+def _with_y_set(fam, i, ys):
+    """fam with member i's y-set replaced and the stored union rebuilt."""
+    members = fam.members[:i] + ((fam.members[i][0], ys),) + fam.members[i + 1 :]
+    union = sorted(set().union(*(y.points for _, y in members)))
+    return replace(fam, members=members, union=PointSet(fam.n, fam.p, tuple(union)))
+
+
+def test_verify_family_names_off_flat_point_of_later_member():
+    p = 5
+    fam = construct_general(2, 3, 3, 2, p)
+    assert fam.branch == "general-d" and verify_family(fam).is_valid
+    # a member after the first whose direction differs from member 0's
+    first = fam.members[0][0].direction
+    i = next(j for j, (fl, _) in enumerate(fam.members) if fl.direction != first)
+    flat, ys = fam.members[i]
+    (free,) = set(range(3)) - set(flat.direction.pivots)
+    pts = list(ys.points)
+    # shift one marked point along the non-pivot axis: it leaves the flat
+    bad = tuple((e + 1) % p if c == free else e for c, e in enumerate(pts[1]))
+    assert not flat.contains_point(bad)
+    mutated = _with_y_set(fam, i, PointSet.from_iterable(pts[:1] + pts[2:] + [bad], 3, p))
+    assert len(mutated.members[i][1]) == len(ys)
+    assert verify_family(mutated).failures == (f"member {i}: point {bad} lies off its flat",)
+
+
+def test_verify_family_empty_y_set_is_only_too_small():
+    p = 5
+    fam = construct_general(2, 3, 3, 2, p)
+    i = len(fam.members) - 1
+    validity = verify_family(_with_y_set(fam, i, PointSet(3, p, ())))
+    assert validity.failures == (f"member {i}: y-set has 0 points, below lambda*p^s",)
+
+
 def test_verify_family_detects_truncated_family():
     fam = construct_2d(F(1, 2), 1, 29)
     mutated = replace(fam, members=fam.members[:1])

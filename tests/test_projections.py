@@ -36,7 +36,7 @@ def _rect(a, s, p):
 def test_coset_representative_examples():
     xaxis = LinearSubspace.from_rows([[1, 0]], 2, 5)
     assert reduce_mod_subspace((3, 2), xaxis) == (0, 2)
-    assert reduce_mod_subspace((3, 2), LinearSubspace.zero(2, 5)) == (3, 2)
+    assert reduce_mod_subspace((3, 2), LinearSubspace.coordinate([], 2, 5)) == (3, 2)
     assert reduce_mod_subspace((3, 2), LinearSubspace.full(2, 5)) == (0, 0)
 
 
