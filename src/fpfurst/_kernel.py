@@ -5,7 +5,8 @@ subspace membership, flat membership and the projection counts -- is computed
 by `_reduce`.  It also decides dim(U + V): `flags.join_rows` reduces U's basis
 modulo V's rows and keeps the nonzero remainders.  Those rows, V's then U's
 remainders, are in the echelon order `project_count_flat` accepts, so
-join_rows also supplies `projections.exceptional_set`'s basis of S + V.
+join_rows supplies `projections.exceptional_set`'s basis of S + V, and the
+rows of V + F_p^m modulo which `exceptional._theta_families` reduces e1, e2.
 `_reduce` works on pure Python ints, so there is no limit on p**n.
 """
 

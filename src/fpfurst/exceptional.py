@@ -16,8 +16,8 @@ Branches, by type of (a, s):
             collapsing the coordinate m-subspace to <= p^l cosets.
   type 2, gamma > (beta+1)/2  -- rectangle construction with a = (m-1)+(beta+1).
   type 3, gamma > beta/2      -- A = R x F_p^m for a symmetric rectangle R in
-            F_p^2; claims are the disjointified families U_theta over the
-            2-D exceptional directions theta of R.
+            F_p^2; claims are the families U_theta over R's 2-D exceptional
+            directions theta, disjoint as each direction names one theta.
   type 3, gamma <= beta/2     -- enlarge a to m+1, reuse the type-2 recipe,
             then pass to a lex-prefix subset of the right size.
   type 4  -- claims empty; certification shows the exceptional set IS empty.
@@ -30,7 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateScaleError
-from .flags import LinearSubspace, enumerate_linear
+from ._kernel import _reduce
+from .flags import LinearSubspace, enumerate_linear, join_rows
 from .indices import (
     NEG_INF,
     as_fraction,
@@ -160,7 +161,7 @@ def _slab_witness(n, k, p, m, isize, l):
 def _rectangle_product_witness(n, k, p, m, beta_eff, gamma, l):
     """A = R x F_p^m x 0^(n-m-2) for the symmetric rectangle R with side
     exponents (beta_eff - gamma, gamma); claims are the union of the
-    disjointified direction families over R's own 2-D exceptional set."""
+    disjoint direction families over R's own 2-D exceptional set."""
     if not 0 <= m <= n - 2:
         raise DegenerateScaleError(f"rectangle product needs m <= n-2, got m = {m}")
     rect = _rectangle(beta_eff, gamma, p)
@@ -170,9 +171,7 @@ def _rectangle_product_witness(n, k, p, m, beta_eff, gamma, l):
         for z in itertools.product(range(p), repeat=m)
     ]
     set_a = PointSet.from_iterable(pts, n, p)
-    directions, families = _theta_families(rect, gamma, n, k, p, m, l)
-    keys = {V.basis.entries for vs in families.values() for V in vs}
-    return set_a, tuple(V for V in directions if V.basis.entries in keys)
+    return set_a, _theta_families(rect, gamma, n, k, p, m, l)[0]
 
 
 def _theta_families(rect: PointSet, gamma: Fraction, n, k, p, m, l):
@@ -183,31 +182,39 @@ def _theta_families(rect: PointSet, gamma: Fraction, n, k, p, m, l):
                        #proj_V(F_p^m) = p^l,
                        #proj_V(F_p^2 x F_p^m) = p^(l+1)}.
 
-    Subtracting the two degenerate conditions makes the families pairwise
-    disjoint across theta, which is what turns a union bound into a sum.
-    Returns the directions meeting those two conditions, in enumeration
-    order, and the families, each a subsequence of them.
+    For V meeting the two degenerate conditions, V + F_p^m meets
+    F_p^2 x F_p^m in F_p^m plus the lift of exactly one line theta_V, and V
+    is in U_theta iff theta = theta_V: the families are disjoint, which turns
+    a union bound into a sum, and one pass fills them.  With r1, r2 the
+    residues of e1, e2 modulo V + F_p^m, the last condition says they span a
+    line: not both zero at a first column j, and every 2x2 minor
+    r1[i] r2[j] - r1[j] r2[i] zero; theta_V is spanned by (r2[j], -r1[j]).
+    Returns the members of all families, in enumeration order, and the
+    families by theta, in `exceptional_set` order.
     """
-    theta_list = exceptional_set(rect, ExceptionalQuery(gamma, 1))
+    thetas = exceptional_set(rect, ExceptionalQuery(gamma, 1))
+    families = {theta.basis.entries: [] for theta in thetas}
     mid = LinearSubspace.coordinate(range(2, 2 + m), n, p)
-    wide = LinearSubspace.coordinate(range(2 + m), n, p)
-    directions = [
-        V
-        for V in enumerate_linear(n, n - k, p)
-        if subspace_projection_exponent(mid, V) == l
-        and subspace_projection_exponent(wide, V) == l + 1
-    ]
-    out = {}
-    for theta in theta_list:
-        lifted_rows = [list(r) + [0] * (n - 2) for r in theta.basis.to_rows()]
-        span = LinearSubspace.from_rows(lifted_rows + mid.basis.to_rows(), n, p)
-        out[theta] = tuple(V for V in directions if subspace_projection_exponent(span, V) <= l)
-    return directions, out
+    e1, e2 = (1,) + (0,) * (n - 1), (0, 1) + (0,) * (n - 2)
+    claimed = []
+    for V in enumerate_linear(n, n - k, p):
+        rows = join_rows(V, mid)
+        if len(rows) - V.k != l:
+            continue
+        r1, r2 = _reduce(e1, rows, p), _reduce(e2, rows, p)
+        j = next((j for j in range(n) if r1[j] or r2[j]), None)
+        if j is None or any((r1[i] * r2[j] - r1[j] * r2[i]) % p for i in range(n)):
+            continue
+        key = (1, -r1[j] * pow(r2[j], -1, p) % p) if r2[j] else (0, 1)
+        if key in families:
+            families[key].append(V)
+            claimed.append(V)
+    return tuple(claimed), {theta: tuple(families[theta.basis.entries]) for theta in thetas}
 
 
 def type3_direction_families(a, s, n: int, k: int, p: int):
-    """The per-theta disjoint families used by the rectangle-product branches,
-    exposed for the disjointness checks."""
+    """The per-theta families of the rectangle-product branches, in
+    `exceptional_set` order, exposed for the disjointness and size checks."""
     pr = marstrand_params(a, s, n, k)
     product = _rectangle_product(pr)
     if product is None:

@@ -80,10 +80,6 @@ class PrimeMatrix:
         return cls(p, len(rows), ncols, flat)
 
     @classmethod
-    def zero(cls, rows: int, cols: int, p: int) -> "PrimeMatrix":
-        return cls(p, rows, cols, (0,) * (rows * cols))
-
-    @classmethod
     def identity(cls, n: int, p: int) -> "PrimeMatrix":
         return cls.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)], p)
 
@@ -122,13 +118,3 @@ def rref(m: PrimeMatrix) -> tuple[PrimeMatrix, tuple[int, ...]]:
         if r == nrows:
             break
     return PrimeMatrix.from_rows(work, p), tuple(pivots)
-
-
-def rank(m: PrimeMatrix) -> int:
-    return len(rref(m)[1])
-
-
-def stack(a: PrimeMatrix, b: PrimeMatrix) -> PrimeMatrix:
-    if a.p != b.p or a.cols != b.cols:
-        raise ValueError("incompatible stack")
-    return PrimeMatrix(a.p, a.rows + b.rows, a.cols, a.entries + b.entries)

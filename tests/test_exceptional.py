@@ -8,14 +8,22 @@ from fpfurst import _kernel
 from fpfurst.cli import parse_config, run
 from fpfurst.errors import DegenerateScaleError
 from fpfurst.exceptional import (
+    _rectangle,
+    _rectangle_product,
     certify_lower_bound,
     construct_marstrand_witness,
     construct_oberlin_rectangle,
     type3_direction_families,
 )
-from fpfurst.flags import enumerate_linear, gaussian_binomial, reduce_mod_subspace
-from fpfurst.indices import ceil_rational_power, floor_scaled_power
-from fpfurst.projections import ExceptionalQuery, PointSet, exceptional_set, projection_count
+from fpfurst.flags import LinearSubspace, enumerate_linear, gaussian_binomial, reduce_mod_subspace
+from fpfurst.indices import ceil_rational_power, floor_scaled_power, marstrand_params
+from fpfurst.projections import (
+    ExceptionalQuery,
+    PointSet,
+    exceptional_set,
+    projection_count,
+    subspace_projection_exponent,
+)
 
 F = Fraction
 
@@ -128,6 +136,90 @@ def test_type3_families_pairwise_disjoint(p, ask):
     for i in range(len(keys)):
         for j in range(i + 1, len(keys)):
             assert not (keys[i] & keys[j])
+
+
+# Rectangle-product cases: type 3 at p = 5, 7; the type-2 branch in F_p^4;
+# and the type-2 branch in F_p^3, where p = 29 is the least prime at which
+# the rectangle's 2-D exceptional set is proper (24 of 30 lines), so a wrong
+# theta key cannot hide behind "every theta is exceptional".  In the last
+# two, l = k - 2: V + F_p^m has codimension 2, so the 2x2 minors decide.
+PRODUCT_CASES = [
+    pytest.param(5, (F(3, 2), F(3, 2), 4, 2), id="type3-5"),
+    pytest.param(7, (F(3, 2), F(3, 2), 4, 2), id="type3-7"),
+    pytest.param(5, (F(5, 2), F(15, 8), 4, 2), id="type2-n4-5"),
+    pytest.param(11, (F(3, 2), F(1), 3, 1), id="type2-n3-11"),
+    pytest.param(29, (F(3, 2), F(1), 3, 1), id="type2-n3-29"),
+    pytest.param(5, (F(1, 8), F(1, 8), 3, 2), id="type3-n3-k2-5"),
+    pytest.param(5, (F(9, 8), F(9, 8), 4, 3), id="type3-n4-k3-5"),
+]
+
+
+def _per_theta_oracle(a, s, n, k, p):
+    """The families by brute force: every (theta, V) pair is decided by the
+    projection exponents of theta + F_p^m, F_p^m and F_p^2 x F_p^m.  Returns
+    the families by theta and the union of their members in enumeration order."""
+    pr = marstrand_params(a, s, n, k)
+    m, beta_eff = _rectangle_product(pr)
+    thetas = exceptional_set(_rectangle(beta_eff, pr.gamma, p), ExceptionalQuery(pr.gamma, 1))
+    mid = LinearSubspace.coordinate(range(2, 2 + m), n, p)
+    wide = LinearSubspace.coordinate(range(2 + m), n, p)
+    directions = [
+        V
+        for V in enumerate_linear(n, n - k, p)
+        if subspace_projection_exponent(mid, V) == pr.l
+        and subspace_projection_exponent(wide, V) == pr.l + 1
+    ]
+    families = {}
+    for theta in thetas:
+        lifted = [list(r) + [0] * (n - 2) for r in theta.basis.to_rows()]
+        span = LinearSubspace.from_rows(lifted + mid.basis.to_rows(), n, p)
+        families[theta] = tuple(
+            V for V in directions if subspace_projection_exponent(span, V) <= pr.l
+        )
+    members = {V for vs in families.values() for V in vs}
+    return families, tuple(V for V in directions if V in members)
+
+
+@pytest.mark.parametrize("p,ask", PRODUCT_CASES)
+def test_type3_one_pass_matches_per_theta_oracle(p, ask):
+    """Each direction's own line theta_V places it in exactly the families
+    the per-(theta, V) filter does, in theta order and member order, and the
+    witness claims their union in enumeration order."""
+    families, union = _per_theta_oracle(*ask, p)
+    assert list(type3_direction_families(*ask, p).items()) == list(families.items())
+    assert construct_marstrand_witness(*ask, p).claimed == union
+
+
+def _degenerate_direction_count(n, k, m, l, p):
+    """D: the number of V in G(n-k, F_p^n) with #proj_V(F_p^m) = p^l and
+    #proj_V(F_p^2 x F_p^m) = p^(l+1), with j = m - l and d = n - k."""
+    j, d = m - l, n - k
+    return (
+        gaussian_binomial(m, j, p)
+        * (p ** (l + 2) - p**l)
+        // (p - 1)
+        * p ** ((l + 1) * (d - j - 1))
+        * gaussian_binomial(n - m - 2, d - j - 1, p)
+    )
+
+
+def test_degenerate_direction_count_reference_values():
+    assert _degenerate_direction_count(4, 2, 1, 1, 5) == 750
+    assert _degenerate_direction_count(4, 2, 1, 1, 7) == 2744
+    assert _degenerate_direction_count(3, 1, 0, 0, 31) == 992
+
+
+@pytest.mark.parametrize("p,ask", PRODUCT_CASES)
+def test_type3_families_have_the_exact_size(p, ask):
+    """The p + 1 lines theta_V split the D degenerate directions evenly: each
+    family has D / (p + 1) members, and the witness claims #Theta of them."""
+    pr = marstrand_params(*ask)
+    m, _ = _rectangle_product(pr)
+    d = _degenerate_direction_count(ask[2], ask[3], m, pr.l, p)
+    assert d % (p + 1) == 0
+    families = type3_direction_families(*ask, p)
+    assert {len(vs) for vs in families.values()} == {d // (p + 1)}
+    assert len(construct_marstrand_witness(*ask, p).claimed) == len(families) * d // (p + 1)
 
 
 @pytest.mark.parametrize(

@@ -52,7 +52,7 @@ def test_rref_hand_example():
 
 
 def test_rref_zero_matrix():
-    m = PrimeMatrix.zero(3, 2, 3)
+    m = PrimeMatrix(3, 3, 2, (0,) * 6)
     reduced, pivots = rref(m)
     assert reduced == m and pivots == ()
 
