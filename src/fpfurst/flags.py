@@ -8,6 +8,16 @@ streams produced here are deterministic -- lexicographic in (pivot pattern,
 free entries) -- so "the first N flats" is a reproducible choice.  Each basis
 and each base is generated entry by entry, as one product over per-entry
 choices, in that same order.
+
+Validation happens at the boundary.  The public constructors check their
+input; the two enumerators do not, because what they yield is valid by
+construction: residues in `range(p)` at a prime checked once per call, RREF
+shape and pivot count fixed by the pivot pattern, and bases that are 0 at
+every pivot.  They create each object with `object.__new__` and set its
+fields with `object.__setattr__`, in field order, so `__post_init__` never
+runs and each instance keeps the layout the dataclass `__init__` gives it.
+Filling `__dict__` directly instead would give every retained instance a
+dictionary of its own.
 """
 
 from __future__ import annotations
@@ -174,10 +184,14 @@ def enumerate_linear(n: int, k: int, p: int):
     that pivot or at another pivot, and free elsewhere, so the product over
     the entries in row-major order is the RREF entry tuple, in that order.
     Total count is gaussian_binomial(n, k, p).
+
+    Each value is valid by construction and skips `__post_init__` (see the
+    module docstring).
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     check_prime(p)
+    new, setfield = object.__new__, object.__setattr__
     free = range(p)
     for pivots in itertools.combinations(range(n), k):
         choices = [
@@ -186,13 +200,31 @@ def enumerate_linear(n: int, k: int, p: int):
             for j in range(n)
         ]
         for entries in itertools.product(*choices):
-            yield LinearSubspace(n, k, p, PrimeMatrix(p, k, n, entries), pivots)
+            basis = new(PrimeMatrix)
+            setfield(basis, "p", p)
+            setfield(basis, "rows", k)
+            setfield(basis, "cols", n)
+            setfield(basis, "entries", entries)
+            sub = new(LinearSubspace)
+            setfield(sub, "n", n)
+            setfield(sub, "k", k)
+            setfield(sub, "p", p)
+            setfield(sub, "basis", basis)
+            setfield(sub, "pivots", pivots)
+            yield sub
 
 
 def enumerate_affine(n: int, k: int, p: int):
     """Yield every affine k-flat once: directions in enumerate_linear order,
-    then canonical bases in lexicographic order of the free coordinates."""
+    then canonical bases in lexicographic order of the free coordinates.
+
+    Every base is 0 at the direction's pivots, so each flat is built without
+    `__post_init__`, as in `enumerate_linear`."""
+    new, setfield = object.__new__, object.__setattr__
     for direction in enumerate_linear(n, k, p):
         pivots = direction.pivots
         for base in itertools.product(*[(0,) if c in pivots else range(p) for c in range(n)]):
-            yield AffineFlat(direction, base)
+            flat = new(AffineFlat)
+            setfield(flat, "direction", direction)
+            setfield(flat, "base", base)
+            yield flat

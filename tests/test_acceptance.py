@@ -51,6 +51,7 @@ from fpfurst.projections import (
     count_small_projection_subspaces,
     projection_count,
 )
+from subspace_counts import small_projection_count
 
 F = Fraction
 
@@ -90,21 +91,6 @@ def test_criterion_01_enumeration_matches_formulas():
     _finish(1, "enumeration vs formula", ok, t0, 10)
 
 
-def _meeting_count(n, k, m, l, p):
-    """#{V in G(n-k, F_p^n) : #proj_V(W) <= p^l} for an m-subspace W, exactly.
-
-    #proj_V(W) = p^(m - dim(V & W)), and the (n-k)-subspaces meeting W in
-    dimension exactly j number p^((m-j)(n-k-j)) [m, j]_p [n-m, n-k-j]_p (the
-    q-analogue count; Stanley, Enumerative Combinatorics I, 1.7).
-    """
-    d = n - k
-    return sum(
-        p ** ((m - j) * (d - j)) * gaussian_binomial(m, j, p) * gaussian_binomial(n - m, d - j, p)
-        for j in range(max(m - l, 0), min(m, d) + 1)
-        if d - j <= n - m
-    )
-
-
 def test_criterion_02_small_projection_counts():
     t0 = time.monotonic()
     ok = True
@@ -120,7 +106,7 @@ def test_criterion_02_small_projection_counts():
                         got = count_small_projection_subspaces(W, k, l)
                         expected = p ** (k * (n - k) - (k - l) * (m - l))
                         ok &= got <= 4 * expected and expected <= 4 * got
-                        ok &= got == _meeting_count(n, k, m, l, p)
+                        ok &= got == small_projection_count(n, k, m, l, p)
                         checked += 1
     assert checked > 60
     _finish(2, f"small-projection counts ({checked} instances)", ok, t0, 60)

@@ -24,6 +24,7 @@ from fpfurst.projections import (
     projection_count,
     subspace_projection_exponent,
 )
+from subspace_counts import degenerate_direction_count
 
 F = Fraction
 
@@ -190,23 +191,10 @@ def test_type3_one_pass_matches_per_theta_oracle(p, ask):
     assert construct_marstrand_witness(*ask, p).claimed == union
 
 
-def _degenerate_direction_count(n, k, m, l, p):
-    """D: the number of V in G(n-k, F_p^n) with #proj_V(F_p^m) = p^l and
-    #proj_V(F_p^2 x F_p^m) = p^(l+1), with j = m - l and d = n - k."""
-    j, d = m - l, n - k
-    return (
-        gaussian_binomial(m, j, p)
-        * (p ** (l + 2) - p**l)
-        // (p - 1)
-        * p ** ((l + 1) * (d - j - 1))
-        * gaussian_binomial(n - m - 2, d - j - 1, p)
-    )
-
-
 def test_degenerate_direction_count_reference_values():
-    assert _degenerate_direction_count(4, 2, 1, 1, 5) == 750
-    assert _degenerate_direction_count(4, 2, 1, 1, 7) == 2744
-    assert _degenerate_direction_count(3, 1, 0, 0, 31) == 992
+    assert degenerate_direction_count(4, 2, 1, 1, 5) == 750
+    assert degenerate_direction_count(4, 2, 1, 1, 7) == 2744
+    assert degenerate_direction_count(3, 1, 0, 0, 31) == 992
 
 
 @pytest.mark.parametrize("p,ask", PRODUCT_CASES)
@@ -215,7 +203,7 @@ def test_type3_families_have_the_exact_size(p, ask):
     family has D / (p + 1) members, and the witness claims #Theta of them."""
     pr = marstrand_params(*ask)
     m, _ = _rectangle_product(pr)
-    d = _degenerate_direction_count(ask[2], ask[3], m, pr.l, p)
+    d = degenerate_direction_count(ask[2], ask[3], m, pr.l, p)
     assert d % (p + 1) == 0
     families = type3_direction_families(*ask, p)
     assert {len(vs) for vs in families.values()} == {d // (p + 1)}

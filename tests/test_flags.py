@@ -1,5 +1,9 @@
+import dataclasses
 import gc
 import itertools
+import os
+import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -82,6 +86,80 @@ def test_enumeration_order_matches_rref_oracle(n, k, p):
         for b in sorted({reduce_mod_subspace(x, V) for x in space})
     ]
     assert list(enumerate_affine(n, k, p)) == flats
+
+
+@pytest.mark.parametrize("n,k,p", ORACLE_CASES + [(4, 2, 7), (3, 1, 5)])
+def test_enumerated_values_are_valid(n, k, p):
+    # The enumerators skip __post_init__; dataclasses.replace runs it again,
+    # so each value must survive its own constructor unchanged.
+    for V in enumerate_linear(n, k, p):
+        W = dataclasses.replace(V, basis=dataclasses.replace(V.basis))
+        assert W == V and hash(W) == hash(V)
+    for flat in enumerate_affine(n, k, p):
+        same = dataclasses.replace(flat)
+        assert same == flat and hash(same) == hash(flat)
+
+
+_RETAINED_BYTES = """
+import itertools, tracemalloc
+from fpfurst.flags import LinearSubspace, enumerate_linear
+from fpfurst.primefield import PrimeMatrix
+
+def constructed(n, k, p):
+    # enumerate_linear's RREF bases, built through the validating constructors
+    for pivots in itertools.combinations(range(n), k):
+        choices = [
+            (1,) if j == c else (0,) if j < c or j in pivots else range(p)
+            for c in pivots
+            for j in range(n)
+        ]
+        for entries in itertools.product(*choices):
+            yield LinearSubspace(n, k, p, PrimeMatrix(p, k, n, entries), pivots)
+
+def retained(build):
+    build()  # the first build also fills the interpreter's caches
+    tracemalloc.start()
+    kept = build()
+    size = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    return size, len(kept)
+
+print(*retained(lambda: list(constructed(4, 2, 7))), *retained(lambda: list(enumerate_linear(4, 2, 7))))
+"""
+
+
+def test_enumerated_subspaces_hold_no_more_memory_than_constructed_ones():
+    # Filling an instance's __dict__ directly, rather than through
+    # object.__setattr__, gives every retained subspace a dictionary of its
+    # own (126 bytes each on CPython 3.11).  Once that has happened, later
+    # instances of the class lose their compact layout too, so the
+    # constructor path is measured first, in a fresh interpreter.  Either
+    # total moves by a few dozen bytes between runs, so 1 KiB of slack is
+    # allowed: under half a byte per subspace.
+    root = pathlib.Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _RETAINED_BYTES], env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    constructed, built, enumerated, yielded = map(int, proc.stdout.split())
+    assert built == yielded == gaussian_binomial(4, 2, 7) == 2850
+    assert enumerated <= constructed + 1024
+
+
+def test_constructors_refuse_bad_input():
+    # the enumerators rely on these checks staying on every public path
+    V = LinearSubspace.from_rows([[1, 2, 0]], 3, 5)
+    with pytest.raises(ValueError, match="vanish on pivot"):
+        AffineFlat(V, (1, 0, 0))
+    with pytest.raises(ValueError, match="base length"):
+        AffineFlat(V, (0, 0))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        LinearSubspace(3, 2, 5, V.basis, (0, 1))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        LinearSubspace(4, 1, 5, V.basis, (0,))
+    with pytest.raises(ValueError, match="pivot count"):
+        LinearSubspace(3, 1, 5, V.basis, (0, 1))
 
 
 def test_enumerations_have_no_duplicates():

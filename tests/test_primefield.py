@@ -37,6 +37,14 @@ def test_composite_modulus_rejected():
         PrimeMatrix.from_rows([[1]], 9)
 
 
+def test_prime_matrix_refuses_bad_input():
+    # the enumerators skip this check; the public constructor must keep it
+    with pytest.raises(ValueError, match="entries must be residues"):
+        PrimeMatrix(5, 1, 2, (0, 5))
+    with pytest.raises(ValueError, match="entry count"):
+        PrimeMatrix(5, 1, 2, (0,))
+
+
 def test_rref_identity_case():
     m = PrimeMatrix.identity(2, 3)
     reduced, pivots = rref(m)

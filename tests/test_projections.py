@@ -20,6 +20,7 @@ from fpfurst.projections import (
     subspace_projection_exponent,
 )
 from rank_oracle import stacked_rank
+from subspace_counts import small_projection_count
 
 F = Fraction
 FIFTH = F(1, 5)
@@ -148,11 +149,33 @@ def test_quotient_count_equals_projection_count(A, monkeypatch):
 
 @pytest.mark.parametrize(
     "n,k,m,l,p,expected",
-    [(2, 1, 1, 0, 3, 1), (2, 1, 1, 1, 3, 4), (3, 1, 1, 1, 3, 13)],
+    [(2, 1, 1, 0, 3, 1), (2, 1, 1, 1, 3, 4), (3, 1, 1, 1, 3, 13), (4, 2, 2, 1, 7, 449)],
 )
 def test_count_small_projection_examples(n, k, m, l, p, expected):
     W = LinearSubspace.coordinate(range(m), n, p)
     assert count_small_projection_subspaces(W, k, l) == expected
+    assert small_projection_count(n, k, m, l, p) == expected
+
+
+def test_count_small_projection_equals_meeting_count():
+    # every valid (k, m, l) at p in {2, 3, 5}, n <= 5 (n <= 4 at p = 5)
+    cases = [
+        (n, k, m, l, p)
+        for p in (2, 3, 5)
+        for n in range(1, (4 if p == 5 else 5) + 1)
+        for k in range(1, n + 1)
+        for m in range(n + 1)
+        for l in range(min(k, m) + 1)
+        if n - k >= m - l
+    ]
+    assert len(cases) == 265
+    wrong = [
+        (n, k, m, l, p)
+        for n, k, m, l, p in cases
+        if count_small_projection_subspaces(LinearSubspace.coordinate(range(m), n, p), k, l)
+        != small_projection_count(n, k, m, l, p)
+    ]
+    assert wrong == []
 
 
 def test_count_small_projection_hypotheses_enforced():
