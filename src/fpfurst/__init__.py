@@ -39,7 +39,7 @@ from .lemmas import (
     check_recursion_f2,
     check_recursion_m,
 )
-from .primefield import PrimeMatrix, is_prime, rref
+from .primefield import PrimeMatrix, is_prime
 from .projections import (
     ExceptionalQuery,
     PointSet,

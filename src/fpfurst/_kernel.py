@@ -2,12 +2,11 @@
 
 Every canonical coset name in the package -- `flags.reduce_mod_subspace`,
 subspace membership, flat membership and the projection counts -- is computed
-by `_reduce`.  It also decides dim(U + V): `flags.join_rows` reduces U's basis
-modulo V's rows and keeps the nonzero remainders.  Those rows, V's then U's
-remainders, are in the echelon order `project_count_flat` accepts, so
-join_rows supplies `projections.exceptional_set`'s basis of S + V, and the
-rows of V + F_p^m modulo which `exceptional._theta_families` reduces e1, e2.
-`_reduce` works on pure Python ints, so there is no limit on p**n.
+by `_reduce`, and so is every echelon basis: `flags._echelon` reduces each
+vector modulo the rows so far and keeps the nonzero remainders.  It gives
+`flags.join_rows`' basis of U + V, in the echelon order `project_count_flat`
+accepts, and `LinearSubspace.from_rows`' RREF.  `_reduce` works on pure
+Python ints, so there is no limit on p**n.
 """
 
 from __future__ import annotations
@@ -28,6 +27,16 @@ def _reduction_rows(basis, n: int, kdim: int, pivots) -> tuple:
         # memory onto the interpreter's small-tuple free lists.
         rows.append((c, tuple([(j, basis[off + j]) for j in range(c + 1, n) if basis[off + j]])))
     return tuple(rows)
+
+
+def _dense(rows, n: int) -> list:
+    """Row-major entries of rows in `_reduce`'s form; `_reduction_rows` inverted."""
+    out = [0] * (len(rows) * n)
+    for off, (c, entries) in zip(range(0, len(out), n), rows):
+        out[off + c] = 1
+        for j, b in entries:
+            out[off + j] = b
+    return out
 
 
 def _reduce(x, rows, p: int) -> tuple[int, ...]:

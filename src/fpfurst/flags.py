@@ -2,12 +2,13 @@
 counting, and subspace sums by rank.
 
 Canonical forms make equality structural: a linear subspace is named by its
-RREF basis, an affine flat by (direction, base) where the base is the unique
-coset representative vanishing on the direction's pivot coordinates.  The
-streams produced here are deterministic -- lexicographic in (pivot pattern,
-free entries) -- so "the first N flats" is a reproducible choice.  Each basis
-and each base is generated entry by entry, as one product over per-entry
-choices, in that same order.
+RREF basis, built by `_echelon` as `join_rows` is, an affine flat by
+(direction, base) where the base is the unique coset representative vanishing
+on the direction's pivot coordinates.  The streams produced here are
+deterministic -- lexicographic in (pivot pattern, free entries) -- so "the
+first N flats" is a reproducible choice.  Each basis and each base is
+generated entry by entry, as one product over per-entry choices, in that same
+order.
 
 Validation happens at the boundary.  The public constructors check their
 input; the two enumerators do not, because what they yield is valid by
@@ -26,8 +27,8 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from ._kernel import _reduce, _reduction_rows
-from .primefield import PrimeMatrix, check_prime, rref
+from ._kernel import _dense, _reduce, _reduction_rows
+from .primefield import PrimeMatrix, check_prime
 
 
 def gaussian_binomial(n: int, k: int, p: int) -> int:
@@ -61,18 +62,22 @@ class LinearSubspace:
 
     @classmethod
     def from_rows(cls, rows, n: int, p: int) -> "LinearSubspace":
-        """Span of the given row vectors, in canonical form."""
-        mat = PrimeMatrix.from_rows([list(r) for r in rows], p) if rows else PrimeMatrix(p, 0, n, ())
-        if mat.rows and mat.cols != n:
+        """Span of the given rows of ints, in canonical form: `_echelon`'s
+        rows sorted by pivot, each reduced modulo the rows after it."""
+        check_prime(p)
+        rows = [list(r) for r in rows]
+        if any(len(r) != len(rows[0]) for r in rows):
+            raise ValueError("ragged rows")
+        if rows and len(rows[0]) != n:
             raise ValueError("row length mismatch")
-        reduced, pivots = rref(mat)
-        k = len(pivots)
-        trimmed = PrimeMatrix(p, k, n, reduced.entries[: k * n])
-        return cls(n, k, p, trimmed, pivots)
-
-    @classmethod
-    def full(cls, n: int, p: int) -> "LinearSubspace":
-        return cls(n, n, p, PrimeMatrix.identity(n, p), tuple(range(n)))
+        if not all(isinstance(e, int) for r in rows for e in r):
+            raise TypeError("entries must be ints")
+        echelon = sorted(_echelon([[e % p for e in r] for r in rows], [], n, p))
+        entries = []
+        for i in range(len(echelon)):
+            entries += _reduce(_dense(echelon[i : i + 1], n), echelon[i + 1 :], p)
+        k = len(echelon)
+        return cls(n, k, p, PrimeMatrix(p, k, n, tuple(entries)), tuple([c for c, _ in echelon]))
 
     @classmethod
     def coordinate(cls, coords, n: int, p: int) -> "LinearSubspace":
@@ -154,25 +159,28 @@ def reduce_mod_subspace(x, V: LinearSubspace) -> tuple[int, ...]:
     return _reduce([e % p for e in x], V._rows, p)
 
 
-def join_rows(U: LinearSubspace, V: LinearSubspace) -> list:
-    """Rows in `_kernel._reduce`'s form spanning U + V; there are dim(U + V).
+def _echelon(vectors, rows: list, n: int, p: int) -> list:
+    """Extend `rows`, in `_reduce`'s form, to span the vectors (residues).
 
-    Each row of U's basis is reduced modulo V's cached rows and the rows so
-    far; a nonzero remainder, scaled to 1 at its first nonzero column, is
-    appended.  It is zero at every earlier pivot and left of its own, which
-    keeps `_reduce` exact.  Pass the subspace fixed across calls as V.
-    """
-    if U.n != V.n or U.p != V.p:
-        raise ValueError("subspaces live in different spaces")
-    p, n = V.p, V.n
-    rows = list(V._rows)
-    for i in range(0, U.k * n, n):
-        w = _reduce(U.basis.entries[i : i + n], rows, p)
+    Each vector's nonzero remainder modulo the rows so far, scaled to 1 at its
+    first nonzero column, is appended: zero at every earlier pivot and left of
+    its own, which keeps `_reduce` exact."""
+    for v in vectors:
+        w = _reduce(v, rows, p)
         nonzero = [j for j in range(n) if w[j]]
         if nonzero:
             inv = pow(w[nonzero[0]], -1, p)
             rows.append((nonzero[0], tuple([(j, w[j] * inv % p) for j in nonzero[1:]])))
     return rows
+
+
+def join_rows(U: LinearSubspace, V: LinearSubspace) -> list:
+    """Rows in `_reduce`'s form spanning U + V, dim(U + V) of them: V's cached
+    rows, then `_echelon`'s.  Pass the subspace fixed across calls as V."""
+    if U.n != V.n or U.p != V.p:
+        raise ValueError("subspaces live in different spaces")
+    p, n, e = V.p, V.n, U.basis.entries
+    return _echelon([e[i : i + n] for i in range(0, U.k * n, n)], list(V._rows), n, p)
 
 
 def enumerate_linear(n: int, k: int, p: int):

@@ -264,7 +264,7 @@ def _general_case_cd(pr, p: int) -> FurstenbergFamily:
     if seed_tau == 0:
         # one fully generic line suffices; it lives in a single coordinate
         npts = ceil_rational_power(p, sigma)
-        line = AffineFlat.through((0,), LinearSubspace.full(1, p))
+        line = AffineFlat.through((0,), LinearSubspace.coordinate((0,), 1, p))
         members = [(line, PointSet.from_iterable([(x,) for x in range(npts)], 1, p))]
         ambient = 1
     else:
@@ -335,10 +335,8 @@ def _extrude_graphs(member, depth: int, p: int, shared: dict):
     pickers = {}  # y*T mod p -> picks the points (u, y*T + z) in grid order of z
     out = []
     for tmat in itertools.product(grid, repeat=dim):
-        rows = [list(row) + list(trow) for row, trow in zip(rows0, tmat)]
-        direction = LinearSubspace(
-            q + depth, dim, p, PrimeMatrix.from_rows(rows, p), pivots
-        )
+        entries = tuple([e for row, trow in zip(rows0, tmat) for e in row + list(trow)])
+        direction = LinearSubspace(q + depth, dim, p, PrimeMatrix(p, dim, q + depth, entries), pivots)
         columns = []
         for cf, lift in zip(coeffs, lifts):
             lin = tuple(

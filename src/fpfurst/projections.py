@@ -139,13 +139,7 @@ def exceptional_set(A: PointSet, q: ExceptionalQuery) -> list[LinearSubspace]:
     out = []
     for V in enumerate_linear(n, n - q.k, p):
         rows = join_rows(V, S)
-        basis = []
-        for c, entries in rows:
-            row = [0] * n
-            row[c] = 1
-            for j, b in entries:
-                row[j] = b
-            basis += row
+        basis = _kernel._dense(rows, n)
         count = _kernel.project_count_flat(flat, len(reps), n, basis, len(rows), [c for c, _ in rows], p)
         if count * p ** (len(rows) - V.k) < bound:
             out.append(V)

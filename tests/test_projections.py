@@ -38,7 +38,7 @@ def test_coset_representative_examples():
     xaxis = LinearSubspace.from_rows([[1, 0]], 2, 5)
     assert reduce_mod_subspace((3, 2), xaxis) == (0, 2)
     assert reduce_mod_subspace((3, 2), LinearSubspace.coordinate([], 2, 5)) == (3, 2)
-    assert reduce_mod_subspace((3, 2), LinearSubspace.full(2, 5)) == (0, 0)
+    assert reduce_mod_subspace((3, 2), LinearSubspace.coordinate(range(2), 2, 5)) == (0, 0)
 
 
 def test_representative_constant_on_cosets():
