@@ -4,9 +4,9 @@ Every canonical coset name in the package -- `flags.reduce_mod_subspace`,
 subspace membership, flat membership and the projection counts -- is computed
 by `_reduce`, and so is every echelon basis: `flags._echelon` reduces each
 vector modulo the rows so far and keeps the nonzero remainders.  It gives
-`flags.join_rows`' basis of U + V, in the echelon order `project_count_flat`
-accepts, and `LinearSubspace.from_rows`' RREF.  `_reduce` works on pure
-Python ints, so there is no limit on p**n.
+`flags.join_rows`' rows of U + V, which `project_count_flat` takes as they
+are, and `LinearSubspace.from_rows`' RREF.  `_reduce` works on pure Python
+ints, so there is no limit on p**n.
 """
 
 from __future__ import annotations
@@ -56,13 +56,11 @@ def _reduce(x, rows, p: int) -> tuple[int, ...]:
     return tuple(w)
 
 
-def project_count_flat(pts, npts: int, n: int, basis, kdim: int, pivots, p: int) -> int:
+def project_count_flat(pts, npts: int, n: int, rows, kdim: int, pivots, p: int) -> int:
     """Number of distinct cosets x + V met by the points.
 
-    pts: row-major flat sequence of npts points of F_p^n (coords reduced);
-    basis: row-major flat basis of V (kdim rows) in echelon order, each row 1
-    at its pivot and zero left of it and at every earlier row's pivot (an
-    RREF basis is one case); pivots: the rows' pivot columns.
+    Reads only pts (tuples of residues), rows (V's basis in `_reduce`'s form)
+    and p.  npts, n, kdim and pivots stay positional for the benchmark tracer
+    until ROADMAP item 6; callers pass their true values.
     """
-    rows = _reduction_rows(basis, n, kdim, pivots)
-    return len({_reduce(pts[b : b + n], rows, p) for b in range(0, npts * n, n)})
+    return len({_reduce(x, rows, p) for x in pts})

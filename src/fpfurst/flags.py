@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from ._kernel import _dense, _reduce, _reduction_rows
-from .primefield import PrimeMatrix, check_prime
+from .primefield import PrimeMatrix, _check_ints, check_prime
 
 
 def gaussian_binomial(n: int, k: int, p: int) -> int:
@@ -59,6 +59,12 @@ class LinearSubspace:
             raise ValueError("basis shape mismatch")
         if len(self.pivots) != self.k:
             raise ValueError("pivot count mismatch")
+        # enumerate_linear's shape: row i is 1 at its pivot c, 0 left of c and at the other pivots
+        n, piv, e = self.n, self.pivots, self.basis.entries
+        if list(piv) != sorted(set(piv)) or not set(piv) <= set(range(n)) or any(
+            [e[i * n + j] != (j == c) for i, c in enumerate(piv) for j in {*range(c + 1), *piv}]
+        ):
+            raise ValueError(f"basis is not the RREF of pivots {piv}")
 
     @classmethod
     def from_rows(cls, rows, n: int, p: int) -> "LinearSubspace":
@@ -70,8 +76,7 @@ class LinearSubspace:
             raise ValueError("ragged rows")
         if rows and len(rows[0]) != n:
             raise ValueError("row length mismatch")
-        if not all(isinstance(e, int) for r in rows for e in r):
-            raise TypeError("entries must be ints")
+        _check_ints(itertools.chain.from_iterable(rows))
         echelon = sorted(_echelon([[e % p for e in r] for r in rows], [], n, p))
         entries = []
         for i in range(len(echelon)):
@@ -121,6 +126,9 @@ class AffineFlat:
     def __post_init__(self):
         if len(self.base) != self.direction.n:
             raise ValueError("base length mismatch")
+        _check_ints(self.base)
+        if min(self.base, default=0) < 0 or max(self.base, default=0) >= self.direction.p:
+            raise ValueError("base entries must be residues in [0, p)")
         if any(self.base[c] for c in self.direction.pivots):
             raise ValueError("base must vanish on pivot coordinates")
 
@@ -156,7 +164,9 @@ class AffineFlat:
 def reduce_mod_subspace(x, V: LinearSubspace) -> tuple[int, ...]:
     """Canonical representative of x + V: zero at V's pivot coordinates."""
     p = V.p
-    return _reduce([e % p for e in x], V._rows, p)
+    w = [e % p for e in x]
+    _check_ints(w)
+    return _reduce(w, V._rows, p)
 
 
 def _echelon(vectors, rows: list, n: int, p: int) -> list:

@@ -53,6 +53,12 @@ def check_prime(p: int) -> int:
     return p
 
 
+def _check_ints(values):
+    """Refuse non-int values: every scalar here is exact."""
+    if not all([isinstance(e, int) for e in values]):
+        raise TypeError("entries must be ints")
+
+
 @dataclass(frozen=True)
 class PrimeMatrix:
     """Immutable row-major matrix over F_p."""
@@ -66,6 +72,7 @@ class PrimeMatrix:
         check_prime(self.p)
         if len(self.entries) != self.rows * self.cols:
             raise ValueError("entry count does not match shape")
+        _check_ints(self.entries)
         if any(not (0 <= e < self.p) for e in self.entries):
             raise ValueError("entries must be residues in [0, p)")
 

@@ -87,7 +87,7 @@ class PointSet:
         return i < len(self.points) and self.points[i] == q
 
     def flat(self) -> tuple[int, ...]:
-        """Row-major flat coordinates for the projection kernel."""
+        """Row-major flat coordinates; no caller in `src/`, kept for the tracer."""
         return tuple(itertools.chain.from_iterable(self.points))
 
 
@@ -113,9 +113,9 @@ def project_set(A: PointSet, V: LinearSubspace) -> PointSet:
 
 
 def projection_count(A: PointSet, V: LinearSubspace) -> int:
-    """#proj_V(A) through the projection kernel."""
+    """#proj_V(A): the kernel on A's points and V's rows."""
     _check_compatible(A, V)
-    return _kernel.project_count_flat(A.flat(), len(A), A.n, V.basis.entries, V.k, V.pivots, A.p)
+    return _kernel.project_count_flat(A.points, len(A), A.n, V._rows, V.k, V.pivots, A.p)
 
 
 def exceptional_set(A: PointSet, q: ExceptionalQuery) -> list[LinearSubspace]:
@@ -133,14 +133,12 @@ def exceptional_set(A: PointSet, q: ExceptionalQuery) -> list[LinearSubspace]:
     has = set(pts)
     axes = [c for c in range(n) if all(x[:c] + ((x[c] + 1) % p,) + x[c + 1 :] in has for x in pts)]
     reps = [x for x in pts if not any([x[c] for c in axes])]
-    flat = [e for x in reps for e in x]
     S = LinearSubspace.coordinate(axes, n, p)
     bound = ceil_rational_power(p, q.s)
     out = []
     for V in enumerate_linear(n, n - q.k, p):
         rows = join_rows(V, S)
-        basis = _kernel._dense(rows, n)
-        count = _kernel.project_count_flat(flat, len(reps), n, basis, len(rows), [c for c, _ in rows], p)
+        count = _kernel.project_count_flat(reps, len(reps), n, rows, len(rows), [c for c, _ in rows], p)
         if count * p ** (len(rows) - V.k) < bound:
             out.append(V)
     return out

@@ -1,5 +1,7 @@
+import itertools
 import json
 import pathlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -24,7 +26,7 @@ from fpfurst.projections import (
     projection_count,
     subspace_projection_exponent,
 )
-from subspace_counts import degenerate_direction_count
+from subspace_counts import degenerate_direction_count, small_projection_count
 
 F = Fraction
 
@@ -95,6 +97,45 @@ def test_type2_slab_spec_case():
     assert certify_lower_bound(w, F(1, 25))
     for V in w.claimed:
         assert projection_count(w.set_a, V) < ceil_rational_power(5, F(7, 4))
+
+
+@pytest.mark.parametrize(
+    "ask,p,want",
+    [
+        ((F(5, 2), F(7, 4), 4, 2), 5, 181),
+        ((F(3, 2), F(5, 4), 4, 2), 5, 181),
+        ((F(5, 2), F(7, 4), 4, 2), 7, 449),
+        ((F(3, 2), F(5, 4), 4, 2), 7, 449),
+    ],
+)
+def test_slab_witness_claim_reference_values(ask, p, want):
+    assert len(construct_marstrand_witness(*ask, p).claimed) == want
+
+
+def test_slab_witnesses_claim_exactly_the_small_projection_count():
+    """On the 1/4 grid of (a, s) for n = 3 and 4, every slab witness claims
+    the directions collapsing a coordinate m-subspace to at most p^l cosets:
+    m for type2-slab, and m + 1 for type3-enlarged, which enlarges a."""
+    reached = Counter()
+    for n, primes in ((3, (2, 3, 5, 7, 11)), (4, (3, 5))):
+        for k in range(1, n):
+            for a, s in itertools.product([F(j, 4) for j in range(1, 4 * n + 1)], repeat=2):
+                if s > k:
+                    continue
+                pr = marstrand_params(a, s, n, k)
+                if pr.mtype not in (2, 3) or _rectangle_product(pr) is not None:
+                    continue
+                branch, m = ("type2-slab", pr.m) if pr.mtype == 2 else ("type3-enlarged", pr.m + 1)
+                for p in primes:
+                    try:
+                        w = construct_marstrand_witness(a, s, n, k, p)
+                    except DegenerateScaleError:
+                        continue
+                    assert w.branch == branch
+                    want = small_projection_count(n, k, m, pr.l, p)
+                    assert len(w.claimed) == want, (a, s, n, k, p)
+                    reached[branch] += 1
+    assert reached == {"type2-slab": 58, "type3-enlarged": 160}
 
 
 def test_type4_certifies_empty():

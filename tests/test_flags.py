@@ -19,6 +19,7 @@ from fpfurst.flags import (
     join_rows,
     reduce_mod_subspace,
 )
+from fpfurst.primefield import PrimeMatrix
 from rank_oracle import matrix, rref
 
 
@@ -166,6 +167,49 @@ def test_constructors_refuse_bad_input():
         LinearSubspace(4, 1, 5, V.basis, (0,))
     with pytest.raises(ValueError, match="pivot count"):
         LinearSubspace(3, 1, 5, V.basis, (0, 1))
+
+
+_D = LinearSubspace.from_rows([[1, 0]], 2, 5)
+
+
+@pytest.mark.parametrize(
+    "build,error,message",
+    [
+        pytest.param(
+            lambda: LinearSubspace(2, 1, 5, PrimeMatrix(5, 1, 2, (2, 0)), (0,)),
+            ValueError, "not the RREF", id="pivot-entry-not-one",
+        ),
+        pytest.param(
+            lambda: LinearSubspace(2, 1, 5, PrimeMatrix(5, 1, 2, (0, 1)), (0,)),
+            ValueError, "not the RREF", id="zero-at-pivot",
+        ),
+        pytest.param(
+            lambda: LinearSubspace(2, 2, 5, PrimeMatrix(5, 2, 2, (1, 3, 0, 1)), (0, 1)),
+            ValueError, "not the RREF", id="entry-at-other-pivot",
+        ),
+        pytest.param(
+            lambda: LinearSubspace(2, 2, 5, PrimeMatrix(5, 2, 2, (0, 1, 1, 0)), (1, 0)),
+            ValueError, "not the RREF", id="pivots-out-of-order",
+        ),
+        pytest.param(lambda: AffineFlat(_D, (0, 7)), ValueError, "residues", id="base-above-p"),
+        pytest.param(lambda: AffineFlat(_D, (0, -3)), ValueError, "residues", id="base-negative"),
+        pytest.param(lambda: AffineFlat(_D, (0, 2.5)), TypeError, "ints", id="base-not-int"),
+        pytest.param(
+            lambda: AffineFlat.through((0, 2.5), _D), TypeError, "ints", id="through-not-int"
+        ),
+        pytest.param(
+            lambda: reduce_mod_subspace((0, Fraction(5, 2)), _D), TypeError, "ints",
+            id="reduce-not-int",
+        ),
+    ],
+)
+def test_constructors_accept_only_canonical_exact_values(build, error, message):
+    # each of these named an object that from_rows and through never give;
+    # the canonical forms stay accepted
+    with pytest.raises(error, match=message):
+        build()
+    assert LinearSubspace(2, 1, 5, _D.basis, _D.pivots) == _D
+    assert AffineFlat(_D, (0, 2)) == AffineFlat.through((5, 7), _D)
 
 
 def _random_rows(rng, p, n):

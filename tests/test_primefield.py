@@ -41,6 +41,11 @@ def test_prime_matrix_refuses_bad_input():
         PrimeMatrix(5, 1, 2, (0,))
 
 
+def test_prime_matrix_refuses_non_int_entries():
+    with pytest.raises(TypeError, match="ints"):
+        PrimeMatrix(5, 1, 2, (1, 2.5))
+
+
 def test_rref_identity_case():
     m = matrix([[1, 0], [0, 1]], 3, 2)
     reduced, pivots = rref(m)
