@@ -45,8 +45,6 @@ from .projections import (
     PointSet,
     count_small_projection_subspaces,
     exceptional_set,
-    project_set,
-    projection_count,
 )
 
 __version__ = "0.1.0"

@@ -193,7 +193,7 @@ def _theta_families(rect: PointSet, gamma: Fraction, n, k, p, m, l):
     families by theta, in `exceptional_set` order.
     """
     thetas = exceptional_set(rect, ExceptionalQuery(gamma, 1))
-    families = {theta.basis.entries: [] for theta in thetas}
+    families = {theta.entries: [] for theta in thetas}
     mid = LinearSubspace.coordinate(range(2, 2 + m), n, p)
     e1, e2 = (1,) + (0,) * (n - 1), (0, 1) + (0,) * (n - 2)
     claimed = []
@@ -209,7 +209,7 @@ def _theta_families(rect: PointSet, gamma: Fraction, n, k, p, m, l):
         if key in families:
             families[key].append(V)
             claimed.append(V)
-    return tuple(claimed), {theta: tuple(families[theta.basis.entries]) for theta in thetas}
+    return tuple(claimed), {theta: tuple(families[theta.entries]) for theta in thetas}
 
 
 def type3_direction_families(a, s, n: int, k: int, p: int):
@@ -226,8 +226,8 @@ def type3_direction_families(a, s, n: int, k: int, p: int):
 
 def _certify(a, s, n, k, p, branch, set_a, claimed) -> ExceptionalWitness:
     exceptional = exceptional_set(set_a, ExceptionalQuery(s, k))
-    keys = {V.basis.entries for V in exceptional}
-    bad = [V for V in claimed if V.basis.entries not in keys]
+    keys = {V.entries for V in exceptional}
+    bad = [V for V in claimed if V.entries not in keys]
     if bad:
         raise DegenerateScaleError(
             f"{branch}: {len(bad)} claimed directions fail the strict test at p = {p}"

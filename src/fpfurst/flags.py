@@ -1,10 +1,10 @@
 """Canonical subspaces and affine flats of F_p^n: representation, enumeration,
 counting, and subspace sums by rank.
 
-Canonical forms make equality structural: a linear subspace is named by its
-RREF basis, built by `_echelon` as `join_rows` is, an affine flat by
-(direction, base) where the base is the unique coset representative vanishing
-on the direction's pivot coordinates.  The streams produced here are
+Canonical forms make equality structural: a linear subspace is one object,
+its RREF basis with its pivots, built by `_echelon` as `join_rows` is; an
+affine flat is (direction, base), the base the unique coset representative
+vanishing on the direction's pivot coordinates.  The streams produced here are
 deterministic -- lexicographic in (pivot pattern, free entries) -- so "the
 first N flats" is a reproducible choice.  Each basis and each base is
 generated entry by entry, as one product over per-entry choices, in that same
@@ -45,26 +45,29 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
 
 
 @dataclass(frozen=True)
-class LinearSubspace:
-    """A k-dimensional linear subspace of F_p^n, named by its RREF basis."""
+class LinearSubspace(PrimeMatrix):
+    """A k-dimensional subspace of F_p^n: its RREF basis, then its pivots."""
 
-    n: int
-    k: int
-    p: int
-    basis: PrimeMatrix
     pivots: tuple[int, ...]
 
     def __post_init__(self):
-        if self.basis.rows != self.k or self.basis.cols != self.n:
-            raise ValueError("basis shape mismatch")
-        if len(self.pivots) != self.k:
+        super().__post_init__()
+        if len(self.pivots) != self.rows:
             raise ValueError("pivot count mismatch")
         # enumerate_linear's shape: row i is 1 at its pivot c, 0 left of c and at the other pivots
-        n, piv, e = self.n, self.pivots, self.basis.entries
+        n, piv, e = self.cols, self.pivots, self.entries
         if list(piv) != sorted(set(piv)) or not set(piv) <= set(range(n)) or any(
             [e[i * n + j] != (j == c) for i, c in enumerate(piv) for j in {*range(c + 1), *piv}]
         ):
             raise ValueError(f"basis is not the RREF of pivots {piv}")
+
+    @property
+    def n(self) -> int:
+        return self.cols
+
+    @property
+    def k(self) -> int:
+        return self.rows
 
     @classmethod
     def from_rows(cls, rows, n: int, p: int) -> "LinearSubspace":
@@ -81,8 +84,7 @@ class LinearSubspace:
         entries = []
         for i in range(len(echelon)):
             entries += _reduce(_dense(echelon[i : i + 1], n), echelon[i + 1 :], p)
-        k = len(echelon)
-        return cls(n, k, p, PrimeMatrix(p, k, n, tuple(entries)), tuple([c for c, _ in echelon]))
+        return cls(p, len(echelon), n, tuple(entries), tuple([c for c, _ in echelon]))
 
     @classmethod
     def coordinate(cls, coords, n: int, p: int) -> "LinearSubspace":
@@ -99,12 +101,12 @@ class LinearSubspace:
     @cached_property
     def _rows(self) -> tuple:
         """The basis in the form `_kernel._reduce` takes, built once."""
-        return _reduction_rows(self.basis.entries, self.n, self.k, self.pivots)
+        return _reduction_rows(self.entries, self.n, self.k, self.pivots)
 
     def points(self) -> list[tuple[int, ...]]:
         """All p^k points, in lexicographic order of the coefficient vector."""
         p, n = self.p, self.n
-        rows = self.basis.to_rows()
+        rows = self.to_rows()
         pts = []
         for coeffs in itertools.product(range(p), repeat=self.k):
             v = [0] * n
@@ -134,11 +136,11 @@ class AffineFlat:
 
     @property
     def n(self) -> int:
-        return self.direction.n
+        return self.direction.cols
 
     @property
     def k(self) -> int:
-        return self.direction.k
+        return self.direction.rows
 
     @property
     def p(self) -> int:
@@ -165,6 +167,8 @@ def reduce_mod_subspace(x, V: LinearSubspace) -> tuple[int, ...]:
     """Canonical representative of x + V: zero at V's pivot coordinates."""
     p = V.p
     w = [e % p for e in x]
+    if len(w) != V.cols:
+        raise ValueError(f"vector of length {len(w)} is not in F_{p}^{V.cols}")
     _check_ints(w)
     return _reduce(w, V._rows, p)
 
@@ -189,7 +193,7 @@ def join_rows(U: LinearSubspace, V: LinearSubspace) -> list:
     rows, then `_echelon`'s.  Pass the subspace fixed across calls as V."""
     if U.n != V.n or U.p != V.p:
         raise ValueError("subspaces live in different spaces")
-    p, n, e = V.p, V.n, U.basis.entries
+    p, n, e = V.p, V.n, U.entries
     return _echelon([e[i : i + n] for i in range(0, U.k * n, n)], list(V._rows), n, p)
 
 
@@ -218,16 +222,11 @@ def enumerate_linear(n: int, k: int, p: int):
             for j in range(n)
         ]
         for entries in itertools.product(*choices):
-            basis = new(PrimeMatrix)
-            setfield(basis, "p", p)
-            setfield(basis, "rows", k)
-            setfield(basis, "cols", n)
-            setfield(basis, "entries", entries)
             sub = new(LinearSubspace)
-            setfield(sub, "n", n)
-            setfield(sub, "k", k)
             setfield(sub, "p", p)
-            setfield(sub, "basis", basis)
+            setfield(sub, "rows", k)
+            setfield(sub, "cols", n)
+            setfield(sub, "entries", entries)
             setfield(sub, "pivots", pivots)
             yield sub
 

@@ -41,7 +41,7 @@ from .indices import (
     furstenberg_index,
     furstenberg_params,
 )
-from .primefield import PrimeMatrix, check_prime
+from .primefield import check_prime
 from .projections import PointSet
 
 HALF = Fraction(1, 2)
@@ -119,7 +119,7 @@ def _pencil_family(t: Fraction, p: int) -> FurstenbergFamily:
     count = ceil_rational_power(p, t - 1)
     if count > p:
         raise DegenerateScaleError(f"ceil(p^(t-1)) = {count} exceeds p = {p}")
-    slanted = [D for D in dirs if D.basis.row(0) != (1, 0)][: p - 1]
+    slanted = [D for D in dirs if D.row(0) != (1, 0)][: p - 1]
     members = []
     for i in range(count):
         x = (i, 0)
@@ -181,7 +181,7 @@ def _strip_family(s: Fraction, t: Fraction, p: int) -> FurstenbergFamily:
     columns = [[(x, y) for y in rows] for x in range(p)]
     members = []
     for line in enumerate_affine(2, 1, p):
-        a, c = line.direction.basis.row(0)
+        a, c = line.direction.row(0)
         if not a:  # direction (0, 1), base (x0, 0)
             pts = columns[line.base[0]]
         elif c:  # direction (1, c), base (0, y0)
@@ -295,18 +295,15 @@ def _cross(member, r: int, p: int, full: bool):
     otherwise (padding) each point is crossed with the origin."""
     flat, ys = member
     q, dim, pivots = flat.n, flat.k, flat.direction.pivots
-    rows = [row + [0] * r for row in flat.direction.basis.to_rows()]
+    rows = [row + [0] * r for row in flat.direction.to_rows()]
     factor = [(0,) * r]
     if full:
         rows += [[int(j == q + i) for j in range(q + r)] for i in range(r)]
         dim, pivots = dim + r, pivots + tuple(range(q, q + r))
         factor = list(itertools.product(range(p), repeat=r))
-    basis = PrimeMatrix(p, dim, q + r, tuple([e for row in rows for e in row]))
+    direction = LinearSubspace(p, dim, q + r, tuple([e for row in rows for e in row]), pivots)
     pts = tuple(pt + z for pt in ys.points for z in factor)
-    return (
-        AffineFlat(LinearSubspace(q + r, dim, p, basis, pivots), flat.base + (0,) * r),
-        PointSet(q + r, p, pts),
-    )
+    return AffineFlat(direction, flat.base + (0,) * r), PointSet(q + r, p, pts)
 
 
 def _extrude_graphs(member, depth: int, p: int, shared: dict):
@@ -326,7 +323,7 @@ def _extrude_graphs(member, depth: int, p: int, shared: dict):
     flat, ys = member
     q = flat.n
     dim = flat.k
-    rows0 = flat.direction.basis.to_rows()
+    rows0 = flat.direction.to_rows()
     pivots = flat.direction.pivots
     grid = list(itertools.product(range(p), repeat=depth))
     lifts = [[shared.setdefault(x, x) for x in [pt + v for v in grid]] for pt in ys.points]
@@ -336,7 +333,7 @@ def _extrude_graphs(member, depth: int, p: int, shared: dict):
     out = []
     for tmat in itertools.product(grid, repeat=dim):
         entries = tuple([e for row, trow in zip(rows0, tmat) for e in row + list(trow)])
-        direction = LinearSubspace(q + depth, dim, p, PrimeMatrix(p, dim, q + depth, entries), pivots)
+        direction = LinearSubspace(p, dim, q + depth, entries, pivots)
         columns = []
         for cf, lift in zip(coeffs, lifts):
             lin = tuple(
@@ -369,14 +366,14 @@ def _lift_transverse(members, n: int, k: int, p: int, slice_dim: int):
     coordinate_slice = LinearSubspace.coordinate(range(slice_dim), n, p)
     extension_dim = k - members[0][0].k
     extensions = [
-        D.basis.to_rows()
+        D.to_rows()
         for D in enumerate_linear(n, extension_dim, p)
         if len(join_rows(D, coordinate_slice)) == n
     ]
     expected = p ** (extension_dim * (n - k))
     out = []
     for flat, ys in members:
-        rows = flat.direction.basis.to_rows()
+        rows = flat.direction.to_rows()
         lifts = dict.fromkeys(LinearSubspace.from_rows(rows + D, n, p) for D in extensions)
         if len(lifts) != expected:
             raise DegenerateScaleError(
@@ -409,7 +406,7 @@ def verify_family(f: FurstenbergFamily) -> FamilyValidity:
             continue
         if flat.k != f.k:
             failures.append(f"member {i}: flat dimension {flat.k} != {f.k}")
-        key = (flat.direction.basis.entries, flat.base)
+        key = (flat.direction.entries, flat.base)
         if key in seen:
             failures.append(f"member {i}: duplicate flat")
         seen.add(key)

@@ -64,10 +64,6 @@ class PointSet:
         return cls(n, p, tuple(sorted(reduced)))
 
     @classmethod
-    def full_space(cls, n: int, p: int) -> "PointSet":
-        return cls(n, p, tuple(itertools.product(range(p), repeat=n)))
-
-    @classmethod
     def lex_prefix(cls, n: int, p: int, count: int) -> "PointSet":
         """The first `count` points of F_p^n in lexicographic order."""
         if not 0 <= count <= p**n:
@@ -102,20 +98,6 @@ class ExceptionalQuery:
         object.__setattr__(self, "s", as_fraction(self.s))
         if self.s <= 0:
             raise ValueError("s must be positive")
-
-
-def project_set(A: PointSet, V: LinearSubspace) -> PointSet:
-    """The distinct cosets of V meeting A, as canonical representatives.
-    A's points are residues already, so each goes to `_kernel._reduce` as is."""
-    _check_compatible(A, V)
-    rows, p = V._rows, A.p
-    return PointSet.from_iterable((_kernel._reduce(q, rows, p) for q in A.points), A.n, p)
-
-
-def projection_count(A: PointSet, V: LinearSubspace) -> int:
-    """#proj_V(A): the kernel on A's points and V's rows."""
-    _check_compatible(A, V)
-    return _kernel.project_count_flat(A.points, len(A), A.n, V._rows, V.k, V.pivots, A.p)
 
 
 def exceptional_set(A: PointSet, q: ExceptionalQuery) -> list[LinearSubspace]:
@@ -164,8 +146,3 @@ def count_small_projection_subspaces(W: LinearSubspace, k: int, l: int) -> int:
     if not (1 <= k <= n and n - k >= m - l and 0 <= l <= k and l <= m):
         raise ValueError(f"hypotheses violated for (n={n}, k={k}, m={m}, l={l})")
     return sum(1 for V in enumerate_linear(n, n - k, p) if subspace_projection_exponent(W, V) <= l)
-
-
-def _check_compatible(A: PointSet, V: LinearSubspace):
-    if A.n != V.n or A.p != V.p:
-        raise ValueError("point set and subspace live in different spaces")

@@ -40,7 +40,8 @@ def matrix(rows, p: int, ncols: int) -> PrimeMatrix:
 
 
 def stacked_rank(*mats: PrimeMatrix) -> int:
-    """Rank of the matrices stacked top to bottom; all share p and width."""
+    """Rank of the matrices stacked top to bottom; all share p and width.
+    A `LinearSubspace` is its RREF basis matrix, so subspaces go in as they are."""
     assert len({(m.p, m.cols) for m in mats}) == 1, "incompatible stack"
     entries = tuple(e for m in mats for e in m.entries)
     stacked = PrimeMatrix(mats[0].p, sum(m.rows for m in mats), mats[0].cols, entries)

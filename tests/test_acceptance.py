@@ -47,10 +47,8 @@ from fpfurst.lemmas import (
     check_recursion_f2,
     check_recursion_m,
 )
-from fpfurst.projections import (
-    count_small_projection_subspaces,
-    projection_count,
-)
+from fpfurst.projections import count_small_projection_subspaces
+from projection_oracle import projection_count
 from subspace_counts import small_projection_count
 
 F = Fraction
@@ -204,7 +202,7 @@ def test_criterion_09_higher_dimensional_witnesses():
                 ok &= projection_count(w3.set_a, V) < ceil_rational_power(p, s)
             ok &= certify_lower_bound(w3, F(1, 25))
         fams = type3_direction_families(F(3, 2), F(3, 2), 4, 2, p)
-        keys = [frozenset(V.basis.entries for V in vs) for vs in fams.values()]
+        keys = [frozenset(V.entries for V in vs) for vs in fams.values()]
         for i in range(len(keys)):
             for j in range(i + 1, len(keys)):
                 ok &= not (keys[i] & keys[j])

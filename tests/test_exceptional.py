@@ -23,9 +23,9 @@ from fpfurst.projections import (
     ExceptionalQuery,
     PointSet,
     exceptional_set,
-    projection_count,
     subspace_projection_exponent,
 )
+from projection_oracle import projection_count
 from subspace_counts import degenerate_direction_count, small_projection_count
 
 F = Fraction
@@ -173,7 +173,7 @@ def test_type3_rectangle_branch(p):
 def test_type3_families_pairwise_disjoint(p, ask):
     fams = type3_direction_families(*ask, p)
     assert len(fams) >= 2
-    keys = [frozenset(V.basis.entries for V in vs) for vs in fams.values()]
+    keys = [frozenset(V.entries for V in vs) for vs in fams.values()]
     assert all(vs for vs in keys), "no family should be empty at this scale"
     for i in range(len(keys)):
         for j in range(i + 1, len(keys)):
@@ -213,8 +213,8 @@ def _per_theta_oracle(a, s, n, k, p):
     ]
     families = {}
     for theta in thetas:
-        lifted = [list(r) + [0] * (n - 2) for r in theta.basis.to_rows()]
-        span = LinearSubspace.from_rows(lifted + mid.basis.to_rows(), n, p)
+        lifted = [list(r) + [0] * (n - 2) for r in theta.to_rows()]
+        span = LinearSubspace.from_rows(lifted + mid.to_rows(), n, p)
         families[theta] = tuple(
             V for V in directions if subspace_projection_exponent(span, V) <= pr.l
         )
@@ -283,8 +283,8 @@ def test_certified_count_monotone_in_s():
     w_small = construct_marstrand_witness(F(5, 2), F(7, 4), 4, 2, 5)
     bigger = exceptional_set(w_small.set_a, ExceptionalQuery(F(15, 8), 2))
     smaller = exceptional_set(w_small.set_a, ExceptionalQuery(F(7, 4), 2))
-    small_keys = {V.basis.entries for V in smaller}
-    assert small_keys <= {V.basis.entries for V in bigger}
+    small_keys = {V.entries for V in smaller}
+    assert small_keys <= {V.entries for V in bigger}
     assert w_small.certified_count == len(smaller)
 
 

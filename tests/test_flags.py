@@ -57,14 +57,14 @@ def test_enumerate_affine_counts(n, k, p, count):
 def test_enumerate_linear_order_is_pinned():
     # constructions rely on "the first N" being reproducible: pivot patterns
     # lexicographic, then free entries row-major
-    got = [(s.pivots, s.basis.to_rows()) for s in enumerate_linear(2, 1, 3)]
+    got = [(s.pivots, s.to_rows()) for s in enumerate_linear(2, 1, 3)]
     assert got == [
         ((0,), [[1, 0]]),
         ((0,), [[1, 1]]),
         ((0,), [[1, 2]]),
         ((1,), [[0, 1]]),
     ]
-    first = [(s.pivots, s.basis.to_rows()) for s in enumerate_linear(3, 2, 2)][:3]
+    first = [(s.pivots, s.to_rows()) for s in enumerate_linear(3, 2, 2)][:3]
     assert first == [
         ((0, 1), [[1, 0, 0], [0, 1, 0]]),
         ((0, 1), [[1, 0, 0], [0, 1, 1]]),
@@ -83,8 +83,8 @@ def test_enumeration_order_matches_rref_oracle(n, k, p):
     space = list(itertools.product(range(p), repeat=n))
     names = {rref(matrix(rows, p, n)) for rows in itertools.product(space, repeat=k)}
     oracle = sorted(
-        (LinearSubspace(n, k, p, basis, pivots) for basis, pivots in names if len(pivots) == k),
-        key=lambda V: (V.pivots, V.basis.entries),
+        (LinearSubspace(p, k, n, basis.entries, pivots) for basis, pivots in names if len(pivots) == k),
+        key=lambda V: (V.pivots, V.entries),
     )
     assert list(enumerate_linear(n, k, p)) == oracle
     flats = [
@@ -100,7 +100,7 @@ def test_enumerated_values_are_valid(n, k, p):
     # The enumerators skip __post_init__; dataclasses.replace runs it again,
     # so each value must survive its own constructor unchanged.
     for V in enumerate_linear(n, k, p):
-        W = dataclasses.replace(V, basis=dataclasses.replace(V.basis))
+        W = dataclasses.replace(V)
         assert W == V and hash(W) == hash(V)
     for flat in enumerate_affine(n, k, p):
         same = dataclasses.replace(flat)
@@ -110,7 +110,6 @@ def test_enumerated_values_are_valid(n, k, p):
 _RETAINED_BYTES = """
 import itertools, tracemalloc
 from fpfurst.flags import LinearSubspace, enumerate_linear
-from fpfurst.primefield import PrimeMatrix
 
 def constructed(n, k, p):
     # enumerate_linear's RREF bases, built through the validating constructors
@@ -121,7 +120,7 @@ def constructed(n, k, p):
             for j in range(n)
         ]
         for entries in itertools.product(*choices):
-            yield LinearSubspace(n, k, p, PrimeMatrix(p, k, n, entries), pivots)
+            yield LinearSubspace(p, k, n, entries, pivots)
 
 def retained(build):
     build()  # the first build also fills the interpreter's caches
@@ -161,35 +160,52 @@ def test_constructors_refuse_bad_input():
         AffineFlat(V, (1, 0, 0))
     with pytest.raises(ValueError, match="base length"):
         AffineFlat(V, (0, 0))
-    with pytest.raises(ValueError, match="shape mismatch"):
-        LinearSubspace(3, 2, 5, V.basis, (0, 1))
-    with pytest.raises(ValueError, match="shape mismatch"):
-        LinearSubspace(4, 1, 5, V.basis, (0,))
+    with pytest.raises(ValueError, match="does not match shape"):
+        LinearSubspace(5, 2, 3, V.entries, (0, 1))
+    with pytest.raises(ValueError, match="does not match shape"):
+        LinearSubspace(5, 1, 4, V.entries, (0,))
     with pytest.raises(ValueError, match="pivot count"):
-        LinearSubspace(3, 1, 5, V.basis, (0, 1))
+        LinearSubspace(5, 1, 3, V.entries, (0, 1))
+
+
+def test_enumerated_subspace_is_one_object():
+    # the RREF basis' PrimeMatrix fields, then the pivots: no nested matrix
+    V = list(enumerate_linear(3, 2, 5))[7]
+    assert isinstance(V, PrimeMatrix) and (V.n, V.k) == (3, 2)
+    assert [f.name for f in dataclasses.fields(V)] == ["p", "rows", "cols", "entries", "pivots"]
+    assert vars(V) == {"p": 5, "rows": 2, "cols": 3, "entries": (1, 0, 1, 0, 1, 2), "pivots": (0, 1)}
 
 
 _D = LinearSubspace.from_rows([[1, 0]], 2, 5)
+_E1 = LinearSubspace.coordinate([0], 3, 5)
 
 
 @pytest.mark.parametrize(
     "build,error,message",
     [
         pytest.param(
-            lambda: LinearSubspace(2, 1, 5, PrimeMatrix(5, 1, 2, (2, 0)), (0,)),
+            lambda: LinearSubspace(5, 1, 2, (2, 0), (0,)),
             ValueError, "not the RREF", id="pivot-entry-not-one",
         ),
         pytest.param(
-            lambda: LinearSubspace(2, 1, 5, PrimeMatrix(5, 1, 2, (0, 1)), (0,)),
+            lambda: LinearSubspace(5, 1, 2, (0, 1), (0,)),
             ValueError, "not the RREF", id="zero-at-pivot",
         ),
         pytest.param(
-            lambda: LinearSubspace(2, 2, 5, PrimeMatrix(5, 2, 2, (1, 3, 0, 1)), (0, 1)),
+            lambda: LinearSubspace(5, 2, 2, (1, 3, 0, 1), (0, 1)),
             ValueError, "not the RREF", id="entry-at-other-pivot",
         ),
         pytest.param(
-            lambda: LinearSubspace(2, 2, 5, PrimeMatrix(5, 2, 2, (0, 1, 1, 0)), (1, 0)),
+            lambda: LinearSubspace(5, 2, 2, (0, 1, 1, 0), (1, 0)),
             ValueError, "not the RREF", id="pivots-out-of-order",
+        ),
+        pytest.param(
+            lambda: LinearSubspace(5, 1, 2, (1, 6), (0,)), ValueError, "residues",
+            id="entry-above-p",
+        ),
+        pytest.param(
+            lambda: LinearSubspace(9, 1, 2, (1, 0), (0,)), ValueError, "not prime",
+            id="composite-p",
         ),
         pytest.param(lambda: AffineFlat(_D, (0, 7)), ValueError, "residues", id="base-above-p"),
         pytest.param(lambda: AffineFlat(_D, (0, -3)), ValueError, "residues", id="base-negative"),
@@ -201,6 +217,22 @@ _D = LinearSubspace.from_rows([[1, 0]], 2, 5)
             lambda: reduce_mod_subspace((0, Fraction(5, 2)), _D), TypeError, "ints",
             id="reduce-not-int",
         ),
+        # vectors of F_5^2 or F_5^4 against subspaces of F_5^3
+        pytest.param(
+            lambda: reduce_mod_subspace((1, 2), _E1), ValueError, "not in F_5", id="reduce-short",
+        ),
+        pytest.param(
+            lambda: reduce_mod_subspace((1, 2, 3, 4), _E1), ValueError, "not in F_5",
+            id="reduce-long",
+        ),
+        pytest.param(
+            lambda: AffineFlat.through((0, 1, 2), _E1).contains_point((0, 1)), ValueError,
+            "not in F_5", id="contains-short",
+        ),
+        pytest.param(
+            lambda: AffineFlat.through((1, 2), LinearSubspace.coordinate([2], 3, 5)), ValueError,
+            "not in F_5", id="through-short",
+        ),
     ],
 )
 def test_constructors_accept_only_canonical_exact_values(build, error, message):
@@ -208,7 +240,7 @@ def test_constructors_accept_only_canonical_exact_values(build, error, message):
     # the canonical forms stay accepted
     with pytest.raises(error, match=message):
         build()
-    assert LinearSubspace(2, 1, 5, _D.basis, _D.pivots) == _D
+    assert LinearSubspace(5, 1, 2, _D.entries, _D.pivots) == _D
     assert AffineFlat(_D, (0, 2)) == AffineFlat.through((5, 7), _D)
 
 
@@ -235,7 +267,7 @@ def test_from_rows_matches_rref_oracle():
                 V = LinearSubspace.from_rows(rows, n, p)
                 reduced, pivots = rref(matrix(rows, p, n))
                 assert V.pivots == pivots, (p, rows)
-                assert V.basis.entries == reduced.entries[: len(pivots) * n], (p, rows)
+                assert V.entries == reduced.entries[: len(pivots) * n], (p, rows)
                 cases += 1
     assert cases == 6 * 6 * 81
 
@@ -262,9 +294,9 @@ def test_enumerations_have_no_duplicates():
         for n in range(1, 4):
             for k in range(n + 1):
                 subs = list(enumerate_linear(n, k, p))
-                assert len({(s.pivots, s.basis.entries) for s in subs}) == len(subs)
+                assert len({(s.pivots, s.entries) for s in subs}) == len(subs)
                 flats = list(enumerate_affine(n, k, p))
-                keys = {(f.direction.basis.entries, f.base) for f in flats}
+                keys = {(f.direction.entries, f.base) for f in flats}
                 assert len(keys) == len(flats)
 
 

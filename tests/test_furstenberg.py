@@ -18,6 +18,7 @@ from fpfurst.furstenberg import (
 )
 from fpfurst.indices import ceil_rational_power
 from fpfurst.projections import PointSet
+from projection_oracle import full_space
 
 F = Fraction
 
@@ -141,7 +142,7 @@ def test_verify_family_detects_point_off_flat():
     fam = construct_2d(F(1, 2), 1, 29)
     flat, ys = fam.members[0]
     bad_point = next(
-        q for q in PointSet.full_space(2, 29) if not flat.contains_point(q)
+        q for q in full_space(2, 29) if not flat.contains_point(q)
     )
     mutated_members = ((flat, PointSet.from_iterable([*ys, bad_point], 2, 29)),) + fam.members[1:]
     mutated = replace(fam, members=mutated_members)
@@ -218,7 +219,7 @@ def test_determinism_and_round_trip():
 def test_verify_family_detects_union_mismatch():
     fam = construct_2d(F(1, 2), 1, 29)
     pts = fam.union.points
-    extra = next(q for q in PointSet.full_space(2, 29) if q not in fam.union)
+    extra = next(q for q in full_space(2, 29) if q not in fam.union)
     for union in (
         PointSet(2, 29, pts[:3] + pts[4:]),  # one marked point missing
         PointSet.from_iterable([*pts, extra], 2, 29),  # one point no member marks
@@ -265,7 +266,7 @@ def _strip_reference(s, t, p):
     members = tuple(
         (line, PointSet(2, p, tuple(sorted(q for q in line.points() if q[1] in rows))))
         for line in enumerate_affine(2, 1, p)
-        if line.direction.basis.row(0) != (1, 0)
+        if line.direction.row(0) != (1, 0)
     )
     union = PointSet.from_iterable((q for _, ys in members for q in ys), 2, p)
     return members, union
@@ -286,7 +287,7 @@ def _graphs_reference(member, depth, p):
     by search over all coefficient vectors."""
     flat, ys = member
     q, dim = flat.n, flat.k
-    basis = flat.direction.basis.to_rows()
+    basis = flat.direction.to_rows()
     out = []
     for tmat in itertools.product(itertools.product(range(p), repeat=depth), repeat=dim):
         direction = LinearSubspace.from_rows(
@@ -331,7 +332,7 @@ def _family_digest(fam):
     h = hashlib.sha256()
     h.update(repr((str(fam.s), str(fam.t), fam.n, fam.k, fam.p, str(fam.lam), fam.branch)).encode())
     for flat, ys in fam.members:
-        h.update(repr((flat.direction.basis.entries, flat.base, ys.points)).encode())
+        h.update(repr((flat.direction.entries, flat.base, ys.points)).encode())
     h.update(repr(fam.union.points).encode())
     return h.hexdigest()
 

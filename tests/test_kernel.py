@@ -10,7 +10,7 @@ from rank_oracle import stacked_rank
 def _same_coset(x, y, V):
     """x - y in V, decided by rank: an oracle that never reduces a point."""
     diff = PrimeMatrix(V.p, 1, V.n, tuple((a - b) % V.p for a, b in zip(x, y)))
-    return stacked_rank(V.basis, diff) == V.k
+    return stacked_rank(V, diff) == V.k
 
 
 def _oracle_count(pts, V):
@@ -31,7 +31,7 @@ def _random_case(rng, p, n, nrows=None):
     pts = []
     for _ in range(rng.randint(1, 30)):
         x = rng.choice(bases) if rng.random() < 0.7 else [rng.randrange(p) for _ in range(n)]
-        for row in V.basis.to_rows():
+        for row in V.to_rows():
             c = rng.randrange(p)
             x = [(a + c * b) % p for a, b in zip(x, row)]
         pts.append(tuple(x))

@@ -112,7 +112,7 @@ def test_from_rows_leaves_no_blocks_behind():
     # strands blocks on the small-tuple free lists on every call
     def sweep():
         for V in enumerate_linear(4, 2, 7):
-            LinearSubspace.from_rows(V.basis.to_rows(), 4, 7)
+            LinearSubspace.from_rows(V.to_rows(), 4, 7)
 
     sweep()  # warm-up
     gc.collect()
