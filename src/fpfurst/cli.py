@@ -19,9 +19,8 @@ the command does not read is refused):
                (default 1/25)
   count        compare enumerated subspace/flat counts against the product
                formula, and optionally the small-projection direction count
-               against its power of p (keys m, l, both or neither, with
-               0 <= m <= n; bound from "factor", one value of at least 1,
-               default 4).
+               against its exact q-binomial sum, printed beside its power
+               of p (keys m, l, both or neither, with 0 <= m <= n).
 
 Every subcommand takes --config FILE, --out DIR and --jobs N; construct and
 exceptional each take their one constant flag, and no other subcommand takes
@@ -38,10 +37,9 @@ and 2 for a config or flag that is refused before any case runs: --jobs
 outside 1..CPU count, a constant flag that is not positive, a flag the
 subcommand does not take, a p that is composite or too large to certify
 prime, a missing required key, a key the command does not read, a key given
-as an empty list, m without l or l without m, more than one factor, a factor
-below 1 (which no count can meet), a config file that is not UTF-8, or an
---out that cannot be made a directory (a file, or a path under one).  A
-refused config creates no output directory.
+as an empty list, m without l or l without m, a config file that is not
+UTF-8, or an --out that cannot be made a directory (a file, or a path under
+one).  A refused config creates no output directory.
 
 Rationals cross this boundary only as integers or "num/den" strings;
 decimal notation is rejected.
@@ -63,7 +61,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from .exceptional import certify_lower_bound, construct_marstrand_witness
-from .flags import LinearSubspace, enumerate_affine, enumerate_linear, gaussian_binomial
+from .flags import (LinearSubspace, enumerate_affine, enumerate_linear, gaussian_binomial,
+                    small_projection_count)
 from .furstenberg import (
     construct_general,
     lower_bound_sanity,
@@ -185,7 +184,6 @@ _PARSERS = {
     "t": _parse_rational,
     "a": _parse_rational,
     "step": _parse_rational,
-    "factor": _parse_rational,
     "n": _parse_int,
     "k": _parse_int,
     "m": _parse_int,
@@ -237,11 +235,6 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"{command} requires key {key!r}")
     if ("m" in params) != ("l" in params):
         raise ConfigError("count requires both of the keys 'm' and 'l', or neither")
-    factors = params.get("factor", ())
-    if len(factors) > 1:
-        raise ConfigError("factor: expected one value, since no count column tells factors apart")
-    if factors and factors[0] < 1:
-        raise ConfigError(f"factor: must be at least 1, got {factors[0]}")
     return ExperimentConfig(command=command, params={**optional, **params},
                             constant=_CONSTANT_FLAGS.get(command, (None, None))[1])
 
@@ -296,23 +289,23 @@ def _eval_exceptional(a, s, n, k, p, constant) -> dict:
     }
 
 
-def _eval_count(kind, n, k, p, m=None, l=None, factor=None) -> dict:
+def _eval_count(kind, n, k, p, m=None, l=None) -> dict:
+    """A row passes iff the enumeration equals the exact count; small_projection's
+    `expected` prints the paper's p^e instead."""
     if kind == "grassmannian":
         got = sum(1 for _ in enumerate_linear(n, k, p))
-        expected = gaussian_binomial(n, k, p)
-        ok = got == expected
+        expected = exact = gaussian_binomial(n, k, p)
     elif kind == "affine":
         got = sum(1 for _ in enumerate_affine(n, k, p))
-        expected = p ** (n - k) * gaussian_binomial(n, k, p)
-        ok = got == expected
+        expected = exact = p ** (n - k) * gaussian_binomial(n, k, p)
     else:
         if not 0 <= m <= n:
             raise ValueError(f"need 0 <= m <= n, got m = {m} for n = {n}")
         W = LinearSubspace.coordinate(range(m), n, p)
         got = count_small_projection_subspaces(W, k, l)
         expected = p ** (k * (n - k) - (k - l) * (m - l))
-        ok = Fraction(got) <= factor * expected and Fraction(expected) <= factor * got
-    return {"enumerated": got, "expected": expected, "status": "pass" if ok else "fail"}
+        exact = small_projection_count(n, k, m, l, p)
+    return {"enumerated": got, "expected": expected, "status": "pass" if got == exact else "fail"}
 
 
 # Every variant a config can select, one row each: an `index` kind, a lemma,
@@ -331,8 +324,7 @@ _KEYS = {
     "construct": ("construct", _eval_construct, ("s", "t", "n", "k", "p"), {}),
     "exceptional": ("exceptional", _eval_exceptional, ("a", "s", "n", "k", "p"), {}),
     # m and l sweep their own product within each (n, k, p)
-    "count": ("count", _eval_count, ("n", "k", "p"),
-              {"m": (), "l": (), "factor": (Fraction(4),)}),
+    "count": ("count", _eval_count, ("n", "k", "p"), {"m": (), "l": ()}),
 }
 COMMANDS = tuple(dict.fromkeys(row[0] for row in _KEYS.values()))
 # The key that selects the variant of a command split in two, and its default
@@ -386,7 +378,7 @@ def _build_cases(config: ExperimentConfig):
             cases.append(case)
             continue
         cases += [{"kind": "grassmannian", **case}, {"kind": "affine", **case}]
-        cases += [{"kind": "small_projection", **case, "m": m, "l": l, "factor": p["factor"][0]}
+        cases += [{"kind": "small_projection", **case, "m": m, "l": l}
                   for m, l in itertools.product(p["m"], p["l"])]
     return evaluator, cases
 

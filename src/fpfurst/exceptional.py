@@ -212,18 +212,6 @@ def _theta_families(rect: PointSet, gamma: Fraction, n, k, p, m, l):
     return tuple(claimed), {theta: tuple(families[theta.entries]) for theta in thetas}
 
 
-def type3_direction_families(a, s, n: int, k: int, p: int):
-    """The per-theta families of the rectangle-product branches, in
-    `exceptional_set` order, exposed for the disjointness and size checks."""
-    pr = marstrand_params(a, s, n, k)
-    product = _rectangle_product(pr)
-    if product is None:
-        raise ValueError("no rectangle-product branch applies to these parameters")
-    m, beta_eff = product
-    rect = _rectangle(beta_eff, pr.gamma, p)
-    return _theta_families(rect, pr.gamma, n, k, p, m, pr.l)[1]
-
-
 def _certify(a, s, n, k, p, branch, set_a, claimed) -> ExceptionalWitness:
     exceptional = exceptional_set(set_a, ExceptionalQuery(s, k))
     keys = {V.entries for V in exceptional}

@@ -44,6 +44,15 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
     return num // den
 
 
+def small_projection_count(n: int, k: int, m: int, l: int, p: int) -> int:
+    """#{V in G(n-k, F_p^n) : #proj_V(W) <= p^l} for an m-subspace W, exactly:
+    #proj_V(W) = p^(m - dim(V & W)), and p^((m-j)(d-j)) [m, j]_p [n-m, d-j]_p of
+    the d-subspaces, d = n - k, meet W in dimension j (Stanley, EC I, 1.7)."""
+    d = n - k
+    return sum(p ** ((m - j) * (d - j)) * gaussian_binomial(m, j, p) * gaussian_binomial(n - m, d - j, p)
+               for j in range(max(m - l, m - k, 0), min(m, d) + 1))
+
+
 @dataclass(frozen=True)
 class LinearSubspace(PrimeMatrix):
     """A k-dimensional subspace of F_p^n: its RREF basis, then its pivots."""

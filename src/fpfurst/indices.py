@@ -15,15 +15,25 @@ The two index functions:
   of directions V in G(n-k, F_p^n) onto which a p^a-sized set can project to
   fewer than p^s cosets; minus infinity encodes "that exceptional set is
   empty".
+
+Both are piecewise affine with coefficients in {1, 1/2}; their case split is
+written once, on the numerators x of x/D at one scale D.  `_furstenberg_scaled`
+returns F * D, and raises ValueError where (sigma + tau)/2 is off the lattice;
+`_marstrand_scaled` returns M * D or NEG_INF.  The Fraction functions are
+views at D = lcm of their inputs' denominators, doubled for F so that
+(sigma + tau)/2 lies on the lattice.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from typing import Union
 
 
+@total_ordering
 class NegInfinity:
     """Bottom element adjoined to the rationals.
 
@@ -50,15 +60,6 @@ class NegInfinity:
     def __lt__(self, other):
         return other is not self
 
-    def __le__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return other is self
-
     def __add__(self, other):
         return self
 
@@ -79,6 +80,13 @@ def as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
+def _split(x: int, D: int) -> tuple[int, int]:
+    """`canonical_split` on the 1/D lattice: x/D = d + sigma/D with sigma in
+    (0, D], as (d, sigma), for a positive numerator x."""
+    d = (x - 1) // D
+    return d, x - d * D
+
+
 def canonical_split(x) -> tuple[int, Fraction]:
     """Write a positive rational as d + sigma with d a nonnegative integer and
     sigma in the half-open interval (0, 1].
@@ -89,8 +97,14 @@ def canonical_split(x) -> tuple[int, Fraction]:
     x = as_fraction(x)
     if x <= 0:
         raise ValueError(f"canonical_split needs a positive rational, got {x}")
-    d = (x.numerator - 1) // x.denominator
-    return d, x - d
+    d, sigma = _split(x.numerator, x.denominator)
+    return d, Fraction(sigma, x.denominator)
+
+
+def _lattice(x: Fraction, y: Fraction, scale: int) -> tuple[int, int, int]:
+    """D = scale * lcm(den x, den y), then x * D and y * D."""
+    D = scale * math.lcm(x.denominator, y.denominator)
+    return D, x.numerator * D // x.denominator, y.numerator * D // y.denominator
 
 
 def integer_nth_root(x: int, n: int) -> int:
@@ -166,21 +180,40 @@ class FurstenbergParams:
     tau: Fraction | None = None
 
 
+def _furstenberg_case(s: int, t: int, n: int, k: int, D: int):
+    """The case split of an admissible (s/D, t/D; n, k): (case, d, sigma, m,
+    tau), sigma and tau at scale D, and None for the parts a case lacks."""
+    if s == 0:
+        return "a", None, None, None, None
+    d, sigma = _split(s, D)
+    low = (k - d - 1) * (n - k) * D
+    if t <= low:
+        return "b", d, sigma, None, None
+    m, tau = _split(t - low, (d + 2) * D)
+    return ("c" if tau <= 2 * D else "d"), d, sigma, m, tau
+
+
+def _furstenberg_scaled(s: int, t: int, n: int, k: int, D: int) -> int:
+    """F(s/D, t/D; n, k) * D for an admissible tuple; ValueError where
+    (sigma + tau)/2 is off the 1/D lattice."""
+    case, _, sigma, m, tau = _furstenberg_case(s, t, n, k, D)
+    if case == "a":
+        return max(0, t - k * (n - k) * D)
+    if case == "b":
+        return s
+    # case d has tau > 2D, so the min below is D: s + m + 1
+    if (sigma + tau) % 2:
+        raise ValueError(f"F({s}/{D}, {t}/{D}; {n}, {k}) is not on the 1/{D} lattice")
+    return s + m * D + min(tau, (sigma + tau) // 2, D)
+
+
 def furstenberg_params(s, t, n: int, k: int) -> FurstenbergParams:
     s, t = as_fraction(s), as_fraction(t)
     if not is_admissible(s, t, n, k):
         raise ValueError(f"({s},{t};{n},{k}) is not admissible")
-    if s == 0:
-        return FurstenbergParams(s, t, n, k, "a")
-    d, sigma = canonical_split(s)
-    if t <= (k - d - 1) * (n - k):
-        return FurstenbergParams(s, t, n, k, "b", d, sigma)
-    tprime = t - (k - d - 1) * (n - k)
-    # m = ceil(tprime / (d+2)) - 1, so that tau lands in (0, d+2]
-    m = (tprime.numerator - 1) // (tprime.denominator * (d + 2))
-    tau = tprime - (d + 2) * m
-    assert 0 < tau <= d + 2 and 0 <= m <= n - k - 1, (s, t, n, k, m, tau)
-    case = "c" if tau <= 2 else "d"
+    D, x, y = _lattice(s, t, 2)
+    case, d, sigma, m, tau = _furstenberg_case(x, y, n, k, D)
+    sigma, tau = sigma and Fraction(sigma, D), tau and Fraction(tau, D)  # None stays None
     return FurstenbergParams(s, t, n, k, case, d, sigma, m, tau)
 
 
@@ -192,13 +225,8 @@ def furstenberg_index(s, t, n: int, k: int) -> Fraction:
     (d) tau > 2 gives s + m + 1.
     """
     pr = furstenberg_params(s, t, n, k)
-    if pr.case == "a":
-        return max(Fraction(0), pr.t - k * (n - k))
-    if pr.case == "b":
-        return pr.s
-    if pr.case == "c":
-        return pr.s + pr.m + min(pr.tau, (pr.sigma + pr.tau) / 2, Fraction(1))
-    return pr.s + pr.m + 1
+    D, x, y = _lattice(pr.s, pr.t, 2)
+    return Fraction(_furstenberg_scaled(x, y, n, k, D), D)
 
 
 @dataclass(frozen=True)
@@ -216,6 +244,30 @@ class MarstrandParams:
     mtype: int
 
 
+def _marstrand_type(a: int, s: int, n: int, k: int, D: int):
+    """The type split of (a/D, s/D; n, k): (mtype, m, beta, l, gamma), beta
+    and gamma at scale D."""
+    (m, beta), (l, gamma) = _split(a, D), _split(s, D)
+    if s > min(a, k * D):
+        return 1, m, beta, l, gamma
+    if s <= a - (n - k) * D:
+        return 4, m, beta, l, gamma
+    return (2 if gamma > beta else 3), m, beta, l, gamma
+
+
+def _marstrand_scaled(a: int, s: int, n: int, k: int, D: int):
+    """M(a/D, s/D; n, k) * D, or NEG_INF for type 4."""
+    mtype, m, beta, l, gamma = _marstrand_type(a, s, n, k, D)
+    kk = k * (n - k) * D
+    if mtype == 1:
+        return kk
+    if mtype == 2:
+        return kk - (m - l) * (k - l) * D + max(2 * gamma - beta - D, 0)
+    if mtype == 3:
+        return kk - (m + 1 - l) * (k - l) * D + max(2 * gamma - beta, 0)
+    return NEG_INF
+
+
 def marstrand_params(a, s, n: int, k: int) -> MarstrandParams:
     a, s = as_fraction(a), as_fraction(s)
     if not (1 <= k < n):
@@ -224,19 +276,9 @@ def marstrand_params(a, s, n: int, k: int) -> MarstrandParams:
         raise ValueError(f"a must lie in (0, n], got {a}")
     if s <= 0:
         raise ValueError(f"s must be positive, got {s}")
-    m, beta = canonical_split(a)
-    l, gamma = canonical_split(s)
-    if s > min(a, Fraction(k)):
-        mtype = 1
-    elif s <= a - (n - k):
-        mtype = 4
-    elif gamma > beta:
-        mtype = 2
-        assert l + 1 <= m <= n + l - k, (a, s, n, k)
-    else:
-        mtype = 3
-        assert l <= m <= n + l - k - 1, (a, s, n, k)
-    return MarstrandParams(a, s, n, k, m, beta, l, gamma, mtype)
+    D, x, y = _lattice(a, s, 1)
+    mtype, m, beta, l, gamma = _marstrand_type(x, y, n, k, D)
+    return MarstrandParams(a, s, n, k, m, Fraction(beta, D), l, Fraction(gamma, D), mtype)
 
 
 def classify_marstrand_type(a, s, n: int, k: int) -> int:
@@ -247,15 +289,6 @@ def classify_marstrand_type(a, s, n: int, k: int) -> int:
 def marstrand_index(a, s, n: int, k: int) -> Exponent:
     """Sharp exceptional-set exponent; NEG_INF for type 4 (empty set)."""
     pr = marstrand_params(a, s, n, k)
-    kk = pr.k * (pr.n - pr.k)
-    if pr.mtype == 1:
-        return Fraction(kk)
-    if pr.mtype == 2:
-        return kk - (pr.m - pr.l) * (pr.k - pr.l) + max(
-            2 * pr.gamma - (pr.beta + 1), Fraction(0)
-        )
-    if pr.mtype == 3:
-        return kk - (pr.m + 1 - pr.l) * (pr.k - pr.l) + max(
-            2 * pr.gamma - pr.beta, Fraction(0)
-        )
-    return NEG_INF
+    D, x, y = _lattice(pr.a, pr.s, 1)
+    value = _marstrand_scaled(x, y, n, k, D)
+    return value if value is NEG_INF else Fraction(value, D)

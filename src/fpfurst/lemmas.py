@@ -22,13 +22,14 @@ an int operation.  Both indices are piecewise affine with coefficients in
 * recursion_f1, c = 4: v = F(s1, t2; 2, 1) - u has denominator 2q, so
   F(s2, t1 + v; k, k-1) has 4q.
 
-`_scaled_index` evaluates the Fraction formulas of `indices` once per
-lattice point and raises ValueError for a value off the lattice, so an
-injected index function must take values on the 1/(2q) lattice.  NEG_INF
-stays NEG_INF: `x + NEG_INF` and `x > NEG_INF` work for an int x, and the
-one subtraction, a report's default deficit |rhs - lhs|, is one whole unit
-when a side is NEG_INF.  Reports convert back to Fractions, equal to those
-of a Fraction sweep of the same grid.
+The case split lives once, in `indices`, whose lattice evaluators the
+checkers call at D under a cache for one call.  An injected index function
+(a negative control) takes Fractions; `_scaled_index` puts it on the lattice
+and raises ValueError for a value off the 1/(2q) lattice.  NEG_INF stays
+NEG_INF: `x + NEG_INF` and `x > NEG_INF` work for an int x, and the one
+subtraction, a report's default deficit |rhs - lhs|, is one whole unit when a
+side is NEG_INF.  Reports convert back to Fractions, equal to those of a
+Fraction sweep of the same grid.
 """
 
 from __future__ import annotations
@@ -38,19 +39,24 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .indices import (
     NEG_INF,
     Exponent,
+    _furstenberg_scaled,
+    _marstrand_scaled,
+    _marstrand_type,
+    _split,
     as_fraction,
-    classify_marstrand_type,
     furstenberg_index,
     marstrand_index,
 )
 
+# read by clibench's tracer; the checkers cache per call and leave both empty
 _findex = lru_cache(maxsize=None)(furstenberg_index)
 _mindex = lru_cache(maxsize=None)(marstrand_index)
+_LATTICE = (_furstenberg_scaled, _marstrand_scaled)
 
 ZERO = Fraction(0)
 
@@ -74,14 +80,7 @@ class GridSpec:
         """Grid points in [lo, hi], optionally dropping either endpoint."""
         lo, hi = as_fraction(lo), as_fraction(hi)
         q = self.step.denominator
-        start = lo.numerator * q // lo.denominator  # lo is on-grid in our uses
-        vals = []
-        v = Fraction(start, q)
-        while v < lo:
-            v += self.step
-        while v <= hi:
-            vals.append(v)
-            v += self.step
+        vals = [Fraction(j, q) for j in range(math.ceil(lo * q), math.floor(hi * q) + 1)]
         if vals and not include_lo and vals[0] == lo:
             vals = vals[1:]
         if vals and not include_hi and vals[-1] == hi:
@@ -122,24 +121,12 @@ def reports_to_csv(reports) -> str:
 
 
 def _scaled_index(index, D: int):
-    """`index` on the lattice point (x/D, y/D; n, k), as the integer numerator
-    of value * D, or NEG_INF.
-
-    The cache is keyed on plain ints and lives for one checker call, whose
-    scale D is fixed.  A miss evaluates `index` on Fractions, so the formulas
-    exist only in `indices`; a value off the 1/D lattice raises, so the
-    exactness of the scale is checked, not assumed.
-    """
-
-    # One Fraction per numerator, shared by the keys that `index`'s own cache
-    # keeps; a fresh pair per key raised a lemma launch's peak RSS by ~0.2 MB.
-    @lru_cache(maxsize=None)
-    def frac(x: int) -> Fraction:
-        return Fraction(x, D)
+    """An injected Fraction index function at (x/D, y/D; n, k) as value * D,
+    or NEG_INF, cached for one call; a value off the 1/D lattice raises."""
 
     @lru_cache(maxsize=None)
     def scaled(x: int, y: int, n: int, k: int):
-        value = index(frac(x), frac(y), n, k)
+        value = index(Fraction(x, D), Fraction(y, D), n, k)
         if value is NEG_INF:
             return value
         num, rem = divmod(value.numerator * D, value.denominator)
@@ -150,9 +137,10 @@ def _scaled_index(index, D: int):
     return scaled
 
 
-def _frame(grid: GridSpec, factor: int, slack, *indices):
-    """The set-up every checker shares: each of `indices` as a `_scaled_index`
-    at the scale D = lcm(factor * q, den(slack)) for step 1/q, then D, the
+def _frame(grid: GridSpec, c: int, slack, *indices):
+    """The set-up every checker shares: each of `indices` at the scale
+    D = lcm(c * q, den(slack)) for step 1/q, cached for this call (a lattice
+    evaluator bound to D, any other through `_scaled_index`), then D, the
     lattice stride g = D / q, slack * D, the report list and `report`.
 
     `report(lemma, dims, lhs, rhs, deficit=None, **witness)` appends one
@@ -163,7 +151,7 @@ def _frame(grid: GridSpec, factor: int, slack, *indices):
     """
     slack = as_fraction(slack)
     q = grid.step.denominator
-    D = math.lcm(factor * q, slack.denominator)
+    D = math.lcm(c * q, slack.denominator)
     out = []
 
     def exact(x):
@@ -181,15 +169,9 @@ def _frame(grid: GridSpec, factor: int, slack, *indices):
             Fraction(deficit, D),
         ))
 
-    scaled = (_scaled_index(index, D) for index in indices)
+    scaled = (lru_cache(maxsize=None)(partial(f, D=D)) if f in _LATTICE else _scaled_index(f, D)
+              for f in indices)
     return (*scaled, D, D // q, slack.numerator * (D // slack.denominator), out, report)
-
-
-def _split(x: int, D: int) -> tuple[int, int]:
-    """`canonical_split` on the lattice: x/D = d + sigma with sigma in (0, 1],
-    as (d, sigma * D), for a positive numerator x."""
-    d = (x - 1) // D
-    return d, x - d * D
 
 
 def check_recursion_f1(k: int, grid: GridSpec, slack=ZERO) -> list[CounterexampleReport]:
@@ -206,7 +188,7 @@ def check_recursion_f1(k: int, grid: GridSpec, slack=ZERO) -> list[Counterexampl
     """
     if k < 2:
         raise ValueError("recursion needs k >= 2")
-    F, D, g, eps, out, report = _frame(grid, 4, slack, _findex)
+    F, D, g, eps, out, report = _frame(grid, 4, slack, _furstenberg_scaled)
     for s in range(0, k * D + 1, g):
         for t in range(0, (k + 1) * D + 1, g):
             target = F(s, t, k + 1, k) + eps
@@ -235,7 +217,7 @@ def check_recursion_f2(n: int, k: int, grid: GridSpec, slack=ZERO) -> list[Count
     """
     if n < k + 2:
         raise ValueError("recursion needs n >= k + 2")
-    F, D, g, eps, out, report = _frame(grid, 2, slack, _findex)
+    F, D, g, eps, out, report = _frame(grid, 2, slack, _furstenberg_scaled)
     for s in range(0, k * D + 1, g):
         for t in range(0, (k + 1) * (n - k) * D + 1, g):
             target = F(s, t, n, k) + eps
@@ -262,7 +244,7 @@ def check_recursion_m(n: int, k: int, grid: GridSpec, slack=ZERO) -> list[Counte
     """
     if n < k + 2:
         raise ValueError("recursion needs n >= k + 2")
-    M, D, g, eps, out, report = _frame(grid, 1, slack, _mindex)
+    M, D, g, eps, out, report = _frame(grid, 1, slack, _marstrand_scaled)
     for a in range(g, n * D + 1, g):
         for s in range(max(0, a - (n - k) * D) + g, min(a, k * D) + 1, g):
             rhs = M(a, s, n, k) - eps
@@ -291,10 +273,8 @@ def check_index_properties(
     falsify a formula and watch the checker notice; their values must lie
     on the 1/(2q) lattice of step 1/q (see the module docstring).
     """
-    # per-call caches only: no two (n, k) pairs share a key, so a shared
-    # Fraction cache would only hold memory
     F, M, D, g, _, out, report = _frame(
-        grid, 2, ZERO, furstenberg_fn or furstenberg_index, marstrand_fn or marstrand_index)
+        grid, 2, ZERO, furstenberg_fn or _furstenberg_scaled, marstrand_fn or _marstrand_scaled)
     C = as_fraction(lipschitz_constant)
     if C.denominator == 1:
         C = C.numerator  # an int constant keeps C * theta an int
@@ -365,9 +345,7 @@ def check_index_properties(
                     inside and l_int <= m_int <= n + l_int - k - 1 and gamma <= beta,
                     s <= a - (n - k) * D,
                 ]
-                if sum(conds) != 1 or classify_marstrand_type(
-                    Fraction(a, D), Fraction(s, D), n, k
-                ) != conds.index(True) + 1:
+                if sum(conds) != 1 or _marstrand_type(a, s, n, k, D)[0] != conds.index(True) + 1:
                     report("type_partition", nk, sum(conds) * D, D, D, a=a, s=s)
 
         if (n, k) == (2, 1):

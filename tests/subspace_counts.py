@@ -1,21 +1,8 @@
-"""Closed-form direction counts the tests check enumeration against."""
+"""Direction counts and families the tests check the witnesses against."""
 
+from fpfurst.exceptional import _rectangle, _rectangle_product, _theta_families
 from fpfurst.flags import gaussian_binomial
-
-
-def small_projection_count(n, k, m, l, p):
-    """#{V in G(n-k, F_p^n) : #proj_V(W) <= p^l} for an m-subspace W, exactly.
-
-    #proj_V(W) = p^(m - dim(V & W)), and the (n-k)-subspaces meeting W in
-    dimension exactly j number p^((m-j)(n-k-j)) [m, j]_p [n-m, n-k-j]_p (the
-    q-analogue count; Stanley, Enumerative Combinatorics I, 1.7).
-    """
-    d = n - k
-    return sum(
-        p ** ((m - j) * (d - j)) * gaussian_binomial(m, j, p) * gaussian_binomial(n - m, d - j, p)
-        for j in range(max(m - l, 0), min(m, d) + 1)
-        if d - j <= n - m
-    )
+from fpfurst.indices import marstrand_params
 
 
 def degenerate_direction_count(n, k, m, l, p):
@@ -29,3 +16,14 @@ def degenerate_direction_count(n, k, m, l, p):
         * p ** ((l + 1) * (d - j - 1))
         * gaussian_binomial(n - m - 2, d - j - 1, p)
     )
+
+
+def type3_direction_families(a, s, n, k, p):
+    """The per-theta families of the rectangle-product branches, in
+    `exceptional_set` order: `_theta_families` on the branch's rectangle."""
+    pr = marstrand_params(a, s, n, k)
+    product = _rectangle_product(pr)
+    if product is None:
+        raise ValueError("no rectangle-product branch applies to these parameters")
+    m, beta_eff = product
+    return _theta_families(_rectangle(beta_eff, pr.gamma, p), pr.gamma, n, k, p, m, pr.l)[1]

@@ -18,13 +18,13 @@ from fpfurst.exceptional import (
     certify_lower_bound,
     construct_marstrand_witness,
     construct_oberlin_rectangle,
-    type3_direction_families,
 )
 from fpfurst.flags import (
     LinearSubspace,
     enumerate_affine,
     enumerate_linear,
     gaussian_binomial,
+    small_projection_count,
 )
 from fpfurst.furstenberg import (
     construct_2d,
@@ -49,7 +49,7 @@ from fpfurst.lemmas import (
 )
 from fpfurst.projections import count_small_projection_subspaces
 from projection_oracle import projection_count
-from subspace_counts import small_projection_count
+from subspace_counts import type3_direction_families
 
 F = Fraction
 

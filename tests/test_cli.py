@@ -362,8 +362,7 @@ def test_main_refuses_a_non_positive_constant(command, flag, value, tmp_path, ca
         {"command": "lemmas", "lemma": "properties", "pairs": [[2, 1]], "step": "1/2"},
         {"command": "construct", "s": "5", "t": "1", "n": 3, "k": 2, "p": 5},
         {"command": "exceptional", "a": "9", "s": "1", "n": 2, "k": 1, "p": 3},
-        {"command": "count", "n": 3, "k": [1, 5], "p": 3, "m": [-1, 1, 4], "l": [0, 9],
-         "factor": 2},
+        {"command": "count", "n": 3, "k": [1, 5], "p": 3, "m": [-1, 1, 4], "l": [0, 9]},
     ],
 )
 def test_run_raises_no_config_error_on_a_parsed_config(config):
@@ -488,31 +487,31 @@ def test_lemmas_sweep_every_step():
     assert [r["step"] for r in pairs.rows] == ["1/2", "1/3"]
 
 
-def test_count_refuses_several_factors(tmp_path, capsys):
-    with pytest.raises(ConfigError, match="factor"):
-        run(_cfg(command="count", n=3, k=1, p=3, m=1, l=1, factor=[4, 2]))
-    assert run(_cfg(command="count", n=3, k=1, p=3, m=1, l=1, factor=[4])).fails == 0
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"command": "count", "n": 3, "k": 1, "p": 3, "factor": [4, 2]}))
-    assert main(["count", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-    assert "factor" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("factor", ["1/2", "0", "-2"])
-def test_count_refuses_a_factor_below_one(factor, tmp_path, capsys):
-    # got <= f * expected and expected <= f * got cannot both hold for f < 1
-    config = {"command": "count", "n": 3, "k": 1, "p": 3, "m": 1, "l": 0, "factor": factor}
-    with pytest.raises(ConfigError, match="factor: must be at least 1"):
+def test_count_refuses_the_factor_key(tmp_path, capsys):
+    # a small_projection row passes iff its count is exact, so no bound is left to set
+    config = {"command": "count", "n": 3, "k": 1, "p": 3, "m": 1, "l": 0, "factor": 4}
+    with pytest.raises(ConfigError, match="'factor'"):
         parse_config(json.dumps(config))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "out"
     assert main(["count", "--config", str(cfg), "--out", str(out)]) == 2
-    assert "factor: must be at least 1" in capsys.readouterr().err
+    assert "'factor'" in capsys.readouterr().err
     assert not out.exists()
-    cfg.write_text(json.dumps({"command": "count", "n": 3, "k": 1, "p": 3, "factor": "1"}))
+    del config["factor"]
+    cfg.write_text(json.dumps(config))
     assert main(["count", "--config", str(cfg), "--out", str(out)]) == 0
+
+
+def test_small_projection_row_passes_iff_the_count_is_exact(monkeypatch):
+    def row():
+        report = run(_cfg(command="count", n=4, k=2, p=7, m=2, l=1))
+        return next(r for r in report.rows if r["kind"] == "small_projection")
+
+    assert (row()["enumerated"], row()["expected"], row()["status"]) == (449, 343, "pass")
+    # 448 lies within any factor of 343 that 449 does; only the exact count passes
+    monkeypatch.setattr("fpfurst.cli.small_projection_count", lambda *args: 448)
+    assert (row()["expected"], row()["status"]) == (343, "fail")
 
 
 @pytest.mark.parametrize(

@@ -15,9 +15,14 @@ from fpfurst.exceptional import (
     certify_lower_bound,
     construct_marstrand_witness,
     construct_oberlin_rectangle,
-    type3_direction_families,
 )
-from fpfurst.flags import LinearSubspace, enumerate_linear, gaussian_binomial, reduce_mod_subspace
+from fpfurst.flags import (
+    LinearSubspace,
+    enumerate_linear,
+    gaussian_binomial,
+    reduce_mod_subspace,
+    small_projection_count,
+)
 from fpfurst.indices import ceil_rational_power, floor_scaled_power, marstrand_params
 from fpfurst.projections import (
     ExceptionalQuery,
@@ -26,7 +31,7 @@ from fpfurst.projections import (
     subspace_projection_exponent,
 )
 from projection_oracle import projection_count
-from subspace_counts import degenerate_direction_count, small_projection_count
+from subspace_counts import degenerate_direction_count, type3_direction_families
 
 F = Fraction
 

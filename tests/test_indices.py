@@ -1,19 +1,26 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import index_oracle
 from fpfurst.indices import (
     NEG_INF,
+    _furstenberg_scaled,
+    _marstrand_scaled,
+    _split,
     canonical_split,
     ceil_rational_power,
     ceil_scaled_power,
     classify_marstrand_type,
     floor_scaled_power,
     furstenberg_index,
+    furstenberg_params,
     integer_nth_root,
     marstrand_index,
+    marstrand_params,
 )
 
 F = Fraction
@@ -232,3 +239,79 @@ def test_neg_inf_ordering_and_absorption():
     assert not (NEG_INF > F(-100)) and NEG_INF >= NEG_INF
     assert NEG_INF + F(5) is NEG_INF and F(5) + NEG_INF is NEG_INF
     assert max(NEG_INF, F(2)) == F(2)
+
+
+# -- the lattice case split against the Fraction oracle --
+
+PAIRS_UP_TO_6 = [(n, k) for n in range(2, 7) for k in range(1, n)]
+
+
+def _same_furstenberg(s, t, n, k):
+    """The lattice evaluator at D = 2 lcm and both views equal the oracle."""
+    want = index_oracle.furstenberg_index(s, t, n, k)
+    D = 2 * math.lcm(s.denominator, t.denominator)
+    assert _furstenberg_scaled(int(s * D), int(t * D), n, k, D) == want * D
+    assert furstenberg_index(s, t, n, k) == want
+    assert furstenberg_params(s, t, n, k) == index_oracle.furstenberg_params(s, t, n, k)
+
+
+def _same_marstrand(a, s, n, k):
+    want = index_oracle.marstrand_index(a, s, n, k)
+    D = math.lcm(a.denominator, s.denominator)
+    got = _marstrand_scaled(int(a * D), int(s * D), n, k, D)
+    assert got is NEG_INF if want is NEG_INF else got == want * D
+    assert marstrand_index(a, s, n, k) == want
+    pr = index_oracle.marstrand_params(a, s, n, k)
+    assert marstrand_params(a, s, n, k) == pr
+    assert classify_marstrand_type(a, s, n, k) == pr.mtype
+
+
+@pytest.mark.parametrize("n,k", PAIRS_UP_TO_6)
+def test_lattice_indices_equal_the_fraction_oracle_on_the_twelfth_grid(n, k):
+    for si in range(12 * k + 1):
+        for ti in range(12 * (k + 1) * (n - k) + 1):
+            _same_furstenberg(F(si, 12), F(ti, 12), n, k)
+    for ai in range(1, 12 * n + 1):
+        for si in range(1, 12 * (k + 1) + 1):
+            _same_marstrand(F(ai, 12), F(si, 12), n, k)
+    for x in range(1, 12 * n + 1):
+        d, sigma = index_oracle.canonical_split(F(x, 12))
+        assert canonical_split(F(x, 12)) == (d, sigma) and _split(x, 12) == (d, sigma * 12)
+
+
+def _unit(draw, hi):
+    """A rational in [0, 1] scaled to [0, hi], with denominator up to 60."""
+    den = draw(st.integers(1, 60))
+    return F(draw(st.integers(0, den)), den) * hi
+
+
+@st.composite
+def _furstenberg_args(draw):
+    n, k = draw(st.sampled_from(PAIRS_UP_TO_6))
+    return _unit(draw, k), _unit(draw, (k + 1) * (n - k)), n, k
+
+
+@st.composite
+def _marstrand_args(draw):
+    n, k = draw(st.sampled_from(PAIRS_UP_TO_6))
+    a, s = _unit(draw, n), _unit(draw, k + 1)
+    return a or F(n), s or F(1, 7), n, k
+
+
+@given(_furstenberg_args())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_lattice_furstenberg_equals_the_oracle_on_drawn_rationals(args):
+    _same_furstenberg(*args)
+
+
+@given(_marstrand_args())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_lattice_marstrand_equals_the_oracle_on_drawn_rationals(args):
+    _same_marstrand(*args)
+
+
+def test_lattice_furstenberg_refuses_a_value_off_its_lattice():
+    # F(1/2, 1; 2, 1) = 5/4: at D = 2, sigma + tau = 1 + 2 is odd
+    with pytest.raises(ValueError, match="not on the 1/2 lattice"):
+        _furstenberg_scaled(1, 2, 2, 1, 2)
+    assert _furstenberg_scaled(2, 4, 2, 1, 4) == 5

@@ -8,6 +8,7 @@ import pytest
 
 from fpfurst.indices import (
     NEG_INF,
+    _split,
     canonical_split,
     classify_marstrand_type,
     furstenberg_index,
@@ -17,7 +18,6 @@ from fpfurst.lemmas import (
     CounterexampleReport,
     GridSpec,
     _scaled_index,
-    _split,
     check_index_properties,
     check_recursion_f1,
     check_recursion_f2,
@@ -171,7 +171,7 @@ PROPERTY_BREAKS = {
 @pytest.mark.parametrize("family", list(PROPERTY_BREAKS))
 def test_properties_negative_control_each_family(family, monkeypatch):
     if family == "type_partition":
-        monkeypatch.setattr("fpfurst.lemmas.classify_marstrand_type", lambda a, s, n, k: 1)
+        monkeypatch.setattr("fpfurst.lemmas._marstrand_type", lambda a, s, n, k, D: (1,) * 5)
     reports = check_index_properties(GridSpec(F(1, 4), ((2, 1),)), **PROPERTY_BREAKS[family])
     assert family in {r.lemma for r in reports}
 
@@ -215,6 +215,32 @@ def test_properties_refuse_an_injection_off_the_lattice():
 
     with pytest.raises(ValueError, match="lattice"):
         check_index_properties(GridSpec(F(1, 4), ((2, 1),)), furstenberg_fn=off)
+
+
+FRACTION_API = ("canonical_split", "furstenberg_params", "furstenberg_index",
+                "marstrand_params", "classify_marstrand_type", "marstrand_index")
+
+
+def test_built_in_checkers_make_no_fraction_api_call(monkeypatch):
+    def checks():
+        return [
+            check_recursion_f1(2, COARSE, slack=F(1, 10)),
+            check_recursion_f2(4, 2, COARSE, slack=F(1, 10)),
+            check_recursion_m(4, 2, COARSE, slack=F(1, 10)),
+            check_index_properties(GridSpec(F(1, 6), ((2, 1), (3, 2)))),
+            check_index_properties(GridSpec(F(1, 3), ((3, 2),)), lipschitz_constant=F(1, 3)),
+        ]
+
+    expected = checks()
+    assert all(expected[:3]) and expected[3] == [] and expected[4]
+
+    def refuse(*args):
+        raise AssertionError("a built-in lattice check called the Fraction API")
+
+    for module in ("fpfurst.indices", "fpfurst.lemmas"):
+        for name in FRACTION_API:
+            monkeypatch.setattr(f"{module}.{name}", refuse, raising=False)
+    assert checks() == expected
 
 
 @pytest.mark.parametrize("D", [1, 2, 6, 8])

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from fpfurst import _kernel
 from fpfurst._kernel import _reduce
-from fpfurst.flags import LinearSubspace, enumerate_linear, join_rows, reduce_mod_subspace
+from fpfurst.flags import (
+    LinearSubspace,
+    enumerate_linear,
+    join_rows,
+    reduce_mod_subspace,
+    small_projection_count,
+)
 from fpfurst.indices import floor_scaled_power
 from fpfurst.projections import (
     ExceptionalQuery,
@@ -19,7 +25,6 @@ from fpfurst.projections import (
 )
 from projection_oracle import full_space, project_set, projection_count
 from rank_oracle import stacked_rank
-from subspace_counts import small_projection_count
 
 F = Fraction
 FIFTH = F(1, 5)
@@ -154,6 +159,25 @@ def test_count_small_projection_examples(n, k, m, l, p, expected):
     W = LinearSubspace.coordinate(range(m), n, p)
     assert count_small_projection_subspaces(W, k, l) == expected
     assert small_projection_count(n, k, m, l, p) == expected
+
+
+def test_small_projection_count_is_within_a_pinned_constant_of_its_power():
+    """The paper's estimate on the closed form: p^e <= count <= C p^e with
+    e = k(n-k) - (k-l)(m-l), over n <= 6 and p <= 11; the worst ratio is pinned."""
+    ratios = {
+        (n, k, m, l, p): F(small_projection_count(n, k, m, l, p), p ** (k * (n - k) - (k - l) * (m - l)))
+        for p in (2, 3, 5, 7, 11)
+        for n in range(1, 7)
+        for k in range(1, n + 1)
+        for m in range(n + 1)
+        for l in range(min(k, m) + 1)
+        if n - k >= m - l
+    }
+    assert len(ratios) == 910
+    assert min(ratios.values()) == 1
+    assert ratios[4, 2, 2, 1, 7] == F(449, 343)
+    worst = max(ratios, key=ratios.get)
+    assert (worst, ratios[worst]) == ((6, 3, 3, 2, 2), F(883, 256))
 
 
 def test_count_small_projection_equals_meeting_count():
