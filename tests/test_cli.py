@@ -489,7 +489,15 @@ def test_lemmas_sweep_every_step():
 
 def test_count_refuses_the_factor_key(tmp_path, capsys):
     # a small_projection row passes iff its count is exact, so no bound is left to set
-    config = {"command": "count", "n": 3, "k": 1, "p": 3, "m": 1, "l": 0, "factor": 4}
+    _assert_count_refuses_factor(4, tmp_path, capsys)
+    config = {"command": "count", "n": 3, "k": 1, "p": 3, "m": 1, "l": 0}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["count", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
+def _assert_count_refuses_factor(factor, tmp_path, capsys):
+    config = {"command": "count", "n": 3, "k": 1, "p": 3, "m": 1, "l": 0, "factor": factor}
     with pytest.raises(ConfigError, match="'factor'"):
         parse_config(json.dumps(config))
     cfg = tmp_path / "cfg.json"
@@ -498,9 +506,16 @@ def test_count_refuses_the_factor_key(tmp_path, capsys):
     assert main(["count", "--config", str(cfg), "--out", str(out)]) == 2
     assert "'factor'" in capsys.readouterr().err
     assert not out.exists()
-    del config["factor"]
-    cfg.write_text(json.dumps(config))
-    assert main(["count", "--config", str(cfg), "--out", str(out)]) == 0
+
+
+def test_count_refuses_several_factors(tmp_path, capsys):
+    # no factor is read any more, so a sweep of them is refused as an unread key
+    _assert_count_refuses_factor([4, 2], tmp_path, capsys)
+
+
+@pytest.mark.parametrize("factor", ["1/2", "0", "-2"])
+def test_count_refuses_a_factor_below_one(factor, tmp_path, capsys):
+    _assert_count_refuses_factor(factor, tmp_path, capsys)
 
 
 def test_small_projection_row_passes_iff_the_count_is_exact(monkeypatch):
