@@ -14,6 +14,9 @@ general one: the seed is extruded by a full F_p^d factor, then by graph flats
 over an F_p^M factor, padded with zero coordinates to F_p^n, and finally each
 flat is lifted to the k-flats through it that are transverse to the ambient
 coordinate slice.
+
+The y-sets are built valid and skip `PointSet`'s checks; only each union is
+validated, and `verify_family` checks the y-sets against it.
 """
 
 from __future__ import annotations
@@ -69,9 +72,16 @@ class FamilyValidity:
 
 
 def _union_points(members) -> list[tuple[int, ...]]:
-    """The sorted union of the members' marked points.  Each y-set is a
-    validated `PointSet`, so its points are residues already."""
+    """The sorted union of the members' marked points, by value."""
     return sorted(set().union(*(ys.points for _, ys in members)))
+
+
+def _y_set(n: int, p: int, points: tuple) -> PointSet:
+    """A `PointSet` built valid, fields set in order without `__post_init__`."""
+    ys = object.__new__(PointSet)
+    for field, value in (("n", n), ("p", p), ("points", points)):
+        object.__setattr__(ys, field, value)
+    return ys
 
 
 def _family(s, t, n, k, p, branch, members, union=None) -> FurstenbergFamily:
@@ -111,10 +121,8 @@ def _pencil_family(t: Fraction, p: int) -> FurstenbergFamily:
     dirs = _line_directions(p)
     if t <= 1:
         need = ceil_rational_power(p, t)
-        members = [
-            (AffineFlat.through(origin, D), PointSet.from_iterable([origin], 2, p))
-            for D in dirs[:need]
-        ]
+        ys = _y_set(2, p, (origin,))
+        members = [(AffineFlat.through(origin, D), ys) for D in dirs[:need]]
         return _family(Fraction(0), t, 2, 1, p, "2d-origin-pencil", members)
     count = ceil_rational_power(p, t - 1)
     if count > p:
@@ -123,7 +131,7 @@ def _pencil_family(t: Fraction, p: int) -> FurstenbergFamily:
     members = []
     for i in range(count):
         x = (i, 0)
-        ys = PointSet.from_iterable([x], 2, p)
+        ys = _y_set(2, p, (x,))
         for D in slanted:
             members.append((AffineFlat.through(x, D), ys))
     return _family(Fraction(0), t, 2, 1, p, "2d-axis-pencils", members)
@@ -135,7 +143,7 @@ def _trivial_family(s: Fraction, t: Fraction, p: int) -> FurstenbergFamily:
     members = []
     for D in _line_directions(p)[:nlines]:
         flat = AffineFlat.through((0, 0), D)
-        members.append((flat, PointSet.from_iterable(flat.points()[:npts], 2, p)))
+        members.append((flat, _y_set(2, p, tuple(sorted(flat.points()[:npts])))))
     return _family(s, t, 2, 1, p, "2d-trivial", members)
 
 
@@ -155,12 +163,7 @@ def _st_grid_family(s: Fraction, t: Fraction, p: int) -> FurstenbergFamily:
         direction = LinearSubspace.from_rows([[1, a]], 2, p)
         for b in range(1, nshifts + 1):
             pts = sorted((x, (a * x + b) % p) for x in range(1, xspan + 1))
-            members.append(
-                (
-                    AffineFlat.through((0, b), direction),
-                    PointSet(2, p, tuple(pts)),
-                )
-            )
+            members.append((AffineFlat.through((0, b), direction), _y_set(2, p, tuple(pts))))
     return _family(s, t, 2, 1, p, "2d-st-grid", members)
 
 
@@ -189,7 +192,7 @@ def _strip_family(s: Fraction, t: Fraction, p: int) -> FurstenbergFamily:
             pts = sorted([columns[(y - y0) * inv % p][i] for i, y in enumerate(rows)])
         else:  # horizontal
             continue
-        members.append((line, PointSet(2, p, tuple(pts))))
+        members.append((line, _y_set(2, p, tuple(pts))))
     union = PointSet(2, p, tuple([q for col in columns for q in col]))
     return _family(s, t, 2, 1, p, "2d-strip", members, union)
 
@@ -217,7 +220,7 @@ def _general_case_a(t: Fraction, n: int, k: int, p: int) -> FurstenbergFamily:
     origin = (0,) * n
     if t <= k * (n - k):
         need = ceil_rational_power(p, t)
-        ys = PointSet.from_iterable([origin], n, p)
+        ys = _y_set(n, p, (origin,))
         members = [
             (AffineFlat.through(origin, U), ys)
             for U in itertools.islice(enumerate_linear(n, k, p), need)
@@ -232,7 +235,7 @@ def _general_case_a(t: Fraction, n: int, k: int, p: int) -> FurstenbergFamily:
     points = [q + (0,) * k for q in itertools.product(range(p), repeat=n - k)][:count]
     members = []
     for x in points:
-        ys = PointSet.from_iterable([x], n, p)
+        ys = _y_set(n, p, (x,))
         for U in transverse_dirs:
             members.append((AffineFlat.through(x, U), ys))
     return _family(Fraction(0), t, n, k, p, "general-a-transverse", members)
@@ -265,7 +268,7 @@ def _general_case_cd(pr, p: int) -> FurstenbergFamily:
         # one fully generic line suffices; it lives in a single coordinate
         npts = ceil_rational_power(p, sigma)
         line = AffineFlat.through((0,), LinearSubspace.coordinate((0,), 1, p))
-        members = [(line, PointSet.from_iterable([(x,) for x in range(npts)], 1, p))]
+        members = [(line, _y_set(1, p, tuple([(x,) for x in range(npts)])))]
         ambient = 1
     else:
         seed = construct_2d(sigma, seed_tau, p)
@@ -303,7 +306,7 @@ def _cross(member, r: int, p: int, full: bool):
         factor = list(itertools.product(range(p), repeat=r))
     direction = LinearSubspace(p, dim, q + r, tuple([e for row in rows for e in row]), pivots)
     pts = tuple(pt + z for pt in ys.points for z in factor)
-    return AffineFlat(direction, flat.base + (0,) * r), PointSet(q + r, p, pts)
+    return AffineFlat(direction, flat.base + (0,) * r), _y_set(q + r, p, pts)
 
 
 def _extrude_graphs(member, depth: int, p: int, shared: dict):
@@ -348,7 +351,7 @@ def _extrude_graphs(member, depth: int, p: int, shared: dict):
         # column i lists point i's lifts by z; a row lists one graph's points
         graphs = list(zip(*columns)) or [()] * len(grid)
         for z, pts in zip(grid, graphs):
-            out.append((AffineFlat(direction, flat.base + z), PointSet(q + depth, p, pts)))
+            out.append((AffineFlat(direction, flat.base + z), _y_set(q + depth, p, pts)))
     return out
 
 
@@ -386,14 +389,19 @@ def _lift_transverse(members, n: int, k: int, p: int, slice_dim: int):
 def verify_family(f: FurstenbergFamily) -> FamilyValidity:
     """Exact check of the three defining conditions plus structural sanity.
 
-    Membership of the marked points is decided by one reduction per point: a
-    y-set lies on base + V iff each of its points reduces modulo V to the
-    base.  A y-set in the family's space holds residues already, so the
-    points go to `_kernel._reduce` as they are, with the direction's cached
-    rows; only a failure goes back through `contains_point` to name the
-    first point off the flat.
+    Only the stored union is validated, so it is compared first: once it
+    equals the y-sets' union, each marked point is a length-n residue by value
+    (1.0 counts as 1) and a strictly sorted y-set counts its points; otherwise
+    each y-set goes through `PointSet`'s checks, reported, not raised.  Then
+    one `_kernel._reduce` per point: it must reduce modulo V to the base.
     """
     failures = []
+    union_ok = f.union.n == f.n and f.union.p == f.p
+    if not union_ok:
+        failures.append("stored union in wrong space")
+    elif _union_points(f.members) != list(f.union.points):
+        failures.append("stored union does not match the union of the y-sets")
+        union_ok = False
     if len(f.members) < ceil_scaled_power(f.lam, f.p, f.t):
         failures.append(
             f"family has {len(f.members)} flats, fewer than lambda*p^t"
@@ -410,19 +418,26 @@ def verify_family(f: FurstenbergFamily) -> FamilyValidity:
         if key in seen:
             failures.append(f"member {i}: duplicate flat")
         seen.add(key)
+        pts = ys.points
+        if union_ok:
+            if not all(map(operator.lt, pts, pts[1:])):
+                failures.append(f"member {i}: y-set is not strictly sorted")
+                continue
+        else:
+            try:
+                PointSet(ys.n, ys.p, pts)
+            except (TypeError, ValueError) as exc:
+                failures.append(f"member {i}: invalid y-set: {exc}")
+                continue
         if len(ys) < min_points:
             failures.append(f"member {i}: y-set has {len(ys)} points, below lambda*p^s")
         if ys.n != f.n or ys.p != f.p:
             failures.append(f"member {i}: y-set in wrong space")
             continue
-        rows = itertools.repeat(flat.direction._rows)
-        if not set(map(_reduce, ys.points, rows, itertools.repeat(f.p))) <= {flat.base}:
-            pt = next(pt for pt in ys.points if not flat.contains_point(pt))
+        rows = flat.direction._rows
+        if not set(map(_reduce, pts, itertools.repeat(rows), itertools.repeat(f.p))) <= {flat.base}:
+            pt = next(pt for pt in pts if _reduce(pt, rows, f.p) != flat.base)
             failures.append(f"member {i}: point {pt} lies off its flat")
-    if f.union.n != f.n or f.union.p != f.p:
-        failures.append("stored union in wrong space")
-    elif _union_points(f.members) != list(f.union.points):
-        failures.append("stored union does not match the union of the y-sets")
     return FamilyValidity(not failures, tuple(failures))
 
 

@@ -31,7 +31,7 @@ from fractions import Fraction
 from . import _kernel
 from .flags import LinearSubspace, enumerate_linear, join_rows
 from .indices import as_fraction, ceil_rational_power
-from .primefield import check_prime
+from .primefield import _check_ints, check_prime
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,7 @@ class PointSet:
         # Whole-set checks in C-level builtins; the offending point is looked
         # for only once a check has failed, to name it in the message.
         coords = itertools.chain.from_iterable
+        _check_ints(coords(pts))
         if (
             set(map(len, pts)) - {n}
             or min(coords(pts), default=0) < 0

@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from fpfurst import furstenberg
 from fpfurst.flags import AffineFlat, LinearSubspace, enumerate_affine
 from fpfurst.furstenberg import (
     _cross,
     _extrude_graphs,
     _strip_family,
+    _y_set,
     construct_2d,
     construct_general,
     lower_bound_sanity,
@@ -253,6 +255,33 @@ def test_verify_family_reports_union_in_wrong_space():
         assert validity.failures == ("stored union in wrong space",)
 
 
+# Member 0 of the p = 5 strip is the diagonal (0, 0), ..., (4, 4); every point
+# of F_5^2 is marked, so the stored union below stays the correct one.
+_DIAGONAL = ((0, 0), (1, 1), (2, 2), (3, 3), (4, 4))
+_UNION_MISMATCH = "stored union does not match the union of the y-sets"
+
+
+@pytest.mark.parametrize(
+    "points, failures",
+    [
+        (_DIAGONAL[:4] + ((4.5, 4),), (_UNION_MISMATCH, "member 0: invalid y-set: entries must be ints")),
+        (_DIAGONAL[:4] + ((5, 5),), (_UNION_MISMATCH, "member 0: invalid y-set: bad point (5, 5) for F_5^2")),
+        (_DIAGONAL[:4] + ((4, 4, 0),), (_UNION_MISMATCH, "member 0: invalid y-set: bad point (4, 4, 0) for F_5^2")),
+        (_DIAGONAL + ((4, 4),), ("member 0: y-set is not strictly sorted",)),  # duplicate
+        (_DIAGONAL[1::-1] + _DIAGONAL[2:], ("member 0: y-set is not strictly sorted",)),  # out of order
+        (_DIAGONAL[:1] + ((1.0, 1),) + _DIAGONAL[2:], ()),  # 1.0 is the point 1, by value
+        (_DIAGONAL[:1] + ((1.0, 1),) + _DIAGONAL[2:4] + ((4, 0),), ("member 0: point (4, 0) lies off its flat",)),
+    ],
+)
+def test_verify_family_reports_unvalidated_y_set(points, failures):
+    fam = construct_2d(1, 2, 5)
+    assert fam.members[0][1].points == _DIAGONAL and len(fam.union) == 25
+    ys = _y_set(2, 5, points)
+    validity = verify_family(replace(fam, members=((fam.members[0][0], ys),) + fam.members[1:]))
+    assert validity.failures == failures
+    assert validity.is_valid == (not failures)
+
+
 def test_meets_upper_bound_refuses_nonpositive_constant():
     fam = construct_2d(1, 2, 5)
     for constant in (0, -1):
@@ -379,3 +408,44 @@ def test_family_golden_digest(case, branch, digest):
     fam = construct_general(*case)
     assert fam.branch == branch
     assert _family_digest(fam) == digest
+
+
+@pytest.mark.parametrize("case", [case for case, _, _ in GOLDEN])
+def test_golden_y_sets_survive_validation(case):
+    # The constructions skip PointSet.__post_init__; dataclasses.replace runs
+    # it again, so each y-set must survive its own constructor unchanged.
+    fam = construct_general(*case)
+    for ys in {id(ys): ys for _, ys in fam.members}.values():
+        same = replace(ys)
+        assert same == ys and hash(same) == hash(ys)
+
+
+@pytest.mark.parametrize(
+    "case, primes, branch, validations",
+    [
+        ((1, 2, 2, 1), (5, 7), "2d-strip", 1),
+        ((F(1, 2), 1, 2, 1), (11, 29), "2d-st-grid", 1),
+        ((1, 3, 3, 1), (5, 7), "general-c", 2),  # the 2-D seed's union, then the family's
+        ((2, 3, 3, 2), (5, 7), "general-d", 1),
+    ],
+)
+def test_validation_work_per_construction(case, primes, branch, validations, monkeypatch):
+    # Only each family's union goes through PointSet.__post_init__, so the
+    # count is the same at both primes while the member count grows; and
+    # verify_family makes one _reduce per marked point and validates nothing.
+    checks, reduces = [], []
+    check, reduce = PointSet.__post_init__, furstenberg._reduce
+    monkeypatch.setattr(PointSet, "__post_init__", lambda self: checks.append(1) or check(self))
+    monkeypatch.setattr(furstenberg, "_reduce", lambda *a: reduces.append(1) or reduce(*a))
+    members = set()
+    for p in primes:
+        checks.clear()
+        reduces.clear()
+        fam = construct_general(*case, p)
+        assert fam.branch == branch
+        members.add(len(fam.members))
+        assert len(checks) == validations
+        assert verify_family(fam).is_valid
+        assert len(checks) == validations
+        assert len(reduces) == sum(len(ys) for _, ys in fam.members)
+    assert len(members) == len(primes)

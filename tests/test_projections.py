@@ -304,6 +304,19 @@ def test_point_set_invariants():
     assert PointSet.from_iterable([], 2, 5) == PointSet(2, 5, ())
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: PointSet(2, 5, ((1.5, 2),)),
+        lambda: PointSet(2, 5, ((0, 0), (1.0, 2))),  # equal to (1, 2) by value, still refused
+        lambda: PointSet.from_iterable([(6.5, 2)], 2, 5),  # c % p keeps a float a float
+    ],
+)
+def test_point_set_refuses_non_int_coordinates(make):
+    with pytest.raises(TypeError, match="must be ints"):
+        make()
+
+
 def test_lex_prefix():
     A = PointSet.lex_prefix(2, 3, 4)
     assert A.points == ((0, 0), (0, 1), (0, 2), (1, 0))
