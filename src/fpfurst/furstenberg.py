@@ -15,8 +15,9 @@ over an F_p^M factor, padded with zero coordinates to F_p^n, and finally each
 flat is lifted to the k-flats through it that are transverse to the ambient
 coordinate slice.
 
-The y-sets are built valid and skip `PointSet`'s checks; only each union is
-validated, and `verify_family` checks the y-sets against it.
+A member is a flat with its marked points (its y-set): a strictly sorted
+tuple of point tuples, built valid.  Only each family's union is a validated
+`PointSet`, and `verify_family` checks the y-sets against it.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ class FurstenbergFamily:
     p: int
     lam: Fraction
     branch: str
-    members: tuple[tuple[AffineFlat, PointSet], ...]
+    members: tuple[tuple[AffineFlat, tuple[tuple[int, ...], ...]], ...]
     union: PointSet
 
 
@@ -72,16 +73,8 @@ class FamilyValidity:
 
 
 def _union_points(members) -> list[tuple[int, ...]]:
-    """The sorted union of the members' marked points, by value."""
-    return sorted(set().union(*(ys.points for _, ys in members)))
-
-
-def _y_set(n: int, p: int, points: tuple) -> PointSet:
-    """A `PointSet` built valid, fields set in order without `__post_init__`."""
-    ys = object.__new__(PointSet)
-    for field, value in (("n", n), ("p", p), ("points", points)):
-        object.__setattr__(ys, field, value)
-    return ys
+    """The sorted union of the members' y-sets, by value."""
+    return sorted(set().union(*(ys for _, ys in members)))
 
 
 def _family(s, t, n, k, p, branch, members, union=None) -> FurstenbergFamily:
@@ -121,19 +114,15 @@ def _pencil_family(t: Fraction, p: int) -> FurstenbergFamily:
     dirs = _line_directions(p)
     if t <= 1:
         need = ceil_rational_power(p, t)
-        ys = _y_set(2, p, (origin,))
-        members = [(AffineFlat.through(origin, D), ys) for D in dirs[:need]]
+        members = [(AffineFlat.through(origin, D), (origin,)) for D in dirs[:need]]
         return _family(Fraction(0), t, 2, 1, p, "2d-origin-pencil", members)
-    count = ceil_rational_power(p, t - 1)
-    if count > p:
-        raise DegenerateScaleError(f"ceil(p^(t-1)) = {count} exceeds p = {p}")
+    count = ceil_rational_power(p, t - 1)  # <= p, since t <= 2
     slanted = [D for D in dirs if D.row(0) != (1, 0)][: p - 1]
     members = []
     for i in range(count):
         x = (i, 0)
-        ys = _y_set(2, p, (x,))
         for D in slanted:
-            members.append((AffineFlat.through(x, D), ys))
+            members.append((AffineFlat.through(x, D), (x,)))
     return _family(Fraction(0), t, 2, 1, p, "2d-axis-pencils", members)
 
 
@@ -143,27 +132,25 @@ def _trivial_family(s: Fraction, t: Fraction, p: int) -> FurstenbergFamily:
     members = []
     for D in _line_directions(p)[:nlines]:
         flat = AffineFlat.through((0, 0), D)
-        members.append((flat, _y_set(2, p, tuple(sorted(flat.points()[:npts])))))
+        members.append((flat, tuple(sorted(flat.points()[:npts]))))
     return _family(s, t, 2, 1, p, "2d-trivial", members)
 
 
 def _st_grid_family(s: Fraction, t: Fraction, p: int) -> FurstenbergFamily:
     nslopes = ceil_rational_power(p, (t - s) / 2)
+    if nslopes > p - 1:
+        raise DegenerateScaleError(
+            f"slope count ceil(p^((t-s)/2)) = {nslopes} exceeds {p - 1} at p = {p}"
+        )
+    # both <= p, since (s + t)/2 <= 1 and s <= 1
     nshifts = ceil_rational_power(p, (s + t) / 2)
     xspan = ceil_scaled_power(HALF, p, s)
-    for name, val, cap in (
-        ("slope count ceil(p^((t-s)/2))", nslopes, p - 1),
-        ("intercept count ceil(p^((s+t)/2))", nshifts, p),
-        ("x-range ceil(p^s / 2)", xspan, p),
-    ):
-        if val > cap:
-            raise DegenerateScaleError(f"{name} = {val} exceeds {cap} at p = {p}")
     members = []
     for a in range(1, nslopes + 1):
         direction = LinearSubspace.from_rows([[1, a]], 2, p)
         for b in range(1, nshifts + 1):
-            pts = sorted((x, (a * x + b) % p) for x in range(1, xspan + 1))
-            members.append((AffineFlat.through((0, b), direction), _y_set(2, p, tuple(pts))))
+            pts = tuple([(x, (a * x + b) % p) for x in range(1, xspan + 1)])
+            members.append((AffineFlat.through((0, b), direction), pts))
     return _family(s, t, 2, 1, p, "2d-st-grid", members)
 
 
@@ -177,11 +164,9 @@ def _strip_family(s: Fraction, t: Fraction, p: int) -> FurstenbergFamily:
     (x0, 0) meets it at x = x0.  The p * ceil(p^s) strip points are built
     once and shared by all p^2 members and the union.
     """
-    nrows = ceil_rational_power(p, s)
+    nrows = ceil_rational_power(p, s)  # <= p, since s <= 1
     rows = sorted({r % p for r in range(1, nrows + 1)})
-    if len(rows) != nrows:
-        raise DegenerateScaleError(f"strip rows collide: ceil(p^s) = {nrows} > p = {p}")
-    columns = [[(x, y) for y in rows] for x in range(p)]
+    columns = [tuple([(x, y) for y in rows]) for x in range(p)]
     members = []
     for line in enumerate_affine(2, 1, p):
         a, c = line.direction.row(0)
@@ -189,10 +174,10 @@ def _strip_family(s: Fraction, t: Fraction, p: int) -> FurstenbergFamily:
             pts = columns[line.base[0]]
         elif c:  # direction (1, c), base (0, y0)
             inv, y0 = pow(c, -1, p), line.base[1]
-            pts = sorted([columns[(y - y0) * inv % p][i] for i, y in enumerate(rows)])
+            pts = tuple(sorted([columns[(y - y0) * inv % p][i] for i, y in enumerate(rows)]))
         else:  # horizontal
             continue
-        members.append((line, _y_set(2, p, tuple(pts))))
+        members.append((line, pts))
     union = PointSet(2, p, tuple([q for col in columns for q in col]))
     return _family(s, t, 2, 1, p, "2d-strip", members, union)
 
@@ -220,9 +205,8 @@ def _general_case_a(t: Fraction, n: int, k: int, p: int) -> FurstenbergFamily:
     origin = (0,) * n
     if t <= k * (n - k):
         need = ceil_rational_power(p, t)
-        ys = _y_set(n, p, (origin,))
         members = [
-            (AffineFlat.through(origin, U), ys)
+            (AffineFlat.through(origin, U), (origin,))
             for U in itertools.islice(enumerate_linear(n, k, p), need)
         ]
         return _family(Fraction(0), t, n, k, p, "general-a-origin", members)
@@ -235,9 +219,8 @@ def _general_case_a(t: Fraction, n: int, k: int, p: int) -> FurstenbergFamily:
     points = [q + (0,) * k for q in itertools.product(range(p), repeat=n - k)][:count]
     members = []
     for x in points:
-        ys = _y_set(n, p, (x,))
         for U in transverse_dirs:
-            members.append((AffineFlat.through(x, U), ys))
+            members.append((AffineFlat.through(x, U), (x,)))
     return _family(Fraction(0), t, n, k, p, "general-a-transverse", members)
 
 
@@ -253,7 +236,7 @@ def _general_case_b(s, t, n, k, p, d) -> FurstenbergFamily:
     assert len(hosts) == need
     ys = PointSet.from_iterable(core.points()[: ceil_rational_power(p, s)], n, p)
     origin = (0,) * n
-    members = [(AffineFlat.through(origin, U), ys) for U in hosts]
+    members = [(AffineFlat.through(origin, U), ys.points) for U in hosts]
     return _family(s, t, n, k, p, "general-b-shared", members, ys)
 
 
@@ -268,7 +251,7 @@ def _general_case_cd(pr, p: int) -> FurstenbergFamily:
         # one fully generic line suffices; it lives in a single coordinate
         npts = ceil_rational_power(p, sigma)
         line = AffineFlat.through((0,), LinearSubspace.coordinate((0,), 1, p))
-        members = [(line, _y_set(1, p, tuple([(x,) for x in range(npts)])))]
+        members = [(line, tuple([(x,) for x in range(npts)]))]
         ambient = 1
     else:
         seed = construct_2d(sigma, seed_tau, p)
@@ -305,8 +288,8 @@ def _cross(member, r: int, p: int, full: bool):
         dim, pivots = dim + r, pivots + tuple(range(q, q + r))
         factor = list(itertools.product(range(p), repeat=r))
     direction = LinearSubspace(p, dim, q + r, tuple([e for row in rows for e in row]), pivots)
-    pts = tuple(pt + z for pt in ys.points for z in factor)
-    return AffineFlat(direction, flat.base + (0,) * r), _y_set(q + r, p, pts)
+    pts = tuple([pt + z for pt in ys for z in factor])
+    return AffineFlat(direction, flat.base + (0,) * r), pts
 
 
 def _extrude_graphs(member, depth: int, p: int, shared: dict):
@@ -329,8 +312,8 @@ def _extrude_graphs(member, depth: int, p: int, shared: dict):
     rows0 = flat.direction.to_rows()
     pivots = flat.direction.pivots
     grid = list(itertools.product(range(p), repeat=depth))
-    lifts = [[shared.setdefault(x, x) for x in [pt + v for v in grid]] for pt in ys.points]
-    coeffs = [tuple(pt[c] for c in pivots) for pt in ys.points]
+    lifts = [[shared.setdefault(x, x) for x in [pt + v for v in grid]] for pt in ys]
+    coeffs = [tuple(pt[c] for c in pivots) for pt in ys]
     weights = [p ** (depth - 1 - j) for j in range(depth)]
     pickers = {}  # y*T mod p -> picks the points (u, y*T + z) in grid order of z
     out = []
@@ -351,7 +334,7 @@ def _extrude_graphs(member, depth: int, p: int, shared: dict):
         # column i lists point i's lifts by z; a row lists one graph's points
         graphs = list(zip(*columns)) or [()] * len(grid)
         for z, pts in zip(grid, graphs):
-            out.append((AffineFlat(direction, flat.base + z), _y_set(q + depth, p, pts)))
+            out.append((AffineFlat(direction, flat.base + z), pts))
     return out
 
 
@@ -389,26 +372,31 @@ def _lift_transverse(members, n: int, k: int, p: int, slice_dim: int):
 def verify_family(f: FurstenbergFamily) -> FamilyValidity:
     """Exact check of the three defining conditions plus structural sanity.
 
-    Only the stored union is validated, so it is compared first: once it
-    equals the y-sets' union, each marked point is a length-n residue by value
-    (1.0 counts as 1) and a strictly sorted y-set counts its points; otherwise
-    each y-set goes through `PointSet`'s checks, reported, not raised.  Then
-    one `_kernel._reduce` per point: it must reduce modulo V to the base.
+    Only the stored union is a validated `PointSet`, so it is compared first:
+    once it equals the union of the y-sets, each marked point is a length-n
+    residue by value (1.0 counts as 1) and a strictly sorted tuple counts its
+    points.  Otherwise, or where a y-set is not a tuple, the y-set goes through
+    `PointSet(f.n, f.p, ys)`'s checks, reported, not raised.  Then one
+    `_kernel._reduce` per marked point: it must reduce modulo V to the base.
     """
     failures = []
     union_ok = f.union.n == f.n and f.union.p == f.p
     if not union_ok:
         failures.append("stored union in wrong space")
-    elif _union_points(f.members) != list(f.union.points):
-        failures.append("stored union does not match the union of the y-sets")
-        union_ok = False
+    else:
+        try:
+            union_ok = _union_points(f.members) == list(f.union.points)
+        except TypeError:  # an unhashable or unorderable point, or a y-set that is not iterable
+            union_ok = False
+        if not union_ok:
+            failures.append("stored union does not match the union of the y-sets")
     if len(f.members) < ceil_scaled_power(f.lam, f.p, f.t):
         failures.append(
             f"family has {len(f.members)} flats, fewer than lambda*p^t"
         )
     min_points = ceil_scaled_power(f.lam, f.p, f.s)
     seen = set()
-    for i, (flat, ys) in enumerate(f.members):
+    for i, (flat, pts) in enumerate(f.members):
         if flat.n != f.n or flat.p != f.p:
             failures.append(f"member {i}: flat in wrong space")
             continue
@@ -418,22 +406,18 @@ def verify_family(f: FurstenbergFamily) -> FamilyValidity:
         if key in seen:
             failures.append(f"member {i}: duplicate flat")
         seen.add(key)
-        pts = ys.points
-        if union_ok:
+        if union_ok and type(pts) is tuple:
             if not all(map(operator.lt, pts, pts[1:])):
                 failures.append(f"member {i}: y-set is not strictly sorted")
                 continue
         else:
             try:
-                PointSet(ys.n, ys.p, pts)
+                PointSet(f.n, f.p, pts)
             except (TypeError, ValueError) as exc:
                 failures.append(f"member {i}: invalid y-set: {exc}")
                 continue
-        if len(ys) < min_points:
-            failures.append(f"member {i}: y-set has {len(ys)} points, below lambda*p^s")
-        if ys.n != f.n or ys.p != f.p:
-            failures.append(f"member {i}: y-set in wrong space")
-            continue
+        if len(pts) < min_points:
+            failures.append(f"member {i}: y-set has {len(pts)} points, below lambda*p^s")
         rows = flat.direction._rows
         if not set(map(_reduce, pts, itertools.repeat(rows), itertools.repeat(f.p))) <= {flat.base}:
             pt = next(pt for pt in pts if _reduce(pt, rows, f.p) != flat.base)

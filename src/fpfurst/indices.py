@@ -207,10 +207,16 @@ def _furstenberg_scaled(s: int, t: int, n: int, k: int, D: int) -> int:
     return s + m * D + min(tau, (sigma + tau) // 2, D)
 
 
-def furstenberg_params(s, t, n: int, k: int) -> FurstenbergParams:
+def _furstenberg_domain(s, t, n: int, k: int) -> tuple[Fraction, Fraction]:
+    """s and t as Fractions; ValueError unless (s, t; n, k) is admissible."""
     s, t = as_fraction(s), as_fraction(t)
     if not is_admissible(s, t, n, k):
         raise ValueError(f"({s},{t};{n},{k}) is not admissible")
+    return s, t
+
+
+def furstenberg_params(s, t, n: int, k: int) -> FurstenbergParams:
+    s, t = _furstenberg_domain(s, t, n, k)
     D, x, y = _lattice(s, t, 2)
     case, d, sigma, m, tau = _furstenberg_case(x, y, n, k, D)
     sigma, tau = sigma and Fraction(sigma, D), tau and Fraction(tau, D)  # None stays None
@@ -224,8 +230,7 @@ def furstenberg_index(s, t, n: int, k: int) -> Fraction:
     (c) tau <= 2 gives s + m + min{tau, (sigma+tau)/2, 1};
     (d) tau > 2 gives s + m + 1.
     """
-    pr = furstenberg_params(s, t, n, k)
-    D, x, y = _lattice(pr.s, pr.t, 2)
+    D, x, y = _lattice(*_furstenberg_domain(s, t, n, k), 2)
     return Fraction(_furstenberg_scaled(x, y, n, k, D), D)
 
 
@@ -268,7 +273,8 @@ def _marstrand_scaled(a: int, s: int, n: int, k: int, D: int):
     return NEG_INF
 
 
-def marstrand_params(a, s, n: int, k: int) -> MarstrandParams:
+def _marstrand_domain(a, s, n: int, k: int) -> tuple[Fraction, Fraction]:
+    """a and s as Fractions; ValueError unless (a, s; n, k) is in M's domain."""
     a, s = as_fraction(a), as_fraction(s)
     if not (1 <= k < n):
         raise ValueError(f"need 1 <= k < n, got ({n},{k})")
@@ -276,6 +282,11 @@ def marstrand_params(a, s, n: int, k: int) -> MarstrandParams:
         raise ValueError(f"a must lie in (0, n], got {a}")
     if s <= 0:
         raise ValueError(f"s must be positive, got {s}")
+    return a, s
+
+
+def marstrand_params(a, s, n: int, k: int) -> MarstrandParams:
+    a, s = _marstrand_domain(a, s, n, k)
     D, x, y = _lattice(a, s, 1)
     mtype, m, beta, l, gamma = _marstrand_type(x, y, n, k, D)
     return MarstrandParams(a, s, n, k, m, Fraction(beta, D), l, Fraction(gamma, D), mtype)
@@ -288,7 +299,6 @@ def classify_marstrand_type(a, s, n: int, k: int) -> int:
 
 def marstrand_index(a, s, n: int, k: int) -> Exponent:
     """Sharp exceptional-set exponent; NEG_INF for type 4 (empty set)."""
-    pr = marstrand_params(a, s, n, k)
-    D, x, y = _lattice(pr.a, pr.s, 1)
+    D, x, y = _lattice(*_marstrand_domain(a, s, n, k), 1)
     value = _marstrand_scaled(x, y, n, k, D)
     return value if value is NEG_INF else Fraction(value, D)

@@ -36,7 +36,8 @@ from .primefield import _check_ints, check_prime
 
 @dataclass(frozen=True)
 class PointSet:
-    """Sorted, deduplicated finite subset of F_p^n with exact cardinality."""
+    """Sorted, deduplicated finite subset of F_p^n with exact cardinality: a
+    strictly sorted tuple of length-n tuples of int residues."""
 
     n: int
     p: int
@@ -47,6 +48,8 @@ class PointSet:
         pts, n, p = self.points, self.n, self.p
         # Whole-set checks in C-level builtins; the offending point is looked
         # for only once a check has failed, to name it in the message.
+        if type(pts) is not tuple or set(map(type, pts)) - {tuple}:
+            raise TypeError("points must be a tuple of tuples")
         coords = itertools.chain.from_iterable
         _check_ints(coords(pts))
         if (

@@ -6,12 +6,12 @@ from fractions import Fraction
 import pytest
 
 from fpfurst import furstenberg
+from fpfurst.errors import DegenerateScaleError
 from fpfurst.flags import AffineFlat, LinearSubspace, enumerate_affine
 from fpfurst.furstenberg import (
     _cross,
     _extrude_graphs,
     _strip_family,
-    _y_set,
     construct_2d,
     construct_general,
     lower_bound_sanity,
@@ -132,7 +132,7 @@ def test_general_transverse_lift(case, branch, d, members):
         assert flat.k == k
         inside = {q for q in flat.points() if not any(q[slice_dim:])}
         assert len(inside) == p ** (d + 1)
-        assert set(ys.points) <= inside
+        assert set(ys) <= inside
 
 
 def test_inadmissible_rejected():
@@ -146,7 +146,7 @@ def test_verify_family_detects_point_off_flat():
     bad_point = next(
         q for q in full_space(2, 29) if not flat.contains_point(q)
     )
-    mutated_members = ((flat, PointSet.from_iterable([*ys, bad_point], 2, 29)),) + fam.members[1:]
+    mutated_members = ((flat, PointSet.from_iterable([*ys, bad_point], 2, 29).points),) + fam.members[1:]
     mutated = replace(fam, members=mutated_members)
     validity = verify_family(mutated)
     assert not validity.is_valid
@@ -156,7 +156,7 @@ def test_verify_family_detects_point_off_flat():
 def _with_y_set(fam, i, ys):
     """fam with member i's y-set replaced and the stored union rebuilt."""
     members = fam.members[:i] + ((fam.members[i][0], ys),) + fam.members[i + 1 :]
-    union = sorted(set().union(*(y.points for _, y in members)))
+    union = sorted(set().union(*(y for _, y in members)))
     return replace(fam, members=members, union=PointSet(fam.n, fam.p, tuple(union)))
 
 
@@ -169,11 +169,11 @@ def test_verify_family_names_off_flat_point_of_later_member():
     i = next(j for j, (fl, _) in enumerate(fam.members) if fl.direction != first)
     flat, ys = fam.members[i]
     (free,) = set(range(3)) - set(flat.direction.pivots)
-    pts = list(ys.points)
+    pts = list(ys)
     # shift one marked point along the non-pivot axis: it leaves the flat
     bad = tuple((e + 1) % p if c == free else e for c, e in enumerate(pts[1]))
     assert not flat.contains_point(bad)
-    mutated = _with_y_set(fam, i, PointSet.from_iterable(pts[:1] + pts[2:] + [bad], 3, p))
+    mutated = _with_y_set(fam, i, PointSet.from_iterable(pts[:1] + pts[2:] + [bad], 3, p).points)
     assert len(mutated.members[i][1]) == len(ys)
     assert verify_family(mutated).failures == (f"member {i}: point {bad} lies off its flat",)
 
@@ -182,7 +182,7 @@ def test_verify_family_empty_y_set_is_only_too_small():
     p = 5
     fam = construct_general(2, 3, 3, 2, p)
     i = len(fam.members) - 1
-    validity = verify_family(_with_y_set(fam, i, PointSet(3, p, ())))
+    validity = verify_family(_with_y_set(fam, i, ()))
     assert validity.failures == (f"member {i}: y-set has 0 points, below lambda*p^s",)
 
 
@@ -197,7 +197,7 @@ def test_verify_family_detects_truncated_family():
 def test_verify_family_detects_small_y_set():
     fam = construct_2d(1, 2, 5)
     flat, ys = fam.members[0]
-    mutated_members = ((flat, PointSet.from_iterable(list(ys)[:1], 2, 5)),) + fam.members[1:]
+    mutated_members = ((flat, ys[:1]),) + fam.members[1:]
     validity = verify_family(replace(fam, members=mutated_members))
     assert not validity.is_valid
     assert any("member 0" in f and "below lambda*p^s" in f for f in validity.failures)
@@ -233,18 +233,22 @@ def test_verify_family_detects_union_mismatch():
 
 
 @pytest.mark.parametrize(
-    "ys",
+    "ys, bad",
     [
-        PointSet(2, 11, ((3, 3), (10, 10))),  # (10, 10) mod 7 lies on the diagonal
-        PointSet(1, 7, ((0,), (1,))),
+        pytest.param(((3, 3), (10, 10)), (10, 10), id="ys0"),  # (10, 10) mod 7 lies on the diagonal
+        pytest.param(((0,), (1,)), (0,), id="ys1"),
     ],
 )
-def test_verify_family_reports_y_set_in_wrong_space(ys):
+def test_verify_family_reports_y_set_in_wrong_space(ys, bad):
+    # points of F_11^2 or F_7^1 miss the stored union, and the y-set is then
+    # re-validated in the family's space F_7^2
     fam = construct_2d(F(1, 2), 1, 7)
     diagonal = AffineFlat.through((0, 0), LinearSubspace.from_rows([[1, 1]], 2, 7))
     validity = verify_family(replace(fam, members=((diagonal, ys),) + fam.members[1:]))
-    assert not validity.is_valid
-    assert "member 0: y-set in wrong space" in validity.failures
+    assert validity.failures == (
+        "stored union does not match the union of the y-sets",
+        f"member 0: invalid y-set: bad point {bad} for F_7^2",
+    )
 
 
 def test_verify_family_reports_union_in_wrong_space():
@@ -259,6 +263,7 @@ def test_verify_family_reports_union_in_wrong_space():
 # of F_5^2 is marked, so the stored union below stays the correct one.
 _DIAGONAL = ((0, 0), (1, 1), (2, 2), (3, 3), (4, 4))
 _UNION_MISMATCH = "stored union does not match the union of the y-sets"
+_NOT_TUPLES = "member 0: invalid y-set: points must be a tuple of tuples"
 
 
 @pytest.mark.parametrize(
@@ -271,15 +276,55 @@ _UNION_MISMATCH = "stored union does not match the union of the y-sets"
         (_DIAGONAL[1::-1] + _DIAGONAL[2:], ("member 0: y-set is not strictly sorted",)),  # out of order
         (_DIAGONAL[:1] + ((1.0, 1),) + _DIAGONAL[2:], ()),  # 1.0 is the point 1, by value
         (_DIAGONAL[:1] + ((1.0, 1),) + _DIAGONAL[2:4] + ((4, 0),), ("member 0: point (4, 0) lies off its flat",)),
+        # an unhashable point fails the union comparison, then PointSet's check
+        pytest.param(_DIAGONAL[:4] + ([4, 4],), (_UNION_MISMATCH, _NOT_TUPLES), id="list-point"),
+        # the right points in a container that is not a tuple: the union matches
+        pytest.param(list(_DIAGONAL), (_NOT_TUPLES,), id="list"),
+        pytest.param(PointSet(2, 5, _DIAGONAL), (_NOT_TUPLES,), id="point-set"),
     ],
 )
 def test_verify_family_reports_unvalidated_y_set(points, failures):
     fam = construct_2d(1, 2, 5)
-    assert fam.members[0][1].points == _DIAGONAL and len(fam.union) == 25
-    ys = _y_set(2, 5, points)
-    validity = verify_family(replace(fam, members=((fam.members[0][0], ys),) + fam.members[1:]))
+    assert fam.members[0][1] == _DIAGONAL and len(fam.union) == 25
+    validity = verify_family(replace(fam, members=((fam.members[0][0], points),) + fam.members[1:]))
     assert validity.failures == failures
     assert validity.is_valid == (not failures)
+
+
+def test_verify_family_reports_flat_in_wrong_space():
+    fam = construct_2d(1, 2, 5)
+    for flat in (
+        AffineFlat.through((0, 0), LinearSubspace.from_rows([[1, 1]], 2, 7)),
+        AffineFlat.through((0, 0, 0), LinearSubspace.from_rows([[1, 1, 0]], 3, 5)),
+    ):
+        mutated = replace(fam, members=((flat, fam.members[0][1]),) + fam.members[1:])
+        assert verify_family(mutated).failures == ("member 0: flat in wrong space",)
+
+
+def test_verify_family_reports_flat_dimension():
+    # the whole plane holds member 0's marked points, but it is a 2-flat
+    fam = construct_2d(1, 2, 5)
+    plane = AffineFlat.through((0, 0), LinearSubspace.coordinate((0, 1), 2, 5))
+    mutated = replace(fam, members=((plane, fam.members[0][1]),) + fam.members[1:])
+    assert verify_family(mutated).failures == ("member 0: flat dimension 2 != 1",)
+
+
+def test_verify_family_reports_duplicate_flat():
+    # every point of F_5^2 lies on 5 of the strip's lines, so dropping
+    # member 1's y-set keeps the stored union correct
+    fam = construct_2d(1, 2, 5)
+    mutated = replace(fam, members=fam.members[:1] * 2 + fam.members[2:])
+    assert verify_family(mutated).failures == ("member 1: duplicate flat",)
+
+
+def test_lower_bound_sanity_refuses_small_unions():
+    fam = construct_2d(1, 2, 5)
+    assert lower_bound_sanity(fam)
+    # #E = 2 < ceil(p^s / 2) = 3
+    assert not lower_bound_sanity(replace(fam, union=PointSet(2, 5, ((0, 0), (0, 1)))))
+    # #E = 3 clears the first bound, but 3 * #G(1, F_5^2) = 18 < ceil(p^3 / 4) = 32
+    union = PointSet(2, 5, ((0, 0), (0, 1), (0, 2)))
+    assert not lower_bound_sanity(replace(fam, s=F(1), t=F(2), union=union))
 
 
 def test_meets_upper_bound_refuses_nonpositive_constant():
@@ -289,11 +334,28 @@ def test_meets_upper_bound_refuses_nonpositive_constant():
             meets_upper_bound(fam, constant)
 
 
+def test_construct_2d_sweep_degenerates_only_at_the_slope_cap():
+    # ceil(p^((t-s)/2)) slopes need p - 1 nonzero ones; every other count of
+    # the 2-D recipes stays <= p on the domain, so only this cap can fire
+    raised, valid = {}, 0
+    for p in (2, 3, 5, 7):
+        for s, t in itertools.product((F(i, 12) for i in range(13)), (F(j, 12) for j in range(25))):
+            try:
+                fam = construct_2d(s, t, p)
+            except DegenerateScaleError as exc:
+                assert str(exc).startswith("slope count ceil(p^((t-s)/2)) = "), exc
+                raised[p] = raised.get(p, 0) + 1
+                continue
+            assert verify_family(fam).is_valid, (s, t, p)
+            valid += 1
+    assert raised == {2: 132, 3: 16, 5: 2} and valid == 1150
+
+
 def _strip_reference(s, t, p):
     """Each non-horizontal line's own points, filtered by strip row."""
     rows = {r % p for r in range(1, ceil_rational_power(p, s) + 1)}
     members = tuple(
-        (line, PointSet(2, p, tuple(sorted(q for q in line.points() if q[1] in rows))))
+        (line, tuple(sorted(q for q in line.points() if q[1] in rows)))
         for line in enumerate_affine(2, 1, p)
         if line.direction.row(0) != (1, 0)
     )
@@ -334,7 +396,7 @@ def _graphs_reference(member, depth, p):
                         for j in range(depth)]
                 pts.append(tuple(u) + tuple(lift))
             out.append(
-                (AffineFlat.through(flat.base + z, direction), PointSet.from_iterable(pts, q + depth, p))
+                (AffineFlat.through(flat.base + z, direction), PointSet.from_iterable(pts, q + depth, p).points)
             )
     return out
 
@@ -344,7 +406,7 @@ def _graphs_reference(member, depth, p):
 def test_extrude_graphs_matches_point_formula(p, depth):
     line = (
         AffineFlat.through((0,), LinearSubspace.coordinate((0,), 1, p)),
-        PointSet.from_iterable([(x,) for x in range(p)], 1, p),
+        tuple([(x,) for x in range(p)]),
     )
     strip = _strip_family(F(1, 2), F(2), p).members
     members = [line, strip[1], strip[-1]]  # slanted and vertical lines
@@ -361,7 +423,7 @@ def _family_digest(fam):
     h = hashlib.sha256()
     h.update(repr((str(fam.s), str(fam.t), fam.n, fam.k, fam.p, str(fam.lam), fam.branch)).encode())
     for flat, ys in fam.members:
-        h.update(repr((flat.direction.entries, flat.base, ys.points)).encode())
+        h.update(repr((flat.direction.entries, flat.base, ys)).encode())
     h.update(repr(fam.union.points).encode())
     return h.hexdigest()
 
@@ -412,12 +474,12 @@ def test_family_golden_digest(case, branch, digest):
 
 @pytest.mark.parametrize("case", [case for case, _, _ in GOLDEN])
 def test_golden_y_sets_survive_validation(case):
-    # The constructions skip PointSet.__post_init__; dataclasses.replace runs
-    # it again, so each y-set must survive its own constructor unchanged.
+    # A y-set is a plain tuple that no constructor checks; PointSet's
+    # constructor must accept it, and sorting and deduplicating it must not
+    # change it.
     fam = construct_general(*case)
     for ys in {id(ys): ys for _, ys in fam.members}.values():
-        same = replace(ys)
-        assert same == ys and hash(same) == hash(ys)
+        assert PointSet(fam.n, fam.p, ys) == PointSet.from_iterable(ys, fam.n, fam.p)
 
 
 @pytest.mark.parametrize(

@@ -317,6 +317,19 @@ def test_point_set_refuses_non_int_coordinates(make):
         make()
 
 
+@pytest.mark.parametrize(
+    "points",
+    [
+        ([1, 2], [3, 4]),  # list points; (1, 2) in such a set would raise in bisect
+        ((1, 2), [3, 4]),
+        [(1, 2), (3, 4)],  # a list of points
+    ],
+)
+def test_point_set_refuses_points_that_are_not_tuples(points):
+    with pytest.raises(TypeError, match="must be a tuple of tuples"):
+        PointSet(2, 5, points)
+
+
 def test_lex_prefix():
     A = PointSet.lex_prefix(2, 3, 4)
     assert A.points == ((0, 0), (0, 1), (0, 2), (1, 0))
