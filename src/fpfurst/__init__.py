@@ -26,9 +26,7 @@ from .furstenberg import (
 )
 from .indices import (
     NEG_INF,
-    canonical_split,
     ceil_rational_power,
-    classify_marstrand_type,
     furstenberg_index,
     marstrand_index,
 )

@@ -253,7 +253,7 @@ def _eval_lemma(lemma, k, step, n=None) -> dict:
     elif lemma == "recursion_m":
         reports = check_recursion_m(n, k, grid)
     else:
-        reports = check_index_properties(GridSpec(step, ((n, k),)))
+        reports = check_index_properties(n, k, grid)
     return {"violations": len(reports), "status": "fail" if reports else "pass", "_reports": reports}
 
 

@@ -81,24 +81,11 @@ def as_fraction(x) -> Fraction:
 
 
 def _split(x: int, D: int) -> tuple[int, int]:
-    """`canonical_split` on the 1/D lattice: x/D = d + sigma/D with sigma in
-    (0, D], as (d, sigma), for a positive numerator x."""
+    """x/D = d + sigma/D with d >= 0 an integer and sigma in (0, D], for a
+    positive numerator x; an integer splits as (x/D - 1, D), the fractional
+    part closed at 1, which decides every boundary case of the indices."""
     d = (x - 1) // D
     return d, x - d * D
-
-
-def canonical_split(x) -> tuple[int, Fraction]:
-    """Write a positive rational as d + sigma with d a nonnegative integer and
-    sigma in the half-open interval (0, 1].
-
-    Integers deliberately split as (x-1, 1): the fractional part is closed at
-    1, which is what decides every boundary case of the index functions.
-    """
-    x = as_fraction(x)
-    if x <= 0:
-        raise ValueError(f"canonical_split needs a positive rational, got {x}")
-    d, sigma = _split(x.numerator, x.denominator)
-    return d, Fraction(sigma, x.denominator)
 
 
 def _lattice(x: Fraction, y: Fraction, scale: int) -> tuple[int, int, int]:
@@ -290,11 +277,6 @@ def marstrand_params(a, s, n: int, k: int) -> MarstrandParams:
     D, x, y = _lattice(a, s, 1)
     mtype, m, beta, l, gamma = _marstrand_type(x, y, n, k, D)
     return MarstrandParams(a, s, n, k, m, Fraction(beta, D), l, Fraction(gamma, D), mtype)
-
-
-def classify_marstrand_type(a, s, n: int, k: int) -> int:
-    """The unique applicable type in {1, 2, 3, 4}."""
-    return marstrand_params(a, s, n, k).mtype
 
 
 def marstrand_index(a, s, n: int, k: int) -> Exponent:

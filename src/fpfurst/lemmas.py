@@ -2,14 +2,16 @@
 the index-property lemmas, with counterexample reporting.
 
 Grids cannot certify an inequality for all reals; they corroborate it on a
-finite rational mesh, and the checkers are falsifiable: each accepts a
-`slack` (the property checker, injectable index functions) so tests can
-break an inequality and see a nonempty report.  The slack also checks
-tightness: at slack = 1/D, one unit of the checker's lattice (below), an
-outer point is reported exactly when some witness attains the index, since
-every gap is a multiple of 1/D.  Constraint equalities
-(t1 + t2 = t, u + v = F(s1,t2;2,1), ...) derive the dependent variable
-rather than filter a product grid, so no witness set is silently empty.
+finite rational mesh.  Each checker takes one dimension pair, then the grid
+(and, for a recursion, a `slack`), and refuses a pair outside 1 <= k < n.
+The checkers are falsifiable: a test raises the slack, or patches the
+module's lattice evaluators or `_LIPSCHITZ`, and sees a nonempty report.
+The slack also checks tightness: at slack = 1/D, one unit of the checker's
+lattice (below), an outer point is reported exactly when some witness
+attains the index, since every gap is a multiple of 1/D.  Constraint
+equalities (t1 + t2 = t, u + v = F(s1,t2;2,1), ...) derive the dependent
+variable rather than filter a product grid, so no witness set is silently
+empty.
 
 All four checkers hold each value as the numerator x of x/D, at one scale
 D = lcm(c*q, den(slack)) per call for step 1/q; every sum and comparison is
@@ -23,12 +25,10 @@ an int operation.  Both indices are piecewise affine with coefficients in
   F(s2, t1 + v; k, k-1) has 4q.
 
 The case split lives once, in `indices`, whose lattice evaluators the
-checkers call at D under a cache for one call.  An injected index function
-(a negative control) takes Fractions; `_scaled_index` puts it on the lattice
-and raises ValueError for a value off the 1/(2q) lattice.  NEG_INF stays
-NEG_INF: `x + NEG_INF` and `x > NEG_INF` work for an int x, and the one
-subtraction, a report's default deficit |rhs - lhs|, is one whole unit when a
-side is NEG_INF.  Reports convert back to Fractions, equal to those of a
+checkers call at D under a cache for one call.  NEG_INF stays NEG_INF:
+`x + NEG_INF` and `x > NEG_INF` work for an int x, and the one subtraction, a
+report's default deficit |rhs - lhs|, is one whole unit when a side is
+NEG_INF.  Reports convert back to Fractions, equal to those of a
 Fraction sweep of the same grid.
 """
 
@@ -56,28 +56,26 @@ from .indices import (
 # read by clibench's tracer; the checkers cache per call and leave both empty
 _findex = lru_cache(maxsize=None)(furstenberg_index)
 _mindex = lru_cache(maxsize=None)(marstrand_index)
-_LATTICE = (_furstenberg_scaled, _marstrand_scaled)
+# the left-Lipschitz constant of F in s
+_LIPSCHITZ = 2
 
 ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """A finite rational mesh: unit-fraction step plus (n, k) pairs to sweep."""
+    """A finite rational mesh with a unit-fraction step."""
 
     step: Fraction
-    pairs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "step", as_fraction(self.step))
         if self.step <= 0 or self.step.numerator != 1:
             raise ValueError("step must be a positive unit fraction like 1/12")
-        for (n, k) in self.pairs:
-            if not 1 <= k < n:
-                raise ValueError(f"bad dimension pair ({n},{k})")
 
     def values(self, lo, hi, include_lo: bool = True, include_hi: bool = True):
-        """Grid points in [lo, hi], optionally dropping either endpoint."""
+        """Grid points in [lo, hi], optionally dropping either endpoint; no
+        caller in `src/`, kept for clibench's tracer."""
         lo, hi = as_fraction(lo), as_fraction(hi)
         q = self.step.denominator
         vals = [Fraction(j, q) for j in range(math.ceil(lo * q), math.floor(hi * q) + 1)]
@@ -120,28 +118,16 @@ def reports_to_csv(reports) -> str:
     return buf.getvalue()
 
 
-def _scaled_index(index, D: int):
-    """An injected Fraction index function at (x/D, y/D; n, k) as value * D,
-    or NEG_INF, cached for one call; a value off the 1/D lattice raises."""
-
-    @lru_cache(maxsize=None)
-    def scaled(x: int, y: int, n: int, k: int):
-        value = index(Fraction(x, D), Fraction(y, D), n, k)
-        if value is NEG_INF:
-            return value
-        num, rem = divmod(value.numerator * D, value.denominator)
-        if rem:
-            raise ValueError(f"index value {value} is not on the 1/{D} lattice")
-        return num
-
-    return scaled
+def _check_pair(n: int, k: int):
+    if not 1 <= k < n:
+        raise ValueError(f"bad dimension pair ({n},{k})")
 
 
 def _frame(grid: GridSpec, c: int, slack, *indices):
     """The set-up every checker shares: each of `indices` at the scale
-    D = lcm(c * q, den(slack)) for step 1/q, cached for this call (a lattice
-    evaluator bound to D, any other through `_scaled_index`), then D, the
-    lattice stride g = D / q, slack * D, the report list and `report`.
+    D = lcm(c * q, den(slack)) for step 1/q, bound to D and cached for this
+    call, then D, the lattice stride g = D / q, slack * D, the report list
+    and `report`.
 
     `report(lemma, dims, lhs, rhs, deficit=None, **witness)` appends one
     CounterexampleReport from lattice numerators: `dims` are the integer
@@ -169,8 +155,7 @@ def _frame(grid: GridSpec, c: int, slack, *indices):
             Fraction(deficit, D),
         ))
 
-    scaled = (lru_cache(maxsize=None)(partial(f, D=D)) if f in _LATTICE else _scaled_index(f, D)
-              for f in indices)
+    scaled = (lru_cache(maxsize=None)(partial(f, D=D)) for f in indices)
     return (*scaled, D, D // q, slack.numerator * (D // slack.denominator), out, report)
 
 
@@ -186,6 +171,7 @@ def check_recursion_f1(k: int, grid: GridSpec, slack=ZERO) -> list[Counterexampl
     The inequality checked is
         u + max{F(s2, t1+v; k, k-1), s2 + v} >= F(s, t; k+1, k) + slack.
     """
+    _check_pair(k + 1, k)
     if k < 2:
         raise ValueError("recursion needs k >= 2")
     F, D, g, eps, out, report = _frame(grid, 4, slack, _furstenberg_scaled)
@@ -215,6 +201,7 @@ def check_recursion_f2(n: int, k: int, grid: GridSpec, slack=ZERO) -> list[Count
 
     over t1 in [0, (k+1)(n-k-1)], t2 = t - t1 in [0, k+1], s1 in [s, k].
     """
+    _check_pair(n, k)
     if n < k + 2:
         raise ValueError("recursion needs n >= k + 2")
     F, D, g, eps, out, report = _frame(grid, 2, slack, _furstenberg_scaled)
@@ -242,6 +229,7 @@ def check_recursion_m(n: int, k: int, grid: GridSpec, slack=ZERO) -> list[Counte
     min{n-1, a}] with a1 > 0, s1 in (0, s].  A NEG_INF term absorbs the
     left side, which then cannot violate.
     """
+    _check_pair(n, k)
     if n < k + 2:
         raise ValueError("recursion needs n >= k + 2")
     M, D, g, eps, out, report = _frame(grid, 1, slack, _marstrand_scaled)
@@ -257,113 +245,102 @@ def check_recursion_m(n: int, k: int, grid: GridSpec, slack=ZERO) -> list[Counte
     return out
 
 
-def check_index_properties(
-    grid: GridSpec,
-    furstenberg_fn=None,
-    marstrand_fn=None,
-    lipschitz_constant=Fraction(2),
-) -> list[CounterexampleReport]:
-    """Run the index-property families over every (n, k) pair of the grid.
+def check_index_properties(n: int, k: int, grid: GridSpec) -> list[CounterexampleReport]:
+    """Run the index-property families for the pair (n, k).
 
     Families: easybound (F >= s + max{0, t - k(n-k)}), t-Lipschitz
-    (F(s, t1+t2) <= t1 + F(s, t2)), left-Lipschitz in s with the given
-    constant, diagonal monotonicity of M, the easyM sandwich, the
+    (F(s, t1+t2) <= t1 + F(s, t2)), left-Lipschitz in s with constant
+    `_LIPSCHITZ`, diagonal monotonicity of M, the easyM sandwich, the
     four-type partition, and -- for (2, 1) -- the closed forms of both
-    indices.  Index functions are injectable so negative controls can
-    falsify a formula and watch the checker notice; their values must lie
-    on the 1/(2q) lattice of step 1/q (see the module docstring).
+    indices.
     """
-    F, M, D, g, _, out, report = _frame(
-        grid, 2, ZERO, furstenberg_fn or _furstenberg_scaled, marstrand_fn or _marstrand_scaled)
-    C = as_fraction(lipschitz_constant)
-    if C.denominator == 1:
-        C = C.numerator  # an int constant keeps C * theta an int
-    for (n, k) in grid.pairs:
-        nk = [("n", n), ("k", k)]
-        kk = k * (n - k) * D
-        tmax = (k + 1) * (n - k) * D
-        svals = range(0, k * D + 1, g)
-        tvals = range(0, tmax + 1, g)
+    _check_pair(n, k)
+    F, M, D, g, _, out, report = _frame(grid, 2, ZERO, _furstenberg_scaled, _marstrand_scaled)
+    nk = [("n", n), ("k", k)]
+    kk = k * (n - k) * D
+    tmax = (k + 1) * (n - k) * D
+    svals = range(0, k * D + 1, g)
+    tvals = range(0, tmax + 1, g)
 
-        for s in svals:
-            for t in tvals:
-                val = F(s, t, n, k)
-                bound = s + max(0, t - kk)
-                if val < bound:
-                    report("easybound", nk, val, bound, s=s, t=t)
+    for s in svals:
+        for t in tvals:
+            val = F(s, t, n, k)
+            bound = s + max(0, t - kk)
+            if val < bound:
+                report("easybound", nk, val, bound, s=s, t=t)
 
-        for s in svals:
-            for t2 in tvals:
-                base = F(s, t2, n, k)
-                for t1 in range(0, tmax - t2 + 1, g):
-                    val = F(s, t1 + t2, n, k)
-                    if val > t1 + base:
-                        report("t_lipschitz", nk, val, t1 + base, s=s, t1=t1, t2=t2)
+    for s in svals:
+        for t2 in tvals:
+            base = F(s, t2, n, k)
+            for t1 in range(0, tmax - t2 + 1, g):
+                val = F(s, t1 + t2, n, k)
+                if val > t1 + base:
+                    report("t_lipschitz", nk, val, t1 + base, s=s, t1=t1, t2=t2)
 
-        for s in svals[1:]:
-            _, sigma = _split(s, D)
-            for t in tvals:
-                val = F(s, t, n, k)
-                for theta in range(0, sigma, g):
-                    # theta < sigma keeps s - theta inside the same piece (d unchanged)
-                    lower = val - C * theta
-                    shifted = F(s - theta, t, n, k)
-                    if shifted < lower:
-                        report("left_lipschitz", nk, shifted, lower, s=s, t=t, theta=theta)
+    for s in svals[1:]:
+        _, sigma = _split(s, D)
+        for t in tvals:
+            val = F(s, t, n, k)
+            for theta in range(0, sigma, g):
+                # theta < sigma keeps s - theta inside the same piece (d unchanged)
+                lower = val - _LIPSCHITZ * theta
+                shifted = F(s - theta, t, n, k)
+                if shifted < lower:
+                    report("left_lipschitz", nk, shifted, lower, s=s, t=t, theta=theta)
 
-        avals = range(g, n * D + 1, g)
-        smvals = range(g, (k + 1) * D + 1, g)
+    avals = range(g, n * D + 1, g)
+    smvals = range(g, (k + 1) * D + 1, g)
 
-        for a in avals:
-            for s in smvals:
-                base = M(a, s, n, k)
-                for theta in range(0, min(a, s), g):
-                    moved = M(a - theta, s - theta, n, k)
-                    if moved > base:
-                        report("m_diagonal", nk, moved, base, a=a, s=s, theta=theta)
+    for a in avals:
+        for s in smvals:
+            base = M(a, s, n, k)
+            for theta in range(0, min(a, s), g):
+                moved = M(a - theta, s - theta, n, k)
+                if moved > base:
+                    report("m_diagonal", nk, moved, base, a=a, s=s, theta=theta)
 
-        for a in avals:
-            m_int, beta = _split(a, D)
-            for s in range(max(0, a - (n - k) * D) + g, min(a, k * D) + 1, g):
-                l_int, gamma = _split(s, D)
-                upper = kk - (m_int - l_int) * (k - l_int) * D + max(2 * gamma - beta - D, 0)
-                lower = kk - (m_int + 1 - l_int) * (k - l_int) * D + max(2 * gamma - beta, 0)
-                val = M(a, s, n, k)
-                if val > upper:
-                    report("easym_upper", nk, val, upper, a=a, s=s)
-                if val < lower:
-                    report("easym_lower", nk, val, lower, a=a, s=s)
+    for a in avals:
+        m_int, beta = _split(a, D)
+        for s in range(max(0, a - (n - k) * D) + g, min(a, k * D) + 1, g):
+            l_int, gamma = _split(s, D)
+            upper = kk - (m_int - l_int) * (k - l_int) * D + max(2 * gamma - beta - D, 0)
+            lower = kk - (m_int + 1 - l_int) * (k - l_int) * D + max(2 * gamma - beta, 0)
+            val = M(a, s, n, k)
+            if val > upper:
+                report("easym_upper", nk, val, upper, a=a, s=s)
+            if val < lower:
+                report("easym_lower", nk, val, lower, a=a, s=s)
 
-        for a in avals:
-            m_int, beta = _split(a, D)
-            for s in smvals:
-                l_int, gamma = _split(s, D)
-                inside = s <= min(a, k * D)
-                conds = [
-                    not inside,
-                    inside and l_int + 1 <= m_int <= n + l_int - k and gamma > beta,
-                    inside and l_int <= m_int <= n + l_int - k - 1 and gamma <= beta,
-                    s <= a - (n - k) * D,
-                ]
-                if sum(conds) != 1 or _marstrand_type(a, s, n, k, D)[0] != conds.index(True) + 1:
-                    report("type_partition", nk, sum(conds) * D, D, D, a=a, s=s)
+    for a in avals:
+        m_int, beta = _split(a, D)
+        for s in smvals:
+            l_int, gamma = _split(s, D)
+            inside = s <= min(a, k * D)
+            conds = [
+                not inside,
+                inside and l_int + 1 <= m_int <= n + l_int - k and gamma > beta,
+                inside and l_int <= m_int <= n + l_int - k - 1 and gamma <= beta,
+                s <= a - (n - k) * D,
+            ]
+            if sum(conds) != 1 or _marstrand_type(a, s, n, k, D)[0] != conds.index(True) + 1:
+                report("type_partition", nk, sum(conds) * D, D, D, a=a, s=s)
 
-        if (n, k) == (2, 1):
-            for s in range(g, D + 1, g):
-                for t in range(0, 2 * D + 1, g):
-                    val = F(s, t, 2, 1)
-                    closed = min(s + t, (3 * s + t) // 2, s + D)
-                    if val != closed:
-                        report("closed_form_f21", [], val, closed, s=s, t=t)
-            for a in range(g, 2 * D + 1, g):
-                for s in range(g, 2 * D + 1, g):
-                    if s > min(a, D):
-                        closed = D
-                    elif s > a - D:
-                        closed = max(0, 2 * s - a)
-                    else:
-                        closed = NEG_INF
-                    val = M(a, s, 2, 1)
-                    if val != closed:
-                        report("closed_form_m21", [], val, closed, D, a=a, s=s)
+    if (n, k) == (2, 1):
+        for s in range(g, D + 1, g):
+            for t in range(0, 2 * D + 1, g):
+                val = F(s, t, 2, 1)
+                closed = min(s + t, (3 * s + t) // 2, s + D)
+                if val != closed:
+                    report("closed_form_f21", [], val, closed, s=s, t=t)
+        for a in range(g, 2 * D + 1, g):
+            for s in range(g, 2 * D + 1, g):
+                if s > min(a, D):
+                    closed = D
+                elif s > a - D:
+                    closed = max(0, 2 * s - a)
+                else:
+                    closed = NEG_INF
+                val = M(a, s, 2, 1)
+                if val != closed:
+                    report("closed_form_m21", [], val, closed, D, a=a, s=s)
     return out

@@ -132,8 +132,9 @@ def test_criterion_03_two_dimensional_closed_forms():
 
 def test_criterion_04_index_property_suite():
     t0 = time.monotonic()
-    grid = GridSpec(F(1, 6), ((2, 1), (3, 1), (3, 2), (4, 2), (4, 3)))
-    reports = check_index_properties(grid)
+    grid = GridSpec(F(1, 6))
+    pairs = ((2, 1), (3, 1), (3, 2), (4, 2), (4, 3))
+    reports = [r for n, k in pairs for r in check_index_properties(n, k, grid)]
     _finish(4, "index property suite, step 1/6", reports == [], t0, 120)
 
 

@@ -460,6 +460,37 @@ def test_main_lemma_domain_error_beside_pass(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "params, rows",
+    [
+        ({"lemma": "properties", "pairs": [[2, 2]]},
+         ['properties,2,2,1/2,,"error: bad dimension pair (2,2)"']),
+        ({"lemma": "recursion_f2", "pairs": [[3, 2]]},
+         ["recursion_f2,3,2,1/2,,error: recursion needs n >= k + 2"]),
+        ({"lemma": "recursion_f1", "k": 1},
+         ["recursion_f1,,1,1/2,,error: recursion needs k >= 2"]),
+        # n >= k + 2 holds at k < 1, where no index is defined
+        ({"lemma": "recursion_m", "pairs": [[4, 0], [3, -5]]},
+         ['recursion_m,4,0,1/2,,"error: bad dimension pair (4,0)"',
+          'recursion_m,3,-5,1/2,,"error: bad dimension pair (3,-5)"']),
+        ({"lemma": "recursion_f2", "pairs": [[4, 0], [4, -2]]},
+         ['recursion_f2,4,0,1/2,,"error: bad dimension pair (4,0)"',
+          'recursion_f2,4,-2,1/2,,"error: bad dimension pair (4,-2)"']),
+        ({"lemma": "recursion_f1", "k": [0, -1]},
+         ['recursion_f1,,0,1/2,,"error: bad dimension pair (1,0)"',
+          'recursion_f1,,-1,1/2,,"error: bad dimension pair (0,-1)"']),
+    ],
+    ids=["properties-22", "f2-32", "f1-1", "m-k-below-1", "f2-k-below-1", "f1-k-below-1"],
+)
+def test_main_lemma_domain_error_rows(tmp_path, params, rows):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "lemmas", "step": "1/2", **params}))
+    out = tmp_path / "out"
+    assert main(["lemmas", "--config", str(cfg), "--out", str(out)]) == 1
+    assert (out / "lemmas.csv").read_text().splitlines()[1:] == rows
+    assert (out / "counterexamples.csv").read_text() == "lemma,lhs,rhs,deficit\n"
+
+
+@pytest.mark.parametrize(
     "pairs",
     [[[4.9, 2]], [["4", 2]], [[True, 2]], [[4, 2, 1]], [[4]], [4, 2], "4,2", [(4, 2), 3]],
 )

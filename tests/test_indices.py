@@ -10,11 +10,10 @@ from fpfurst.indices import (
     NEG_INF,
     _furstenberg_scaled,
     _marstrand_scaled,
+    _marstrand_type,
     _split,
-    canonical_split,
     ceil_rational_power,
     ceil_scaled_power,
-    classify_marstrand_type,
     floor_scaled_power,
     furstenberg_index,
     furstenberg_params,
@@ -32,12 +31,19 @@ F = Fraction
      (F(1), (0, F(1))), (F(7, 3), (2, F(1, 3)))],
 )
 def test_canonical_split(x, expected):
-    assert canonical_split(x) == expected
+    d, sigma = index_oracle.canonical_split(x)
+    assert (d, sigma) == expected
+    assert _split(x.numerator, x.denominator) == (d, sigma * x.denominator)
 
 
 def test_canonical_split_rejects_nonpositive():
+    # `_split` takes positive numerators only; the domain checks refuse the rest
     with pytest.raises(ValueError):
-        canonical_split(0)
+        index_oracle.canonical_split(0)
+    with pytest.raises(ValueError, match="a must lie"):
+        marstrand_params(0, 1, 2, 1)
+    with pytest.raises(ValueError, match="s must be positive"):
+        marstrand_params(1, 0, 2, 1)
 
 
 @given(st.integers(0, 10**6), st.integers(1, 6))
@@ -169,7 +175,9 @@ def test_marstrand_index_values(a, s, n, k, expected):
     ],
 )
 def test_classify_marstrand_type(a, s, n, k, expected):
-    assert classify_marstrand_type(a, s, n, k) == expected
+    D = math.lcm(a.denominator, s.denominator)
+    assert index_oracle.marstrand_params(a, s, n, k).mtype == expected
+    assert _marstrand_type(int(a * D), int(s * D), n, k, D)[0] == expected
 
 
 def test_marstrand_2d_display():
@@ -219,7 +227,7 @@ def test_marstrand_index_range(dims, a_raw, s):
     a = min(a_raw, F(n))
     val = marstrand_index(a, s, n, k)
     if val is NEG_INF:
-        assert classify_marstrand_type(a, s, n, k) == 4
+        assert marstrand_params(a, s, n, k).mtype == 4
     else:
         assert 0 <= val <= k * (n - k)
 
@@ -263,7 +271,7 @@ def _same_marstrand(a, s, n, k):
     assert marstrand_index(a, s, n, k) == want
     pr = index_oracle.marstrand_params(a, s, n, k)
     assert marstrand_params(a, s, n, k) == pr
-    assert classify_marstrand_type(a, s, n, k) == pr.mtype
+    assert _marstrand_type(int(a * D), int(s * D), n, k, D)[0] == pr.mtype
 
 
 @pytest.mark.parametrize("n,k", PAIRS_UP_TO_6)
@@ -276,7 +284,7 @@ def test_lattice_indices_equal_the_fraction_oracle_on_the_twelfth_grid(n, k):
             _same_marstrand(F(ai, 12), F(si, 12), n, k)
     for x in range(1, 12 * n + 1):
         d, sigma = index_oracle.canonical_split(F(x, 12))
-        assert canonical_split(F(x, 12)) == (d, sigma) and _split(x, 12) == (d, sigma * 12)
+        assert _split(x, 12) == (d, sigma * 12)
 
 
 def _unit(draw, hi):

@@ -6,18 +6,19 @@ from itertools import product
 
 import pytest
 
+import index_oracle
 from fpfurst.indices import (
     NEG_INF,
+    _furstenberg_scaled,
+    _marstrand_scaled,
+    _marstrand_type,
     _split,
-    canonical_split,
-    classify_marstrand_type,
     furstenberg_index,
     marstrand_index,
 )
 from fpfurst.lemmas import (
     CounterexampleReport,
     GridSpec,
-    _scaled_index,
     check_index_properties,
     check_recursion_f1,
     check_recursion_f2,
@@ -34,8 +35,6 @@ def test_gridspec_validation():
         GridSpec(F(2, 3))
     with pytest.raises(ValueError):
         GridSpec(F(0))
-    with pytest.raises(ValueError):
-        GridSpec(F(1, 4), ((2, 2),))
 
 
 def test_gridspec_values_endpoints():
@@ -97,124 +96,139 @@ def test_recursion_preconditions():
         check_recursion_m(3, 2, COARSE)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_checkers_refuse_a_pair_with_no_index(k):
+    # no index is defined at k < 1, where n >= k + 2 does hold
+    with pytest.raises(ValueError, match=rf"bad dimension pair \({k + 1},{k}\)"):
+        check_recursion_f1(k, COARSE)
+    for checker in (check_recursion_f2, check_recursion_m, check_index_properties):
+        with pytest.raises(ValueError, match=rf"bad dimension pair \(4,{k}\)"):
+            checker(4, k, COARSE)
+    with pytest.raises(ValueError, match=r"bad dimension pair \(2,2\)"):
+        check_index_properties(2, 2, COARSE)
+
+
+def _properties(pairs, grid):
+    """The property reports of each (n, k) of `pairs` on `grid`, in order."""
+    return [r for n, k in pairs for r in check_index_properties(n, k, grid)]
+
+
 def test_properties_clean_on_fine_grid():
-    grid = GridSpec(F(1, 6), ((2, 1), (3, 2)))
-    assert check_index_properties(grid) == []
+    assert _properties(((2, 1), (3, 2)), GridSpec(F(1, 6))) == []
 
 
 def test_properties_closed_form_grid():
-    assert check_index_properties(GridSpec(F(1, 12), ((2, 1),))) == []
+    assert check_index_properties(2, 1, GridSpec(F(1, 12))) == []
 
 
-def _m_unclamped_type3(a, s, n, k):
+# Negative controls: lattice evaluators (x, y, n, k, D) -> int | NEG_INF, the
+# numerator at scale D of a falsified index, patched over the checker's own.
+
+def _m_unclamped_type3(x, y, n, k, D):
     """M with the max{., 0} clamp of the type-3 formula dropped."""
-    if classify_marstrand_type(a, s, n, k) == 3:
-        m, beta = canonical_split(a)
-        l, gamma = canonical_split(s)
-        return k * (n - k) - (m + 1 - l) * (k - l) + (2 * gamma - beta)
-    return marstrand_index(a, s, n, k)
+    mtype, m, beta, l, gamma = _marstrand_type(x, y, n, k, D)
+    if mtype == 3:
+        return (k * (n - k) - (m + 1 - l) * (k - l)) * D + (2 * gamma - beta)
+    return _marstrand_scaled(x, y, n, k, D)
 
 
-def test_properties_negative_control_broken_type3():
-    reports = check_index_properties(
-        GridSpec(F(1, 6), ((3, 2),)), marstrand_fn=_m_unclamped_type3
-    )
+def _break(monkeypatch, **patches):
+    for name, value in patches.items():
+        monkeypatch.setattr(f"fpfurst.lemmas.{name}", value)
+
+
+def test_properties_negative_control_broken_type3(monkeypatch):
+    _break(monkeypatch, _marstrand_scaled=_m_unclamped_type3)
+    reports = check_index_properties(3, 2, GridSpec(F(1, 6)))
     assert reports
     assert {r.lemma for r in reports} & {"easym_lower", "m_diagonal", "closed_form_m21"}
 
 
-def test_properties_negative_control_broken_furstenberg():
-    def broken_f(s, t, n, k):
-        val = furstenberg_index(s, t, n, k)
-        return val - F(1, 2) if s == 1 else val
+def test_properties_negative_control_broken_furstenberg(monkeypatch):
+    def broken_f(x, y, n, k, D):
+        val = _furstenberg_scaled(x, y, n, k, D)
+        return val - D // 2 if x == D else val
 
-    reports = check_index_properties(GridSpec(F(1, 6), ((2, 1),)), furstenberg_fn=broken_f)
+    _break(monkeypatch, _furstenberg_scaled=broken_f)
+    reports = check_index_properties(2, 1, GridSpec(F(1, 6)))
     lemmas = {r.lemma for r in reports}
     assert "closed_form_f21" in lemmas and "easybound" in lemmas
 
 
-def _m_plus_one(a, s, n, k):
-    return marstrand_index(a, s, n, k) + 1
+def _m_plus_one(x, y, n, k, D):
+    return _marstrand_scaled(x, y, n, k, D) + D
 
 
 # NEG_INF has no __sub__, so a shift of M is written as an addition
-def _m_minus_one(a, s, n, k):
-    return marstrand_index(a, s, n, k) + (-1)
+def _m_minus_one(x, y, n, k, D):
+    return _marstrand_scaled(x, y, n, k, D) + (-D)
 
 
-def _m_minus_a(a, s, n, k):
-    return marstrand_index(a, s, n, k) + (-a)
+def _m_minus_a(x, y, n, k, D):
+    return _marstrand_scaled(x, y, n, k, D) + (-x)
 
 
-def _f_minus_one(s, t, n, k):
-    return furstenberg_index(s, t, n, k) - 1
+def _f_minus_one(x, y, n, k, D):
+    return _furstenberg_scaled(x, y, n, k, D) - D
 
 
-def _f_doubled(s, t, n, k):
-    return 2 * furstenberg_index(s, t, n, k)
+def _f_doubled(x, y, n, k, D):
+    return 2 * _furstenberg_scaled(x, y, n, k, D)
 
 
 # one break per property family; type_partition breaks the classifier instead
 PROPERTY_BREAKS = {
-    "easybound": {"furstenberg_fn": _f_minus_one},
-    "t_lipschitz": {"furstenberg_fn": _f_doubled},
-    "left_lipschitz": {"lipschitz_constant": 0},
-    "m_diagonal": {"marstrand_fn": _m_minus_a},
-    "easym_upper": {"marstrand_fn": _m_plus_one},
-    "easym_lower": {"marstrand_fn": _m_minus_one},
-    "closed_form_f21": {"furstenberg_fn": _f_minus_one},
-    "closed_form_m21": {"marstrand_fn": _m_plus_one},
-    "type_partition": {},
+    "easybound": {"_furstenberg_scaled": _f_minus_one},
+    "t_lipschitz": {"_furstenberg_scaled": _f_doubled},
+    "left_lipschitz": {"_LIPSCHITZ": 0},
+    "m_diagonal": {"_marstrand_scaled": _m_minus_a},
+    "easym_upper": {"_marstrand_scaled": _m_plus_one},
+    "easym_lower": {"_marstrand_scaled": _m_minus_one},
+    "closed_form_f21": {"_furstenberg_scaled": _f_minus_one},
+    "closed_form_m21": {"_marstrand_scaled": _m_plus_one},
+    "type_partition": {"_marstrand_type": lambda a, s, n, k, D: (1,) * 5},
 }
 
 
 @pytest.mark.parametrize("family", list(PROPERTY_BREAKS))
 def test_properties_negative_control_each_family(family, monkeypatch):
-    if family == "type_partition":
-        monkeypatch.setattr("fpfurst.lemmas._marstrand_type", lambda a, s, n, k, D: (1,) * 5)
-    reports = check_index_properties(GridSpec(F(1, 4), ((2, 1),)), **PROPERTY_BREAKS[family])
+    _break(monkeypatch, **PROPERTY_BREAKS[family])
+    reports = check_index_properties(2, 1, GridSpec(F(1, 4)))
     assert family in {r.lemma for r in reports}
 
 
 # sha256 of repr([(lemma, witness, lhs, rhs, deficit), ...]) for each break on
-# GOLDEN_GRID, with the report count; the digests were taken from the Fraction
-# sweep that the lattice property checker replaced.
-GOLDEN_GRID = GridSpec(F(1, 3), ((2, 1), (3, 2), (4, 2)))
+# the GOLDEN_PAIRS at GOLDEN_STEP, pair after pair, with the report count; the
+# digests were taken from the Fraction sweep that the lattice property checker
+# replaced.
+GOLDEN_PAIRS, GOLDEN_STEP = ((2, 1), (3, 2), (4, 2)), GridSpec(F(1, 3))
 GOLDEN = {
     "clean": ({}, 0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
-    "2F": ({"furstenberg_fn": _f_doubled}, 335,
+    "2F": ({"_furstenberg_scaled": _f_doubled}, 335,
            "07b070576c435159ce3cd965f350e04e86b1b106c0277568ed1cf25755ab54fe"),
-    "C=1/3": ({"lipschitz_constant": F(1, 3)}, 195,
+    "C=1/3": ({"_LIPSCHITZ": F(1, 3)}, 195,
               "ac829a194e3ddb994d18d3e2e872732783f01440f10a458f254454f47eeacc3e"),
-    "M-a": ({"marstrand_fn": _m_minus_a}, 394,
+    "M-a": ({"_marstrand_scaled": _m_minus_a}, 394,
             "f6c1b316f57a80f5d742667c9f138de1020423551eafade151df76bfa1abf048"),
-    "M+1": ({"marstrand_fn": _m_plus_one}, 67,
+    "M+1": ({"_marstrand_scaled": _m_plus_one}, 67,
             "919a703b081e2b74e9c9c39178c08536dba7068d547e5c2e43e66eda01d165de"),
-    "M-1": ({"marstrand_fn": _m_minus_one}, 84,
+    "M-1": ({"_marstrand_scaled": _m_minus_one}, 84,
             "26862eea2b7e59403b9f731d358cac51681b0d4f686db9c95bdb570e7b6aef36"),
-    "F-1": ({"furstenberg_fn": _f_minus_one}, 190,
+    "F-1": ({"_furstenberg_scaled": _f_minus_one}, 190,
             "2e6cae569540bec1070ddc944f12306267e8b4c8c91f7d459dd2b6a143f02347"),
-    "type3": ({"marstrand_fn": _m_unclamped_type3}, 8,
+    "type3": ({"_marstrand_scaled": _m_unclamped_type3}, 8,
               "ded4a992e4dd6e7117bc7e2118224930635ecd20734a5f86d0ed62dcf1b5aeed"),
 }
 
 
 @pytest.mark.parametrize("name", list(GOLDEN))
-def test_properties_reports_match_golden_digests(name):
-    kwargs, count, digest = GOLDEN[name]
-    reports = check_index_properties(GOLDEN_GRID, **kwargs)
+def test_properties_reports_match_golden_digests(name, monkeypatch):
+    patches, count, digest = GOLDEN[name]
+    _break(monkeypatch, **patches)
+    reports = _properties(GOLDEN_PAIRS, GOLDEN_STEP)
     text = repr([(r.lemma, r.witness, r.lhs, r.rhs, r.deficit) for r in reports])
     assert len(reports) == count
     assert hashlib.sha256(text.encode()).hexdigest() == digest
-
-
-def test_properties_refuse_an_injection_off_the_lattice():
-    # step 1/4 puts the properties on the 1/8 lattice; 1/16 is off it
-    def off(s, t, n, k):
-        return furstenberg_index(s, t, n, k) + F(1, 16)
-
-    with pytest.raises(ValueError, match="lattice"):
-        check_index_properties(GridSpec(F(1, 4), ((2, 1),)), furstenberg_fn=off)
 
 
 FRACTION_API = ("canonical_split", "furstenberg_params", "furstenberg_index",
@@ -223,12 +237,16 @@ FRACTION_API = ("canonical_split", "furstenberg_params", "furstenberg_index",
 
 def test_built_in_checkers_make_no_fraction_api_call(monkeypatch):
     def checks():
+        clean = _properties(((2, 1), (3, 2)), GridSpec(F(1, 6)))
+        with monkeypatch.context() as m:
+            m.setattr("fpfurst.lemmas._LIPSCHITZ", F(1, 3))
+            lipschitz_third = check_index_properties(3, 2, GridSpec(F(1, 3)))
         return [
             check_recursion_f1(2, COARSE, slack=F(1, 10)),
             check_recursion_f2(4, 2, COARSE, slack=F(1, 10)),
             check_recursion_m(4, 2, COARSE, slack=F(1, 10)),
-            check_index_properties(GridSpec(F(1, 6), ((2, 1), (3, 2)))),
-            check_index_properties(GridSpec(F(1, 3), ((3, 2),)), lipschitz_constant=F(1, 3)),
+            clean,
+            lipschitz_third,
         ]
 
     expected = checks()
@@ -246,7 +264,7 @@ def test_built_in_checkers_make_no_fraction_api_call(monkeypatch):
 @pytest.mark.parametrize("D", [1, 2, 6, 8])
 def test_split_is_canonical_split_on_the_lattice(D):
     for x in range(1, 5 * D + 1):
-        d, sigma = canonical_split(F(x, D))
+        d, sigma = index_oracle.canonical_split(F(x, D))
         assert _split(x, D) == (d, sigma * D)
 
 
@@ -354,20 +372,11 @@ def test_lattice_checkers_equal_fraction_oracle(lemma, dims, q):
         assert bool(got) == (slack > 0)
 
 
-def test_scaled_index_refuses_values_off_the_lattice():
-    # F(1/2, 1; 2, 1) = 5/4 is not a multiple of 1/2
-    with pytest.raises(ValueError, match="lattice"):
-        _scaled_index(furstenberg_index, 2)(1, 2, 2, 1)
-    assert _scaled_index(furstenberg_index, 4)(2, 4, 2, 1) == 5
-    assert _scaled_index(marstrand_index, 1)(3, 1, 3, 1) is NEG_INF
-
-
-def test_properties_report_an_injected_neg_inf():
+def test_properties_report_an_injected_neg_inf(monkeypatch):
     # M = -inf everywhere: easym_lower sees val < lower with val = -inf, whose
     # deficit is one whole unit rather than |rhs - lhs|
-    reports = check_index_properties(
-        GridSpec(F(1, 2), ((2, 1),)), marstrand_fn=lambda a, s, n, k: NEG_INF
-    )
+    _break(monkeypatch, _marstrand_scaled=lambda x, y, n, k, D: NEG_INF)
+    reports = check_index_properties(2, 1, GridSpec(F(1, 2)))
     lemmas = {r.lemma for r in reports}
     assert "easym_lower" in lemmas
     for r in reports:
@@ -375,12 +384,13 @@ def test_properties_report_an_injected_neg_inf():
             assert r.lhs is NEG_INF and r.deficit == 1
 
 
-def test_properties_report_m_diagonal_from_a_neg_inf_base():
+def test_properties_report_m_diagonal_from_a_neg_inf_base(monkeypatch):
     # M(1, 1; 2, 1) = 1 replaced by -inf: M(1/2, 1/2) is finite and larger
-    def holed(a, s, n, k):
-        return NEG_INF if (a, s, n, k) == (1, 1, 2, 1) else marstrand_index(a, s, n, k)
+    def holed(x, y, n, k, D):
+        return NEG_INF if (x, y, n, k) == (D, D, 2, 1) else _marstrand_scaled(x, y, n, k, D)
 
-    reports = check_index_properties(GridSpec(F(1, 2), ((2, 1),)), marstrand_fn=holed)
+    _break(monkeypatch, _marstrand_scaled=holed)
+    reports = check_index_properties(2, 1, GridSpec(F(1, 2)))
     diagonal = [r for r in reports if r.lemma == "m_diagonal"]
     assert diagonal == [CounterexampleReport(
         "m_diagonal",
