@@ -56,11 +56,14 @@ class ExceptionalWitness:
     n: int
     k: int
     p: int
-    mtype: int
     branch: str
     set_a: PointSet
     claimed: tuple[LinearSubspace, ...]
     certified_count: int
+
+    @property
+    def mtype(self) -> int:
+        return marstrand_params(self.a, self.s, self.n, self.k).mtype
 
 
 def _sym_range(bound: int, p: int) -> list[int]:
@@ -220,10 +223,7 @@ def _certify(a, s, n, k, p, branch, set_a, claimed) -> ExceptionalWitness:
         raise DegenerateScaleError(
             f"{branch}: {len(bad)} claimed directions fail the strict test at p = {p}"
         )
-    return ExceptionalWitness(
-        a, s, n, k, p, marstrand_params(a, s, n, k).mtype, branch,
-        set_a, tuple(claimed), len(exceptional),
-    )
+    return ExceptionalWitness(a, s, n, k, p, branch, set_a, tuple(claimed), len(exceptional))
 
 
 def certify_lower_bound(w: ExceptionalWitness, c) -> bool:

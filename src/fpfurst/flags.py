@@ -61,6 +61,8 @@ class LinearSubspace(PrimeMatrix):
 
     def __post_init__(self):
         super().__post_init__()
+        if type(self.pivots) is not tuple:
+            raise TypeError("pivots must be a tuple")
         if len(self.pivots) != self.rows:
             raise ValueError("pivot count mismatch")
         # enumerate_linear's shape: row i is 1 at its pivot c, 0 left of c and at the other pivots
@@ -135,6 +137,8 @@ class AffineFlat:
     base: tuple[int, ...]
 
     def __post_init__(self):
+        if type(self.base) is not tuple:
+            raise TypeError("base must be a tuple")
         if len(self.base) != self.direction.n:
             raise ValueError("base length mismatch")
         _check_ints(self.base)

@@ -16,8 +16,8 @@ flat is lifted to the k-flats through it that are transverse to the ambient
 coordinate slice.
 
 A member is a flat with its marked points (its y-set): a strictly sorted
-tuple of point tuples, built valid.  Only each family's union is a validated
-`PointSet`, and `verify_family` checks the y-sets against it.
+tuple of point tuples, built valid.  A family is its members: the union E is
+derived from the y-sets, validated once as a `PointSet` on first use.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from ._kernel import _reduce
 from .errors import DegenerateScaleError
@@ -53,39 +54,35 @@ HALF = Fraction(1, 2)
 
 @dataclass(frozen=True)
 class FurstenbergFamily:
-    """A constructed family: flats with their marked point sets and the union."""
+    """A constructed family: flats with their marked point sets."""
 
     s: Fraction
     t: Fraction
     n: int
     k: int
     p: int
-    lam: Fraction
     branch: str
     members: tuple[tuple[AffineFlat, tuple[tuple[int, ...], ...]], ...]
-    union: PointSet
+
+    lam = HALF
+
+    @cached_property
+    def union(self) -> PointSet:
+        """E: the y-sets' sorted union, each point as its first member marks it."""
+        return PointSet(self.n, self.p, tuple(sorted(set().union(*(ys for _, ys in self.members)))))
 
 
 @dataclass(frozen=True)
 class FamilyValidity:
-    is_valid: bool
     failures: tuple[str, ...]
 
-
-def _union_points(members) -> list[tuple[int, ...]]:
-    """The sorted union of the members' y-sets, by value."""
-    return sorted(set().union(*(ys for _, ys in members)))
-
-
-def _family(s, t, n, k, p, branch, members, union=None) -> FurstenbergFamily:
-    members = tuple(members)
-    if union is None:
-        union = PointSet(n, p, tuple(_union_points(members)))
-    return FurstenbergFamily(s, t, n, k, p, HALF, branch, members, union)
+    @property
+    def is_valid(self) -> bool:
+        return not self.failures
 
 
-def _line_directions(p: int) -> list[LinearSubspace]:
-    return list(enumerate_linear(2, 1, p))
+def _family(s, t, n, k, p, branch, members) -> FurstenbergFamily:
+    return FurstenbergFamily(s, t, n, k, p, branch, tuple(members))
 
 
 def construct_2d(s, t, p: int) -> FurstenbergFamily:
@@ -111,7 +108,7 @@ def construct_2d(s, t, p: int) -> FurstenbergFamily:
 
 def _pencil_family(t: Fraction, p: int) -> FurstenbergFamily:
     origin = (0, 0)
-    dirs = _line_directions(p)
+    dirs = list(enumerate_linear(2, 1, p))
     if t <= 1:
         need = ceil_rational_power(p, t)
         members = [(AffineFlat.through(origin, D), (origin,)) for D in dirs[:need]]
@@ -130,7 +127,7 @@ def _trivial_family(s: Fraction, t: Fraction, p: int) -> FurstenbergFamily:
     nlines = ceil_rational_power(p, t)
     npts = ceil_rational_power(p, s)
     members = []
-    for D in _line_directions(p)[:nlines]:
+    for D in itertools.islice(enumerate_linear(2, 1, p), nlines):
         flat = AffineFlat.through((0, 0), D)
         members.append((flat, tuple(sorted(flat.points()[:npts]))))
     return _family(s, t, 2, 1, p, "2d-trivial", members)
@@ -162,7 +159,7 @@ def _strip_family(s: Fraction, t: Fraction, p: int) -> FurstenbergFamily:
     the line with direction (1, c), c != 0, and base (0, y0) meets row y at
     x = (y - y0) * c^-1 mod p, and the line with direction (0, 1) and base
     (x0, 0) meets it at x = x0.  The p * ceil(p^s) strip points are built
-    once and shared by all p^2 members and the union.
+    once and shared by all p^2 members.
     """
     nrows = ceil_rational_power(p, s)  # <= p, since s <= 1
     rows = sorted({r % p for r in range(1, nrows + 1)})
@@ -178,8 +175,7 @@ def _strip_family(s: Fraction, t: Fraction, p: int) -> FurstenbergFamily:
         else:  # horizontal
             continue
         members.append((line, pts))
-    union = PointSet(2, p, tuple([q for col in columns for q in col]))
-    return _family(s, t, 2, 1, p, "2d-strip", members, union)
+    return _family(s, t, 2, 1, p, "2d-strip", members)
 
 
 def construct_general(s, t, n: int, k: int, p: int) -> FurstenbergFamily:
@@ -234,10 +230,10 @@ def _general_case_b(s, t, n, k, p, d) -> FurstenbergFamily:
         )
     )
     assert len(hosts) == need
-    ys = PointSet.from_iterable(core.points()[: ceil_rational_power(p, s)], n, p)
+    ys = tuple(core.points()[: ceil_rational_power(p, s)])  # sorted: core is coordinate
     origin = (0,) * n
-    members = [(AffineFlat.through(origin, U), ys.points) for U in hosts]
-    return _family(s, t, n, k, p, "general-b-shared", members, ys)
+    members = [(AffineFlat.through(origin, U), ys) for U in hosts]
+    return _family(s, t, n, k, p, "general-b-shared", members)
 
 
 def _general_case_cd(pr, p: int) -> FurstenbergFamily:
@@ -254,8 +250,7 @@ def _general_case_cd(pr, p: int) -> FurstenbergFamily:
         members = [(line, tuple([(x,) for x in range(npts)]))]
         ambient = 1
     else:
-        seed = construct_2d(sigma, seed_tau, p)
-        members = list(seed.members)
+        members = list(construct_2d(sigma, seed_tau, p).members)
         ambient = 2
 
     if d > 0:
@@ -372,24 +367,20 @@ def _lift_transverse(members, n: int, k: int, p: int, slice_dim: int):
 def verify_family(f: FurstenbergFamily) -> FamilyValidity:
     """Exact check of the three defining conditions plus structural sanity.
 
-    Only the stored union is a validated `PointSet`, so it is compared first:
-    once it equals the union of the y-sets, each marked point is a length-n
-    residue by value (1.0 counts as 1) and a strictly sorted tuple counts its
-    points.  Otherwise, or where a y-set is not a tuple, the y-set goes through
+    `f.union` is validated first: once it is a `PointSet`, each marked point
+    is a length-n residue by value and a strictly sorted tuple counts its
+    points.  It keeps each point's first-marked representative, so 1.0 is
+    refused where marked first and counts as 1 after an int twin.  If it is
+    refused, or where a y-set is not a tuple, the y-set goes through
     `PointSet(f.n, f.p, ys)`'s checks, reported, not raised.  Then one
     `_kernel._reduce` per marked point: it must reduce modulo V to the base.
     """
     failures = []
-    union_ok = f.union.n == f.n and f.union.p == f.p
-    if not union_ok:
-        failures.append("stored union in wrong space")
-    else:
-        try:
-            union_ok = _union_points(f.members) == list(f.union.points)
-        except TypeError:  # an unhashable or unorderable point, or a y-set that is not iterable
-            union_ok = False
-        if not union_ok:
-            failures.append("stored union does not match the union of the y-sets")
+    union_ok = True
+    try:
+        f.union
+    except (TypeError, ValueError):  # an invalid point, or a y-set that is not iterable
+        union_ok = False
     if len(f.members) < ceil_scaled_power(f.lam, f.p, f.t):
         failures.append(
             f"family has {len(f.members)} flats, fewer than lambda*p^t"
@@ -422,7 +413,7 @@ def verify_family(f: FurstenbergFamily) -> FamilyValidity:
         if not set(map(_reduce, pts, itertools.repeat(rows), itertools.repeat(f.p))) <= {flat.base}:
             pt = next(pt for pt in pts if _reduce(pt, rows, f.p) != flat.base)
             failures.append(f"member {i}: point {pt} lies off its flat")
-    return FamilyValidity(not failures, tuple(failures))
+    return FamilyValidity(tuple(failures))
 
 
 def lower_bound_sanity(f: FurstenbergFamily) -> bool:

@@ -48,6 +48,8 @@ def is_prime(p: int) -> bool:
 
 
 def check_prime(p: int) -> int:
+    if not isinstance(p, int):  # before is_prime's cache, which answers 5.0 as 5
+        raise TypeError(f"p must be an int, got {p!r}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     return p
@@ -70,6 +72,8 @@ class PrimeMatrix:
 
     def __post_init__(self):
         check_prime(self.p)
+        if type(self.entries) is not tuple:
+            raise TypeError("entries must be a tuple")
         if len(self.entries) != self.rows * self.cols:
             raise ValueError("entry count does not match shape")
         _check_ints(self.entries)

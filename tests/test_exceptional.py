@@ -10,6 +10,7 @@ from fpfurst import _kernel
 from fpfurst.cli import parse_config, run
 from fpfurst.errors import DegenerateScaleError
 from fpfurst.exceptional import (
+    _certify,
     _rectangle,
     _rectangle_product,
     certify_lower_bound,
@@ -80,6 +81,17 @@ def test_oberlin_claims_individually_exceptional():
     assert len(w.claimed) == 5
     for V in w.claimed:
         assert projection_count(w.set_a, V) < ceil_rational_power(101, F(3, 4))
+
+
+def test_certify_refuses_a_claimed_direction_that_is_not_exceptional():
+    # the axis {0} x F_5 meets 1 coset of its own direction and 5 = p^1 of the
+    # other axis, so only the first claim is 1-exceptional
+    axis = PointSet(2, 5, tuple((0, y) for y in range(5)))
+    claimed = (LinearSubspace.coordinate([1], 2, 5), LinearSubspace.coordinate([0], 2, 5))
+    assert _certify(1, 1, 2, 1, 5, "axis", axis, claimed[:1]).certified_count == 1
+    with pytest.raises(DegenerateScaleError) as exc:
+        _certify(1, 1, 2, 1, 5, "axis", axis, claimed)
+    assert str(exc.value) == "axis: 1 claimed directions fail the strict test at p = 5"
 
 
 def test_oberlin_boundary_s_equals_a():

@@ -210,6 +210,18 @@ _E1 = LinearSubspace.coordinate([0], 3, 5)
         pytest.param(lambda: AffineFlat(_D, (0, 7)), ValueError, "residues", id="base-above-p"),
         pytest.param(lambda: AffineFlat(_D, (0, -3)), ValueError, "residues", id="base-negative"),
         pytest.param(lambda: AffineFlat(_D, (0, 2.5)), TypeError, "ints", id="base-not-int"),
+        # list containers: a flat with a list base has no hash, and no tuple
+        # residue of contains_point equals its base
+        pytest.param(lambda: AffineFlat(_D, [0, 2]), TypeError, "base must be a tuple", id="base-list"),
+        pytest.param(
+            lambda: PrimeMatrix(5, 1, 2, [1, 3]), TypeError, "entries must be a tuple", id="matrix-entries-list"
+        ),
+        pytest.param(
+            lambda: LinearSubspace(5, 1, 2, [1, 3], (0,)), TypeError, "entries must be a tuple", id="entries-list"
+        ),
+        pytest.param(
+            lambda: LinearSubspace(5, 1, 2, (1, 3), [0]), TypeError, "pivots must be a tuple", id="pivots-list"
+        ),
         pytest.param(
             lambda: AffineFlat.through((0, 2.5), _D), TypeError, "ints", id="through-not-int"
         ),

@@ -1,6 +1,6 @@
 import hashlib
 import itertools
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -154,10 +154,8 @@ def test_verify_family_detects_point_off_flat():
 
 
 def _with_y_set(fam, i, ys):
-    """fam with member i's y-set replaced and the stored union rebuilt."""
-    members = fam.members[:i] + ((fam.members[i][0], ys),) + fam.members[i + 1 :]
-    union = sorted(set().union(*(y for _, y in members)))
-    return replace(fam, members=members, union=PointSet(fam.n, fam.p, tuple(union)))
+    """fam with member i's y-set replaced."""
+    return replace(fam, members=fam.members[:i] + ((fam.members[i][0], ys),) + fam.members[i + 1 :])
 
 
 def test_verify_family_names_off_flat_point_of_later_member():
@@ -218,18 +216,13 @@ def test_determinism_and_round_trip():
     assert verify_family(fam).is_valid
 
 
-def test_verify_family_detects_union_mismatch():
+def test_union_is_the_union_of_the_members_y_sets():
     fam = construct_2d(F(1, 2), 1, 29)
-    pts = fam.union.points
-    extra = next(q for q in full_space(2, 29) if q not in fam.union)
-    for union in (
-        PointSet(2, 29, pts[:3] + pts[4:]),  # one marked point missing
-        PointSet.from_iterable([*pts, extra], 2, 29),  # one point no member marks
-    ):
-        validity = verify_family(replace(fam, union=union))
-        assert validity.failures == (
-            "stored union does not match the union of the y-sets",
-        )
+    assert [f.name for f in fields(fam)] == ["s", "t", "n", "k", "p", "branch", "members"]
+    for m in (1, 7, 20):
+        kept = replace(fam, members=fam.members[:m])
+        assert kept.union == PointSet.from_iterable((q for _, ys in kept.members for q in ys), 2, 29)
+        assert len(kept.union) < len(fam.union)
 
 
 @pytest.mark.parametrize(
@@ -240,45 +233,35 @@ def test_verify_family_detects_union_mismatch():
     ],
 )
 def test_verify_family_reports_y_set_in_wrong_space(ys, bad):
-    # points of F_11^2 or F_7^1 miss the stored union, and the y-set is then
+    # points of F_11^2 or F_7^1 make the union invalid, and the y-set is then
     # re-validated in the family's space F_7^2
     fam = construct_2d(F(1, 2), 1, 7)
     diagonal = AffineFlat.through((0, 0), LinearSubspace.from_rows([[1, 1]], 2, 7))
     validity = verify_family(replace(fam, members=((diagonal, ys),) + fam.members[1:]))
-    assert validity.failures == (
-        "stored union does not match the union of the y-sets",
-        f"member 0: invalid y-set: bad point {bad} for F_7^2",
-    )
-
-
-def test_verify_family_reports_union_in_wrong_space():
-    fam = construct_2d(F(1, 2), 1, 7)
-    pts = fam.union.points
-    for union in (PointSet(2, 11, pts), PointSet(3, 7, tuple(q + (0,) for q in pts))):
-        validity = verify_family(replace(fam, union=union))
-        assert validity.failures == ("stored union in wrong space",)
+    assert validity.failures == (f"member 0: invalid y-set: bad point {bad} for F_7^2",)
 
 
 # Member 0 of the p = 5 strip is the diagonal (0, 0), ..., (4, 4); every point
-# of F_5^2 is marked, so the stored union below stays the correct one.
+# of F_5^2 is marked, by member 0 first where it lies on the diagonal.
 _DIAGONAL = ((0, 0), (1, 1), (2, 2), (3, 3), (4, 4))
-_UNION_MISMATCH = "stored union does not match the union of the y-sets"
+_NOT_INTS = "member 0: invalid y-set: entries must be ints"
 _NOT_TUPLES = "member 0: invalid y-set: points must be a tuple of tuples"
 
 
 @pytest.mark.parametrize(
     "points, failures",
     [
-        (_DIAGONAL[:4] + ((4.5, 4),), (_UNION_MISMATCH, "member 0: invalid y-set: entries must be ints")),
-        (_DIAGONAL[:4] + ((5, 5),), (_UNION_MISMATCH, "member 0: invalid y-set: bad point (5, 5) for F_5^2")),
-        (_DIAGONAL[:4] + ((4, 4, 0),), (_UNION_MISMATCH, "member 0: invalid y-set: bad point (4, 4, 0) for F_5^2")),
+        (_DIAGONAL[:4] + ((4.5, 4),), (_NOT_INTS,)),
+        (_DIAGONAL[:4] + ((5, 5),), ("member 0: invalid y-set: bad point (5, 5) for F_5^2",)),
+        (_DIAGONAL[:4] + ((4, 4, 0),), ("member 0: invalid y-set: bad point (4, 4, 0) for F_5^2",)),
         (_DIAGONAL + ((4, 4),), ("member 0: y-set is not strictly sorted",)),  # duplicate
         (_DIAGONAL[1::-1] + _DIAGONAL[2:], ("member 0: y-set is not strictly sorted",)),  # out of order
-        (_DIAGONAL[:1] + ((1.0, 1),) + _DIAGONAL[2:], ()),  # 1.0 is the point 1, by value
-        (_DIAGONAL[:1] + ((1.0, 1),) + _DIAGONAL[2:4] + ((4, 0),), ("member 0: point (4, 0) lies off its flat",)),
-        # an unhashable point fails the union comparison, then PointSet's check
-        pytest.param(_DIAGONAL[:4] + ([4, 4],), (_UNION_MISMATCH, _NOT_TUPLES), id="list-point"),
-        # the right points in a container that is not a tuple: the union matches
+        # marked first, 1.0 is the union's representative of (1, 1), and refused
+        (_DIAGONAL[:1] + ((1.0, 1),) + _DIAGONAL[2:], (_NOT_INTS,)),
+        (_DIAGONAL[:1] + ((1.0, 1),) + _DIAGONAL[2:4] + ((4, 0),), (_NOT_INTS,)),
+        # an unhashable point fails the union, then PointSet's check
+        pytest.param(_DIAGONAL[:4] + ([4, 4],), (_NOT_TUPLES,), id="list-point"),
+        # the right points in a container that is not a tuple: the union is valid
         pytest.param(list(_DIAGONAL), (_NOT_TUPLES,), id="list"),
         pytest.param(PointSet(2, 5, _DIAGONAL), (_NOT_TUPLES,), id="point-set"),
     ],
@@ -289,6 +272,17 @@ def test_verify_family_reports_unvalidated_y_set(points, failures):
     validity = verify_family(replace(fam, members=((fam.members[0][0], points),) + fam.members[1:]))
     assert validity.failures == failures
     assert validity.is_valid == (not failures)
+
+
+def test_verify_family_counts_a_float_point_after_its_int_twin():
+    # member 0 marks (1, 1) before member 9 marks (1.0, 1): the union keeps the
+    # int, and 1.0 counts as the point 1, by value
+    fam = construct_2d(1, 2, 5)
+    ys = fam.members[9][1]
+    assert (1, 1) in fam.members[0][1] and ys[1] == (1, 1)
+    mutated = _with_y_set(fam, 9, ys[:1] + ((1.0, 1),) + ys[2:])
+    assert verify_family(mutated).failures == ()
+    assert mutated.union == fam.union
 
 
 def test_verify_family_reports_flat_in_wrong_space():
@@ -310,8 +304,6 @@ def test_verify_family_reports_flat_dimension():
 
 
 def test_verify_family_reports_duplicate_flat():
-    # every point of F_5^2 lies on 5 of the strip's lines, so dropping
-    # member 1's y-set keeps the stored union correct
     fam = construct_2d(1, 2, 5)
     mutated = replace(fam, members=fam.members[:1] * 2 + fam.members[2:])
     assert verify_family(mutated).failures == ("member 1: duplicate flat",)
@@ -320,11 +312,12 @@ def test_verify_family_reports_duplicate_flat():
 def test_lower_bound_sanity_refuses_small_unions():
     fam = construct_2d(1, 2, 5)
     assert lower_bound_sanity(fam)
+    axis = next(m for m in fam.members if m[0].direction.row(0) == (0, 1) and m[0].base == (0, 0))
     # #E = 2 < ceil(p^s / 2) = 3
-    assert not lower_bound_sanity(replace(fam, union=PointSet(2, 5, ((0, 0), (0, 1)))))
+    assert not lower_bound_sanity(replace(fam, members=((axis[0], axis[1][:2]),)))
     # #E = 3 clears the first bound, but 3 * #G(1, F_5^2) = 18 < ceil(p^3 / 4) = 32
-    union = PointSet(2, 5, ((0, 0), (0, 1), (0, 2)))
-    assert not lower_bound_sanity(replace(fam, s=F(1), t=F(2), union=union))
+    three = replace(fam, s=F(1), t=F(2), members=((axis[0], axis[1][:3]),))
+    assert three.union.points == ((0, 0), (0, 1), (0, 2)) and not lower_bound_sanity(three)
 
 
 def test_meets_upper_bound_refuses_nonpositive_constant():
@@ -487,14 +480,15 @@ def test_golden_y_sets_survive_validation(case):
     [
         ((1, 2, 2, 1), (5, 7), "2d-strip", 1),
         ((F(1, 2), 1, 2, 1), (11, 29), "2d-st-grid", 1),
-        ((1, 3, 3, 1), (5, 7), "general-c", 2),  # the 2-D seed's union, then the family's
+        ((1, 3, 3, 1), (5, 7), "general-c", 1),
         ((2, 3, 3, 2), (5, 7), "general-d", 1),
+        ((F(3, 2), 1, 4, 3), (5, 7), "general-b-shared", 1),
     ],
 )
 def test_validation_work_per_construction(case, primes, branch, validations, monkeypatch):
-    # Only each family's union goes through PointSet.__post_init__, so the
-    # count is the same at both primes while the member count grows; and
-    # verify_family makes one _reduce per marked point and validates nothing.
+    # A construction validates nothing; verify_family builds the union, the
+    # only PointSet, so the count is the same at both primes while the member
+    # count grows, and it makes one _reduce per marked point.
     checks, reduces = [], []
     check, reduce = PointSet.__post_init__, furstenberg._reduce
     monkeypatch.setattr(PointSet, "__post_init__", lambda self: checks.append(1) or check(self))
@@ -506,7 +500,7 @@ def test_validation_work_per_construction(case, primes, branch, validations, mon
         fam = construct_general(*case, p)
         assert fam.branch == branch
         members.add(len(fam.members))
-        assert len(checks) == validations
+        assert not checks
         assert verify_family(fam).is_valid
         assert len(checks) == validations
         assert len(reduces) == sum(len(ys) for _, ys in fam.members)

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpfurst.flags import LinearSubspace, enumerate_linear
-from fpfurst.primefield import PRIME_LIMIT, PrimeMatrix, is_prime
+from fpfurst.primefield import PRIME_LIMIT, PrimeMatrix, check_prime, is_prime
+from fpfurst.projections import PointSet
 from rank_oracle import matrix, rref
 
 
@@ -31,6 +32,23 @@ def test_is_prime_large_and_pseudoprimes():
 def test_composite_modulus_rejected():
     with pytest.raises(ValueError, match="is not prime"):
         PrimeMatrix(9, 1, 1, (1,))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: check_prime(7.0),
+        lambda: PrimeMatrix(5.0, 1, 2, (1, 3)),
+        lambda: LinearSubspace(5.0, 1, 2, (1, 3), (0,)),
+        lambda: PointSet(2, 5.0, ((1, 2),)),
+    ],
+    ids=["check-prime", "matrix", "subspace", "point-set"],
+)
+def test_integral_float_modulus_refused(build):
+    # is_prime's cache would answer 5.0 from its entry for 5
+    assert is_prime(5) and is_prime(7)
+    with pytest.raises(TypeError, match="p must be an int"):
+        build()
 
 
 def test_prime_matrix_refuses_bad_input():
