@@ -26,7 +26,8 @@ Every subcommand takes --config FILE, --out DIR and --jobs N; construct and
 exceptional each take their one constant flag, and no other subcommand takes
 either.  --jobs 1 (the default) evaluates every case in this process and
 loads no process pool; N > 1 fans the cases out over N worker processes
-without changing row order.
+without changing row order.  A launch imports only the modules its command
+runs, and imports them while parsing the config, before any case.
 
 Outputs: <out>/<command>.csv with one row per case (schema fixed per
 command, exact decimal integers and num/den rationals only, so identical
@@ -50,6 +51,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import importlib
 import io
 import itertools
 import json
@@ -60,26 +62,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 
-from .exceptional import certify_lower_bound, construct_marstrand_witness
-from .flags import (LinearSubspace, enumerate_affine, enumerate_linear, gaussian_binomial,
-                    small_projection_count)
-from .furstenberg import (
-    construct_general,
-    lower_bound_sanity,
-    meets_upper_bound,
-    verify_family,
-)
 from .indices import as_fraction, furstenberg_index, marstrand_index
-from .lemmas import (
-    GridSpec,
-    check_index_properties,
-    check_recursion_f1,
-    check_recursion_f2,
-    check_recursion_m,
-    reports_to_csv,
-)
 from .primefield import PRIME_LIMIT, is_prime
-from .projections import count_small_projection_subspaces
 
 
 class ConfigError(ValueError):
@@ -226,7 +210,7 @@ def parse_config(text: str) -> ExperimentConfig:
     what, selector = _variant(command, params)
     if what is None:
         raise ConfigError(f"{command} requires key {selector!r}")
-    _, _, sweep, optional = _KEYS[what]
+    _, module, _, sweep, optional = _KEYS[what]
     for key in params:
         if key not in sweep and key not in optional and key != selector:
             raise ConfigError(f"{what} does not read key {key!r}")
@@ -235,6 +219,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"{command} requires key {key!r}")
     if ("m" in params) != ("l" in params):
         raise ConfigError("count requires both of the keys 'm' and 'l', or neither")
+    importlib.import_module(f".{module}", __package__)
     return ExperimentConfig(command=command, params={**optional, **params},
                             constant=_CONSTANT_FLAGS.get(command, (None, None))[1])
 
@@ -245,6 +230,9 @@ def _eval_index(kind, s, n, k, t=None, a=None) -> dict:
 
 
 def _eval_lemma(lemma, k, step, n=None) -> dict:
+    from .lemmas import (GridSpec, check_index_properties, check_recursion_f1,
+                         check_recursion_f2, check_recursion_m)
+
     grid = GridSpec(step)
     if lemma == "recursion_f1":
         reports = check_recursion_f1(k, grid)
@@ -258,6 +246,8 @@ def _eval_lemma(lemma, k, step, n=None) -> dict:
 
 
 def _eval_construct(s, t, n, k, p, constant) -> dict:
+    from .furstenberg import construct_general, lower_bound_sanity, meets_upper_bound, verify_family
+
     fam = construct_general(s, t, n, k, p)
     valid = verify_family(fam).is_valid
     upper_ok = meets_upper_bound(fam, constant)
@@ -275,6 +265,8 @@ def _eval_construct(s, t, n, k, p, constant) -> dict:
 
 
 def _eval_exceptional(a, s, n, k, p, constant) -> dict:
+    from .exceptional import certify_lower_bound, construct_marstrand_witness
+
     witness = construct_marstrand_witness(a, s, n, k, p)
     ok = certify_lower_bound(witness, constant)
     return {
@@ -292,6 +284,10 @@ def _eval_exceptional(a, s, n, k, p, constant) -> dict:
 def _eval_count(kind, n, k, p, m=None, l=None) -> dict:
     """A row passes iff the enumeration equals the exact count; small_projection's
     `expected` prints the paper's p^e instead."""
+    from .flags import (LinearSubspace, enumerate_affine, enumerate_linear, gaussian_binomial,
+                        small_projection_count)
+    from .projections import count_small_projection_subspaces
+
     if kind == "grassmannian":
         got = sum(1 for _ in enumerate_linear(n, k, p))
         expected = exact = gaussian_binomial(n, k, p)
@@ -309,22 +305,26 @@ def _eval_count(kind, n, k, p, m=None, l=None) -> dict:
 
 
 # Every variant a config can select, one row each: an `index` kind, a lemma,
-# or an unsplit command.  A row names the command, the evaluator (module-level,
-# so --jobs can pickle it), the keys swept as a Cartesian product, in product
-# order, and the optional keys with their defaults.  A swept key with no
-# default is required.
+# or an unsplit command.  A row names the command, the module whose import
+# loads every name the evaluator reads, the evaluator (module-level, so --jobs
+# can pickle it), the keys swept as a Cartesian product, in product order, and
+# the optional keys with their defaults.  A swept key with no default is
+# required.  `parse_config` imports the row's module, so a launch loads only
+# what its command runs, and loads it before `run`.
 _STEP = {"step": (Fraction(1, 4),)}
 _KEYS = {
-    "furstenberg": ("index", _eval_index, ("s", "t", "n", "k"), {}),
-    "marstrand": ("index", _eval_index, ("a", "s", "n", "k"), {}),
-    "recursion_f1": ("lemmas", _eval_lemma, ("k", "step"), _STEP),
-    "recursion_f2": ("lemmas", _eval_lemma, ("pairs", "step"), _STEP),
-    "recursion_m": ("lemmas", _eval_lemma, ("pairs", "step"), _STEP),
-    "properties": ("lemmas", _eval_lemma, ("pairs", "step"), {"step": (Fraction(1, 12),)}),
-    "construct": ("construct", _eval_construct, ("s", "t", "n", "k", "p"), {}),
-    "exceptional": ("exceptional", _eval_exceptional, ("a", "s", "n", "k", "p"), {}),
-    # m and l sweep their own product within each (n, k, p)
-    "count": ("count", _eval_count, ("n", "k", "p"), {"m": (), "l": ()}),
+    "furstenberg": ("index", "indices", _eval_index, ("s", "t", "n", "k"), {}),
+    "marstrand": ("index", "indices", _eval_index, ("a", "s", "n", "k"), {}),
+    "recursion_f1": ("lemmas", "lemmas", _eval_lemma, ("k", "step"), _STEP),
+    "recursion_f2": ("lemmas", "lemmas", _eval_lemma, ("pairs", "step"), _STEP),
+    "recursion_m": ("lemmas", "lemmas", _eval_lemma, ("pairs", "step"), _STEP),
+    "properties": ("lemmas", "lemmas", _eval_lemma, ("pairs", "step"),
+                   {"step": (Fraction(1, 12),)}),
+    "construct": ("construct", "furstenberg", _eval_construct, ("s", "t", "n", "k", "p"), {}),
+    "exceptional": ("exceptional", "exceptional", _eval_exceptional,
+                    ("a", "s", "n", "k", "p"), {}),
+    # projections imports flags; m and l sweep their own product within each (n, k, p)
+    "count": ("count", "projections", _eval_count, ("n", "k", "p"), {"m": (), "l": ()}),
 }
 COMMANDS = tuple(dict.fromkeys(row[0] for row in _KEYS.values()))
 # The key that selects the variant of a command split in two, and its default
@@ -365,7 +365,7 @@ def _build_cases(config: ExperimentConfig):
     maps the evaluator's argument names to their values."""
     p = config.params
     what, selector = _variant(config.command, p)
-    _, evaluator, keys, _ = _KEYS[what]
+    _, _, evaluator, keys, _ = _KEYS[what]
     fixed = {selector: what} if selector else {}
     if config.constant is not None:
         fixed["constant"] = config.constant
@@ -402,6 +402,8 @@ def run(config: ExperimentConfig) -> RunReport:
         reports.extend(row.pop("_reports", []))
     report.rows = rows
     if config.command == "lemmas":
+        from .lemmas import reports_to_csv
+
         report.counterexample_csv = reports_to_csv(reports)
     report.wall_ms = int((time.monotonic() - start) * 1000)
     return report

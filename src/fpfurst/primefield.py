@@ -19,10 +19,17 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_LIMIT = 3317044064679887385961981
 
 
-@lru_cache(maxsize=None)
 def is_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin; exact for every p < PRIME_LIMIT (about
-    3.3 * 10**24), and a ValueError beyond it rather than a guess."""
+    """Deterministic Miller-Rabin; exact for every int p < PRIME_LIMIT (about
+    3.3 * 10**24), a ValueError beyond it rather than a guess, and a
+    TypeError for a p that is not an int."""
+    if not isinstance(p, int):  # before the cache, which answers 5.0 from the entry for 5
+        raise TypeError(f"p must be an int, got {p!r}")
+    return _is_prime(p)
+
+
+@lru_cache(maxsize=None)
+def _is_prime(p: int) -> bool:
     if p >= PRIME_LIMIT:
         raise ValueError(f"{p} is not below PRIME_LIMIT, where primality is decided")
     if p < 2:
@@ -48,8 +55,6 @@ def is_prime(p: int) -> bool:
 
 
 def check_prime(p: int) -> int:
-    if not isinstance(p, int):  # before is_prime's cache, which answers 5.0 as 5
-        raise TypeError(f"p must be an int, got {p!r}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     return p

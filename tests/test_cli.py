@@ -129,21 +129,107 @@ def test_jobs_parallel_matches_serial():
     assert serial == parallel
 
 
+def _python(script: str, *args: str, cwd=None) -> str:
+    """The stdout of a fresh interpreter running script on the checkout's src/."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args], cwd=cwd,
+        env={**os.environ, "PYTHONPATH": str(root / "src")}, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_jobs_1_loads_no_process_pool():
     # the pool is imported only when --jobs is above 1
-    root = pathlib.Path(__file__).resolve().parents[1]
     script = (
         "import sys\n"
         "from fpfurst.cli import parse_config, run\n"
         "run(parse_config('{\"command\": \"index\", \"s\": 1, \"t\": 1, \"n\": 2, \"k\": 1}'))\n"
         "print('concurrent.futures' in sys.modules)\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(root / "src")},
-        capture_output=True, text=True,
+    assert _python(script) == "False\n"
+
+
+# The fpfurst modules loaded at a CLI launch's entry to `cli.run` and at its
+# exit; the two must be equal, so that no import is timed as case evaluation.
+_FOOTPRINT_SCRIPT = """
+import json, sys
+from fpfurst import cli
+
+def loaded():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "fpfurst")
+
+run, seen = cli.run, {}
+
+def stub(config):
+    seen["enter"] = loaded()
+    return run(config)
+
+cli.run = stub
+status = cli.main(sys.argv[1:])
+print(json.dumps({"status": status, "enter": seen["enter"], "exit": loaded()}))
+"""
+_CORE = ["fpfurst", "fpfurst.cli", "fpfurst.indices", "fpfurst.primefield"]
+_FLATS = ["fpfurst._kernel", "fpfurst.flags", "fpfurst.projections"]
+
+
+@pytest.mark.parametrize(
+    "config, modules",
+    [
+        pytest.param({"command": "index", "s": "1/2", "t": "1", "n": 2, "k": 1}, _CORE,
+                     id="index"),
+        pytest.param({"command": "lemmas", "lemma": "recursion_f1", "k": 2, "step": "1/2"},
+                     _CORE + ["fpfurst.lemmas"], id="lemmas"),
+        pytest.param({"command": "count", "n": 3, "k": 1, "p": 2, "m": 1, "l": 0},
+                     _CORE + _FLATS, id="count"),
+        pytest.param({"command": "construct", "s": "1/2", "t": "1", "n": 2, "k": 1, "p": 5},
+                     _CORE + _FLATS + ["fpfurst.errors", "fpfurst.furstenberg"], id="construct"),
+        pytest.param({"command": "exceptional", "a": "3/2", "s": "3/2", "n": 4, "k": 2, "p": 3},
+                     _CORE + _FLATS + ["fpfurst.errors", "fpfurst.exceptional"],
+                     id="exceptional"),
+    ],
+)
+def test_a_launch_imports_only_what_its_command_runs(config, modules, tmp_path):
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    out = _python(_FOOTPRINT_SCRIPT, config["command"], "--config", "cfg.json", "--out", "out",
+                  cwd=tmp_path)
+    assert json.loads(out) == {"status": 0, "enter": sorted(modules), "exit": sorted(modules)}
+
+
+def test_import_fpfurst_loads_no_submodule():
+    script = (
+        "import sys\n"
+        "import fpfurst\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('fpfurst.'))\n"
+        "print(loaded())\n"
+        "fpfurst.backend_name()\n"
+        "print(loaded())\n"
+        "fpfurst.lemmas\n"
+        "print(loaded())\n"
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert _python(script) == (
+        "[]\n['fpfurst._kernel']\n['fpfurst._kernel', 'fpfurst.indices', 'fpfurst.lemmas']\n"
+    )
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_imports_its_modules_without_parse_config(jobs):
+    # a config built by hand reaches run() with no evaluator's module loaded,
+    # and spawned workers start from a fresh import of cli
+    script = (
+        "import multiprocessing, sys\n"
+        "from fractions import Fraction\n"
+        "from fpfurst.cli import ExperimentConfig, run\n"
+        "multiprocessing.set_start_method('spawn')\n"
+        "params = {'s': [Fraction(1, 2), Fraction(1)], 't': [Fraction(1)], 'n': [2], 'k': [1],\n"
+        "          'p': [5]}\n"
+        f"config = ExperimentConfig('construct', params, Fraction(16), jobs={jobs})\n"
+        "assert 'fpfurst.furstenberg' not in sys.modules\n"
+        "sys.stdout.write(run(config).to_csv())\n"
+    )
+    config = _cfg(command="construct", s=["1/2", "1"], t="1", n=2, k=1, p=5)
+    assert _python(script) == run(config).to_csv()
 
 
 @pytest.mark.parametrize(
@@ -557,7 +643,7 @@ def test_small_projection_row_passes_iff_the_count_is_exact(monkeypatch):
 
     assert row() == (449, 343, "pass")
     # 448 lies within any factor of 343 that 449 does; only the exact count passes
-    monkeypatch.setattr("fpfurst.cli.small_projection_count", lambda *args: 448)
+    monkeypatch.setattr("fpfurst.flags.small_projection_count", lambda *args: 448)
     assert row() == (449, 343, "fail")
 
 

@@ -41,8 +41,12 @@ def test_composite_modulus_rejected():
         lambda: PrimeMatrix(5.0, 1, 2, (1, 3)),
         lambda: LinearSubspace(5.0, 1, 2, (1, 3), (0,)),
         lambda: PointSet(2, 5.0, ((1, 2),)),
+        lambda: is_prime(5.0),
+        lambda: is_prime(4.0),
+        lambda: is_prime(43.0),
     ],
-    ids=["check-prime", "matrix", "subspace", "point-set"],
+    ids=["check-prime", "matrix", "subspace", "point-set", "is-prime", "is-prime-composite",
+         "is-prime-uncached"],
 )
 def test_integral_float_modulus_refused(build):
     # is_prime's cache would answer 5.0 from its entry for 5
