@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from ._kernel import _reduce
 from .errors import DegenerateScaleError
 from .flags import (
     AffineFlat,
@@ -364,6 +363,33 @@ def _lift_transverse(members, n: int, k: int, p: int, slice_dim: int):
     return out
 
 
+def _first_off_flat(pts, flat: AffineFlat, p: int):
+    """The first of the points (residue tuples) off the flat, or None.
+
+    `_kernel._reduce` laid out over the points' columns: for each basis row
+    (c, entries) and each entry (j, b), column j loses b times column c, as
+    coordinate j of one point does.  RREF entries avoid every pivot, so each
+    row reads its pivot column unchanged, and the pivot coordinates, which
+    `_reduce` zeroes, are not compared.  The points lie on the flat iff every
+    other column, touched by a row or not, is constant at the base.
+    """
+    if not pts:
+        return None
+    cols = list(zip(*pts))
+    for c, entries in flat.direction._rows:
+        pivot_col = cols[c]
+        for j, b in entries:
+            cols[j] = [(a - x * b) % p for a, x in zip(cols[j], pivot_col)]
+    pivots = flat.direction.pivots
+    off = [
+        (cols[j], e) for j, e in enumerate(flat.base)
+        if j not in pivots and cols[j].count(e) != len(pts)
+    ]
+    if not off:
+        return None
+    return pts[min(next(i for i, a in enumerate(col) if a != e) for col, e in off)]
+
+
 def verify_family(f: FurstenbergFamily) -> FamilyValidity:
     """Exact check of the three defining conditions plus structural sanity.
 
@@ -372,8 +398,9 @@ def verify_family(f: FurstenbergFamily) -> FamilyValidity:
     points.  It keeps each point's first-marked representative, so 1.0 is
     refused where marked first and counts as 1 after an int twin.  If it is
     refused, or where a y-set is not a tuple, the y-set goes through
-    `PointSet(f.n, f.p, ys)`'s checks, reported, not raised.  Then one
-    `_kernel._reduce` per marked point: it must reduce modulo V to the base.
+    `PointSet(f.n, f.p, ys)`'s checks, reported, not raised.  Then each
+    member's marked points are reduced modulo V in one column-major pass
+    (`_first_off_flat`): they must all reduce to the base.
     """
     failures = []
     union_ok = True
@@ -409,10 +436,9 @@ def verify_family(f: FurstenbergFamily) -> FamilyValidity:
                 continue
         if len(pts) < min_points:
             failures.append(f"member {i}: y-set has {len(pts)} points, below lambda*p^s")
-        rows = flat.direction._rows
-        if not set(map(_reduce, pts, itertools.repeat(rows), itertools.repeat(f.p))) <= {flat.base}:
-            pt = next(pt for pt in pts if _reduce(pt, rows, f.p) != flat.base)
-            failures.append(f"member {i}: point {pt} lies off its flat")
+        bad = _first_off_flat(pts, flat, f.p)
+        if bad is not None:
+            failures.append(f"member {i}: point {bad} lies off its flat")
     return FamilyValidity(tuple(failures))
 
 

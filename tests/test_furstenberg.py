@@ -1,16 +1,20 @@
 import hashlib
 import itertools
+import sys
 from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fpfurst import furstenberg
+from fpfurst import _kernel
 from fpfurst.errors import DegenerateScaleError
 from fpfurst.flags import AffineFlat, LinearSubspace, enumerate_affine
 from fpfurst.furstenberg import (
     _cross,
     _extrude_graphs,
+    _first_off_flat,
     _strip_family,
     construct_2d,
     construct_general,
@@ -174,6 +178,45 @@ def test_verify_family_names_off_flat_point_of_later_member():
     mutated = _with_y_set(fam, i, PointSet.from_iterable(pts[:1] + pts[2:] + [bad], 3, p).points)
     assert len(mutated.members[i][1]) == len(ys)
     assert verify_family(mutated).failures == (f"member {i}: point {bad} lies off its flat",)
+
+
+@st.composite
+def _flat_and_points(draw):
+    """A flat of F_p^n, n <= 4, 0 <= k < n, whose basis leaves some drawn
+    non-pivot columns untouched, and a list of points: on the flat, copies of
+    the base, points moved off it only at an untouched column, and any points."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(0, n - 1))
+    pivots = tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=k, max_size=k))))
+    untouched = sorted(draw(st.sets(st.sampled_from([j for j in range(n) if j not in pivots]))))
+    residue = st.integers(0, p - 1)
+    entries = tuple(
+        int(j == c) if j <= c or j in pivots or j in untouched else draw(residue)
+        for c in pivots for j in range(n)
+    )
+    flat = AffineFlat.through(draw(st.tuples(*[residue] * n)), LinearSubspace(p, k, n, entries, pivots))
+    basis = flat.direction.to_rows()
+    on_flat = st.tuples(*[residue] * k).map(lambda cs: tuple(
+        (b + sum(c * row[j] for c, row in zip(cs, basis))) % p for j, b in enumerate(flat.base)
+    ))
+    kinds = [on_flat, st.just(flat.base), st.tuples(*[residue] * n)]
+    if untouched:
+        kinds.append(st.tuples(on_flat, st.sampled_from(untouched), st.integers(1, p - 1)).map(
+            lambda a: a[0][: a[1]] + ((a[0][a[1]] + a[2]) % p,) + a[0][a[1] + 1 :]
+        ))
+    return flat, tuple(draw(st.lists(st.one_of(kinds), max_size=12)))
+
+
+@given(_flat_and_points())
+@settings(max_examples=300, deadline=None)
+def test_first_off_flat_agrees_with_reduce(case):
+    flat, pts = case
+    rows, p = flat.direction._rows, flat.p
+    reduced = [_kernel._reduce(x, rows, p) for x in pts]
+    got = _first_off_flat(pts, flat, p)
+    assert (got is None) == all(r == flat.base for r in reduced)
+    assert got == next((x for x, r in zip(pts, reduced) if r != flat.base), None)
 
 
 def test_verify_family_empty_y_set_is_only_too_small():
@@ -466,6 +509,24 @@ def test_family_golden_digest(case, branch, digest):
 
 
 @pytest.mark.parametrize("case", [case for case, _, _ in GOLDEN])
+def test_verify_family_names_a_point_moved_off_its_flat(case):
+    # one marked point of a later member, moved by +1 along each non-pivot
+    # axis in turn, is the one failure
+    fam = construct_general(*case)
+    i = len(fam.members) // 2
+    assert i > 0
+    flat, ys = fam.members[i]
+    pt = ys[len(ys) // 2]
+    for j in sorted(set(range(fam.n)) - set(flat.direction.pivots)):
+        bad = pt[:j] + ((pt[j] + 1) % fam.p,) + pt[j + 1 :]
+        moved = tuple(sorted({*ys, bad} - {pt}))
+        assert len(moved) == len(ys)
+        assert verify_family(_with_y_set(fam, i, moved)).failures == (
+            f"member {i}: point {bad} lies off its flat",
+        )
+
+
+@pytest.mark.parametrize("case", [case for case, _, _ in GOLDEN])
 def test_golden_y_sets_survive_validation(case):
     # A y-set is a plain tuple that no constructor checks; PointSet's
     # constructor must accept it, and sorting and deduplicating it must not
@@ -488,20 +549,66 @@ def test_golden_y_sets_survive_validation(case):
 def test_validation_work_per_construction(case, primes, branch, validations, monkeypatch):
     # A construction validates nothing; verify_family builds the union, the
     # only PointSet, so the count is the same at both primes while the member
-    # count grows, and it makes one _reduce per marked point.
+    # count grows.  It checks the marked points column-major, with no _reduce
+    # call under any name the package binds it to.
     checks, reduces = [], []
-    check, reduce = PointSet.__post_init__, furstenberg._reduce
+    check, reduce = PointSet.__post_init__, _kernel._reduce
     monkeypatch.setattr(PointSet, "__post_init__", lambda self: checks.append(1) or check(self))
-    monkeypatch.setattr(furstenberg, "_reduce", lambda *a: reduces.append(1) or reduce(*a))
+    for module in [m for name, m in sys.modules.items() if name.startswith("fpfurst.")]:
+        if getattr(module, "_reduce", None) is reduce:
+            monkeypatch.setattr(module, "_reduce", lambda *a: reduces.append(1) or reduce(*a))
     members = set()
     for p in primes:
-        checks.clear()
-        reduces.clear()
         fam = construct_general(*case, p)
         assert fam.branch == branch
         members.add(len(fam.members))
         assert not checks
+        reduces.clear()
         assert verify_family(fam).is_valid
         assert len(checks) == validations
-        assert len(reduces) == sum(len(ys) for _, ys in fam.members)
+        assert not reduces
+        # the patch is live: one membership test is one _reduce
+        flat, ys = fam.members[-1]
+        assert flat.contains_point(ys[0]) and len(reduces) == 1
+        checks.clear()
     assert len(members) == len(primes)
+
+
+def _sweep_digest(items):
+    return hashlib.sha256(repr(items).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "p, degenerate, degenerate_digest, branch_digest",
+    [
+        pytest.param(
+            2, 30, "20496a44be9e0d9d4417815f0593f4c591cfc08e4bc328beba5fe11b1d061ad9",
+            "a50ab7deaebfaae9c0d487a902b2160cc8dce2eb2ffcb3d3408c813bfeeb5d3a", id="p2",
+        ),
+        pytest.param(
+            3, 0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+            "3f3993b9de6d8ce6c5ab86c4a3002abef9008b0043c1c002211d76d84d266cab", id="p3",
+        ),
+    ],
+)
+def test_construction_sweep_over_the_half_grid(p, degenerate, degenerate_digest, branch_digest):
+    # Every admissible (s, t; n, k) of the 1/2 grid for n <= 4 builds a valid
+    # family within both bounds, or is degenerate at p.  The digests pin the
+    # degenerate points and each built point's branch, in grid order.
+    raised, branches = [], []
+    for n, k in ((2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)):
+        for i, j in itertools.product(range(2 * k + 1), range(2 * (k + 1) * (n - k) + 1)):
+            s, t = F(i, 2), F(j, 2)
+            key = (str(s), str(t), n, k)
+            try:
+                fam = construct_general(s, t, n, k, p)
+            except DegenerateScaleError:
+                raised.append(key)
+                continue
+            assert verify_family(fam).is_valid, key
+            assert meets_upper_bound(fam, 16) and lower_bound_sanity(fam), key
+            branches.append((key, fam.branch))
+    assert len(raised) + len(branches) == 244
+    assert len(raised) == degenerate and _sweep_digest(raised) == degenerate_digest
+    assert _sweep_digest(branches) == branch_digest
+    assert any(branch.endswith("-lifted") for _, branch in branches)  # _lift_transverse ran
