@@ -42,7 +42,7 @@ from .indices import (
     marstrand_params,
 )
 from .primefield import check_prime
-from .projections import ExceptionalQuery, PointSet, exceptional_set, subspace_projection_exponent
+from .projections import ExceptionalQuery, PointSet, exceptional_set, small_projection_directions
 
 FIFTH = Fraction(1, 5)
 
@@ -143,7 +143,8 @@ def _rectangle_product(pr):
 
 def _slab_witness(n, k, p, m, isize, l):
     """A = F_p^m x I x 0^(n-m-1) with #I = isize; claimed directions are those
-    V with #proj_V of the coordinate m-subspace at most p^l."""
+    V with #proj_V of the coordinate m-subspace at most p^l, listed by
+    `small_projection_directions`."""
     if not 0 <= m <= n - 1:
         raise DegenerateScaleError(f"slab needs 0 <= m <= n-1, got m = {m}")
     if isize > p:
@@ -155,10 +156,7 @@ def _slab_witness(n, k, p, m, isize, l):
         for i in range(isize)
     ]
     set_a = PointSet.from_iterable(pts, n, p)
-    claimed = tuple(
-        V for V in enumerate_linear(n, n - k, p) if subspace_projection_exponent(core, V) <= l
-    )
-    return set_a, claimed
+    return set_a, tuple(small_projection_directions(core, k, l))
 
 
 def _rectangle_product_witness(n, k, p, m, beta_eff, gamma, l):

@@ -15,10 +15,11 @@ input; the two enumerators do not, because what they yield is valid by
 construction: residues in `range(p)` at a prime checked once per call, RREF
 shape and pivot count fixed by the pivot pattern, and bases that are 0 at
 every pivot.  They create each object with `object.__new__` and set its
-fields with `object.__setattr__`, in field order, so `__post_init__` never
-runs and each instance keeps the layout the dataclass `__init__` gives it.
-Filling `__dict__` directly instead would give every retained instance a
-dictionary of its own.
+fields in field order, so `__post_init__` never runs: a subspace's with
+`object.__setattr__`, which keeps the layout the dataclass `__init__` gives
+it (filling `__dict__` directly would give every retained instance a
+dictionary of its own), and a flat's, which has slots and no `__dict__`,
+through its slot descriptors.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ class LinearSubspace(PrimeMatrix):
         return pts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AffineFlat:
     """A coset base + direction, base vanishing on the direction's pivots."""
 
@@ -249,12 +250,13 @@ def enumerate_affine(n: int, k: int, p: int):
     then canonical bases in lexicographic order of the free coordinates.
 
     Every base is 0 at the direction's pivots, so each flat is built without
-    `__post_init__`, as in `enumerate_linear`."""
-    new, setfield = object.__new__, object.__setattr__
+    `__post_init__`, its two slots set through their descriptors."""
+    new = object.__new__
+    set_direction, set_base = AffineFlat.direction.__set__, AffineFlat.base.__set__
     for direction in enumerate_linear(n, k, p):
         pivots = direction.pivots
         for base in itertools.product(*[(0,) if c in pivots else range(p) for c in range(n)]):
             flat = new(AffineFlat)
-            setfield(flat, "direction", direction)
-            setfield(flat, "base", base)
+            set_direction(flat, direction)
+            set_base(flat, base)
             yield flat

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _kernel
-from .flags import LinearSubspace, enumerate_linear, join_rows
+from .flags import LinearSubspace, _echelon, enumerate_linear, join_rows
 from .indices import as_fraction, ceil_rational_power
 from .primefield import _check_ints, check_prime
 
@@ -139,14 +139,29 @@ def subspace_projection_exponent(W: LinearSubspace, V: LinearSubspace) -> int:
     return len(join_rows(V, W)) - V.k
 
 
+def small_projection_directions(W: LinearSubspace, k: int, l: int):
+    """Yield each V in G(n-k, F_p^n) with #proj_V(W) <= p^l, in enumeration
+    order.
+
+    As in `subspace_projection_exponent`, V is kept iff dim(W + V) <= l + dim V;
+    one `_echelon` of V's rows on top of W's, read once per call, decides it.
+    """
+    n, p, d = W.n, W.p, W.n - k
+    rows, most, starts = W._rows, l + d, range(0, d * n, n)
+    for V in enumerate_linear(n, d, p):
+        e = V.entries
+        if len(_echelon([e[i : i + n] for i in starts], list(rows), n, p)) <= most:
+            yield V
+
+
 def count_small_projection_subspaces(W: LinearSubspace, k: int, l: int) -> int:
     """Number of V in G(n-k, F_p^n) with #proj_V(W) <= p^l.
 
     Hypotheses (n - k >= m - l, l <= k, l <= m for m = dim W) mirror the
     counting estimate this is checked against.  Every V is enumerated and
-    decided by `subspace_projection_exponent`.
+    decided by `small_projection_directions`.
     """
-    n, p, m = W.n, W.p, W.k
+    n, m = W.n, W.k
     if not (1 <= k <= n and n - k >= m - l and 0 <= l <= k and l <= m):
         raise ValueError(f"hypotheses violated for (n={n}, k={k}, m={m}, l={l})")
-    return sum(1 for V in enumerate_linear(n, n - k, p) if subspace_projection_exponent(W, V) <= l)
+    return sum(1 for _ in small_projection_directions(W, k, l))

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import pathlib
@@ -153,6 +154,44 @@ def test_slab_witnesses_claim_exactly_the_small_projection_count():
                     assert len(w.claimed) == want, (a, s, n, k, p)
                     reached[branch] += 1
     assert reached == {"type2-slab": 58, "type3-enlarged": 160}
+
+
+_WITNESS_BRANCHES = {"type1-any": 170, "type4-empty": 50, "type3-rectangle": 28, "type3-enlarged": 15, "type2-rectangle": 14}
+
+
+@pytest.mark.parametrize(
+    "p, degenerate, branch_counts, branch_digest",
+    [
+        pytest.param(
+            3, [("1/2", "1/2", 2, 1), ("1", "1", 2, 1), ("3/2", "1", 2, 1)], _WITNESS_BRANCHES,
+            "4012eefa01a0c73fec5782438f7397a7630fd6c13c3125ecb9006c7b8c41ae5d", id="p3",
+        ),
+        pytest.param(
+            5, [("1/2", "1/2", 2, 1)], {**_WITNESS_BRANCHES, "oberlin-rectangle": 2},
+            "cfef3a10fcb9d37debf9e73dc3268d62f673594be67a2343b7df14655d0b9573", id="p5",
+        ),
+    ],
+)
+def test_witness_sweep_over_the_half_grid(p, degenerate, branch_counts, branch_digest):
+    # Every (a, s) of the 1/2 grid in (0, n]^2 for n <= 4 certifies with 1/25
+    # or is degenerate at p.  The digest pins each certified point's branch,
+    # in grid order; the slab branches claim through small_projection_directions.
+    raised, branches = [], []
+    for n, k in ((2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)):
+        for i, j in itertools.product(range(1, 2 * n + 1), repeat=2):
+            a, s = F(i, 2), F(j, 2)
+            key = (str(a), str(s), n, k)
+            try:
+                w = construct_marstrand_witness(a, s, n, k, p)
+            except DegenerateScaleError:
+                raised.append(key)
+                continue
+            assert certify_lower_bound(w, F(1, 25)), key
+            branches.append((key, w.branch))
+    assert len(raised) + len(branches) == 280
+    assert raised == degenerate
+    assert Counter(branch for _, branch in branches) == branch_counts
+    assert hashlib.sha256(repr(branches).encode()).hexdigest() == branch_digest
 
 
 def test_type4_certifies_empty():

@@ -1,8 +1,10 @@
+import copy
 import dataclasses
 import gc
 import itertools
 import os
 import pathlib
+import pickle
 import random
 import subprocess
 import sys
@@ -174,6 +176,39 @@ def test_enumerated_subspace_is_one_object():
     assert isinstance(V, PrimeMatrix) and (V.n, V.k) == (3, 2)
     assert [f.name for f in dataclasses.fields(V)] == ["p", "rows", "cols", "entries", "pivots"]
     assert vars(V) == {"p": 5, "rows": 2, "cols": 3, "entries": (1, 0, 1, 0, 1, 2), "pivots": (0, 1)}
+
+
+def test_flats_are_slotted_and_frozen():
+    # enumerated and constructed flats share one slotted layout: no __dict__
+    V = LinearSubspace.from_rows([[1, 2, 0]], 3, 5)
+    for flat in (list(enumerate_affine(3, 1, 5))[7], AffineFlat(V, (0, 1, 3))):
+        assert not hasattr(flat, "__dict__")
+        assert [f.name for f in dataclasses.fields(flat)] == ["direction", "base"]
+        for name, value in (("direction", V), ("base", (0, 0, 0))):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(flat, name, value)
+
+
+def test_enumerated_flat_survives_pickle_and_deepcopy():
+    flat = list(enumerate_affine(3, 2, 3))[20]
+    for same in (pickle.loads(pickle.dumps(flat)), copy.deepcopy(flat)):
+        assert same is not flat and same == flat and hash(same) == hash(flat)
+        assert type(same) is AffineFlat and not hasattr(same, "__dict__")
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_enumerate_affine_equals_the_constructed_flats(p):
+    # each direction's cosets, named by reduce_mod_subspace and built through
+    # the validating constructor; sorted bases are lexicographic in the free
+    # coordinates because every base is 0 at the pivots
+    for n in range(1, 4):
+        for k in range(n + 1):
+            want = [
+                AffineFlat(V, base)
+                for V in enumerate_linear(n, k, p)
+                for base in sorted({reduce_mod_subspace(x, V) for x in itertools.product(range(p), repeat=n)})
+            ]
+            assert list(enumerate_affine(n, k, p)) == want, (n, k)
 
 
 _D = LinearSubspace.from_rows([[1, 0]], 2, 5)

@@ -21,6 +21,7 @@ from fpfurst.projections import (
     PointSet,
     count_small_projection_subspaces,
     exceptional_set,
+    small_projection_directions,
     subspace_projection_exponent,
 )
 from projection_oracle import full_space, project_set, projection_count
@@ -205,6 +206,23 @@ def test_count_small_projection_hypotheses_enforced():
     W = LinearSubspace.coordinate(range(2), 3, 3)
     with pytest.raises(ValueError):
         count_small_projection_subspaces(W, 2, 0)  # n-k = 1 < m-l = 2
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_small_projection_directions_match_the_exponent_oracle(p):
+    # every m-subspace W of F_p^n for n <= 4, coordinate or not, and every
+    # (k, l) of the counting hypotheses: the filter keeps exactly the V that
+    # subspace_projection_exponent keeps, in enumeration order
+    for n in range(1, 5):
+        for k in range(1, n + 1):
+            directions = list(enumerate_linear(n, n - k, p))
+            for m in range(n + 1):
+                for W in enumerate_linear(n, m, p):
+                    exponents = [subspace_projection_exponent(W, V) for V in directions]
+                    for l in range(max(m - n + k, 0), min(k, m) + 1):
+                        got = list(small_projection_directions(W, k, l))
+                        assert got == [V for V, e in zip(directions, exponents) if e <= l], (W, k, l)
+                        assert len(got) == small_projection_count(n, k, m, l, p)
 
 
 def test_subspace_projection_rank_identity():
