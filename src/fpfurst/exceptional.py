@@ -10,17 +10,18 @@ individually re-verified, and a construction whose claims fail (possible
 only below its degeneracy scale) raises instead of returning an unsound
 witness.
 
-Branches, by type of (a, s):
-  type 1  -- any set of ceil(p^a) points; every direction is claimed.
-  type 2, gamma <= (beta+1)/2 -- A = F_p^m x I; claims are the directions
-            collapsing the coordinate m-subspace to <= p^l cosets.
-  type 2, gamma > (beta+1)/2  -- rectangle construction with a = (m-1)+(beta+1).
-  type 3, gamma > beta/2      -- A = R x F_p^m for a symmetric rectangle R in
-            F_p^2; claims are the families U_theta over R's 2-D exceptional
-            directions theta, disjoint as each direction names one theta.
-  type 3, gamma <= beta/2     -- enlarge a to m+1, reuse the type-2 recipe,
-            then pass to a lex-prefix subset of the right size.
-  type 4  -- claims empty; certification shows the exceptional set IS empty.
+Branches, by the piece of M(a, s; n, k):
+  1         -- any set of ceil(p^a) points; every direction is claimed.
+  2-zero    -- A = F_p^m x I; claims are the directions collapsing the
+               coordinate m-subspace to <= p^l cosets.
+  2-excess  -- the rectangle product below, with a = (m-1)+(beta+1).
+  3-excess  -- A = R x F_p^m for a symmetric rectangle R in F_p^2; claims are
+               the families U_theta over R's 2-D exceptional directions
+               theta, disjoint as each direction names one theta.  In F_p^2
+               both excess pieces are the Oberlin rectangle.
+  3-zero    -- enlarge a to m+1, reuse the 2-zero recipe, then pass to a
+               lex-prefix subset of the right size.
+  4         -- claims empty; certification shows the exceptional set IS empty.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from ._kernel import _reduce
 from .flags import LinearSubspace, enumerate_linear, join_rows
 from .indices import (
     NEG_INF,
-    as_fraction,
     ceil_rational_power,
     ceil_scaled_power,
     floor_scaled_power,
@@ -89,11 +89,13 @@ def _slope_line(kappa: int, p: int) -> LinearSubspace:
 def construct_oberlin_rectangle(a, s, p: int) -> ExceptionalWitness:
     """The rectangle witness in F_p^2: A is the (1/5)p^(a-s) x (1/5)p^s box of
     symmetric lattice points, and the claimed exceptional directions are the
-    lines through the origin of slope kappa with |kappa| <= (1/5)p^(2s-a)."""
-    a, s = as_fraction(a), as_fraction(s)
+    lines through the origin of slope kappa with |kappa| <= (1/5)p^(2s-a),
+    on the excess pieces of M(a, s; 2, 1), where a/2 < s <= min(1, a)."""
     check_prime(p)
-    if not (0 < a <= 2 and a / 2 < s <= min(Fraction(1), a)):
-        raise ValueError(f"need a in (0,2] and s in (a/2, min(1,a)], got ({a},{s})")
+    pr = marstrand_params(a, s, 2, 1)
+    a, s = pr.a, pr.s
+    if pr.piece not in ("2-excess", "3-excess"):
+        raise ValueError(f"({a},{s}; 2, 1) is on the {pr.piece} piece of M, not an excess piece")
     if floor_scaled_power(FIFTH, p, s) < 1:
         raise DegenerateScaleError(f"row range floor(p^s / 5) is empty at p = {p}")
     set_a = _rectangle(a, s, p)
@@ -103,42 +105,29 @@ def construct_oberlin_rectangle(a, s, p: int) -> ExceptionalWitness:
 
 
 def construct_marstrand_witness(a, s, n: int, k: int, p: int) -> ExceptionalWitness:
-    """Dispatch on the type of (a, s) and build the matching witness; in
-    F_p^2 the rectangle-product branch is the Oberlin rectangle, whose slope
-    lines are the claims."""
+    """Build the witness of the piece of M that (a, s; n, k) lies on; in F_p^2
+    an excess piece is the Oberlin rectangle, whose slope lines are the claims."""
     pr = marstrand_params(a, s, n, k)
-    a, s = pr.a, pr.s
-    if pr.mtype == 1:
+    a, s, piece = pr.a, pr.s, pr.piece
+    if piece == "1":
         set_a = PointSet.lex_prefix(n, p, ceil_rational_power(p, a))
-        claimed = tuple(enumerate_linear(n, n - k, p))
-        return _certify(a, s, n, k, p, "type1-any", set_a, claimed)
-    if pr.mtype == 4:
+        return _certify(a, s, n, k, p, "type1-any", set_a, tuple(enumerate_linear(n, n - k, p)))
+    if piece == "4":
         set_a = PointSet.lex_prefix(n, p, ceil_rational_power(p, a))
         return _certify(a, s, n, k, p, "type4-empty", set_a, ())
-    product = _rectangle_product(pr)
-    if product is not None:
-        if n == 2:
-            return construct_oberlin_rectangle(a, s, p)
-        set_a, claimed = _rectangle_product_witness(n, k, p, *product, pr.gamma, pr.l)
-        return _certify(a, s, n, k, p, f"type{pr.mtype}-rectangle", set_a, claimed)
-    if pr.mtype == 2:
+    if piece == "2-zero":
         set_a, claimed = _slab_witness(n, k, p, pr.m, ceil_rational_power(p, pr.beta), pr.l)
         return _certify(a, s, n, k, p, "type2-slab", set_a, claimed)
-    # type 3
-    full, claimed = _slab_witness(n, k, p, pr.m + 1, 1, pr.l)
-    subset = PointSet(n, p, full.points[: ceil_rational_power(p, a)])
-    return _certify(a, s, n, k, p, "type3-enlarged", subset, claimed)
-
-
-def _rectangle_product(pr):
-    """(m, beta_eff) of the rectangle-product branch -- type 3 with
-    gamma > beta/2, or type 2 with gamma > (beta+1)/2 at a = (m-1)+(beta+1)
-    -- or None when the parameters take another branch."""
-    if pr.mtype == 3 and pr.gamma > pr.beta / 2:
-        return pr.m, pr.beta
-    if pr.mtype == 2 and pr.gamma > (pr.beta + 1) / 2:
-        return pr.m - 1, pr.beta + 1
-    return None
+    if piece == "3-zero":
+        full, claimed = _slab_witness(n, k, p, pr.m + 1, 1, pr.l)
+        subset = PointSet(n, p, full.points[: ceil_rational_power(p, a)])
+        return _certify(a, s, n, k, p, "type3-enlarged", subset, claimed)
+    # the excess pieces: the rectangle product, type 2's at a = (m-1) + (beta+1)
+    if n == 2:
+        return construct_oberlin_rectangle(a, s, p)
+    shift = 3 - pr.mtype
+    product = _rectangle_product_witness(n, k, p, pr.m - shift, pr.beta + shift, pr.gamma, pr.l)
+    return _certify(a, s, n, k, p, f"type{pr.mtype}-rectangle", *product)
 
 
 def _slab_witness(n, k, p, m, isize, l):

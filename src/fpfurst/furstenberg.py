@@ -8,12 +8,13 @@ becomes the integer ceil(p^x), every choice of flats is the lexicographically
 first eligible ones from the canonical enumeration, so identical inputs give
 byte-identical families.
 
-The two-dimensional recipes (point pencil, trivial sum-bound family, the
+Each recipe is the piece of F that `furstenberg_params` labels.  The
+two-dimensional recipes (point pencils, trivial sum-bound family, the
 Szemeredi-Trotter-style grid of lines, and the horizontal strip) seed the
-general one: the seed is extruded by a full F_p^d factor, then by graph flats
-over an F_p^M factor, padded with zero coordinates to F_p^n, and finally each
-flat is lifted to the k-flats through it that are transverse to the ambient
-coordinate slice.
+general one, each a case-c piece of its own label: the seed is extruded by a
+full F_p^d factor, then by graph flats over an F_p^M factor, padded with zero
+coordinates to F_p^n, and finally each flat is lifted to the k-flats through
+it that are transverse to the ambient coordinate slice.
 
 A member is a flat with its marked points (its y-set): a strictly sorted
 tuple of point tuples, built valid.  A family is its members: the union E is
@@ -38,7 +39,6 @@ from .flags import (
     join_rows,
 )
 from .indices import (
-    as_fraction,
     ceil_rational_power,
     ceil_scaled_power,
     floor_scaled_power,
@@ -85,54 +85,43 @@ def _family(s, t, n, k, p, branch, members) -> FurstenbergFamily:
 
 
 def construct_2d(s, t, p: int) -> FurstenbergFamily:
-    """A small (s, t)-family of lines in F_p^2 with lambda = 1/2.
-
-    Branch selection: s = 0 uses pencils; t <= s the trivial sum-bound family;
-    s <= t <= 2 - s the slope/intercept grid of lines clipped to a short
-    x-range; t >= 2 - s every non-horizontal line clipped to the strip of the
-    first ceil(p^s) rows.
-    """
-    s, t = as_fraction(s), as_fraction(t)
-    check_prime(p)
-    if not (0 <= s <= 1 and 0 <= t <= 2):
-        raise ValueError(f"need 0 <= s <= 1 and 0 <= t <= 2, got ({s},{t})")
-    if s == 0:
-        return _pencil_family(t, p)
-    if t <= s:
-        return _trivial_family(s, t, p)
-    if t <= 2 - s:
-        return _st_grid_family(s, t, p)
-    return _strip_family(s, t, p)
+    """A small (s, t)-family of lines in F_p^2 with lambda = 1/2, by the
+    piece of F(s, t; 2, 1) (`_PLANAR`): pencils on the a pieces; on b and
+    c-tau the trivial sum-bound family; on c-mean the slope/intercept grid of
+    lines clipped to a short x-range; on c-one every non-horizontal line
+    clipped to the strip of the first ceil(p^s) rows."""
+    return construct_general(s, t, 2, 1, p)
 
 
-def _pencil_family(t: Fraction, p: int) -> FurstenbergFamily:
-    origin = (0, 0)
-    dirs = list(enumerate_linear(2, 1, p))
-    if t <= 1:
-        need = ceil_rational_power(p, t)
-        members = [(AffineFlat.through(origin, D), (origin,)) for D in dirs[:need]]
-        return _family(Fraction(0), t, 2, 1, p, "2d-origin-pencil", members)
+def _origin_pencil(s, t: Fraction, p: int, n: int = 2, k: int = 1):
+    """The first ceil(p^t) k-flats through the origin, each marking it."""
+    origin = (0,) * n
+    flats = itertools.islice(enumerate_linear(n, k, p), ceil_rational_power(p, t))
+    return [(AffineFlat.through(origin, U), (origin,)) for U in flats]
+
+
+def _axis_pencils(s, t: Fraction, p: int):
     count = ceil_rational_power(p, t - 1)  # <= p, since t <= 2
-    slanted = [D for D in dirs if D.row(0) != (1, 0)][: p - 1]
+    slanted = [D for D in enumerate_linear(2, 1, p) if D.row(0) != (1, 0)][: p - 1]
     members = []
     for i in range(count):
         x = (i, 0)
         for D in slanted:
             members.append((AffineFlat.through(x, D), (x,)))
-    return _family(Fraction(0), t, 2, 1, p, "2d-axis-pencils", members)
+    return members
 
 
-def _trivial_family(s: Fraction, t: Fraction, p: int) -> FurstenbergFamily:
+def _trivial(s: Fraction, t: Fraction, p: int):
     nlines = ceil_rational_power(p, t)
     npts = ceil_rational_power(p, s)
     members = []
     for D in itertools.islice(enumerate_linear(2, 1, p), nlines):
         flat = AffineFlat.through((0, 0), D)
         members.append((flat, tuple(sorted(flat.points()[:npts]))))
-    return _family(s, t, 2, 1, p, "2d-trivial", members)
+    return members
 
 
-def _st_grid_family(s: Fraction, t: Fraction, p: int) -> FurstenbergFamily:
+def _st_grid(s: Fraction, t: Fraction, p: int):
     nslopes = ceil_rational_power(p, (t - s) / 2)
     if nslopes > p - 1:
         raise DegenerateScaleError(
@@ -147,10 +136,10 @@ def _st_grid_family(s: Fraction, t: Fraction, p: int) -> FurstenbergFamily:
         for b in range(1, nshifts + 1):
             pts = tuple([(x, (a * x + b) % p) for x in range(1, xspan + 1)])
             members.append((AffineFlat.through((0, b), direction), pts))
-    return _family(s, t, 2, 1, p, "2d-st-grid", members)
+    return members
 
 
-def _strip_family(s: Fraction, t: Fraction, p: int) -> FurstenbergFamily:
+def _strip(s: Fraction, t: Fraction, p: int):
     """Every non-horizontal line, marked where it crosses the strip of rows
     1..ceil(p^s).
 
@@ -174,38 +163,48 @@ def _strip_family(s: Fraction, t: Fraction, p: int) -> FurstenbergFamily:
         else:  # horizontal
             continue
         members.append((line, pts))
-    return _family(s, t, 2, 1, p, "2d-strip", members)
+    return members
+
+
+def _line(sigma: Fraction, tau, p: int):
+    """Case d's seed: one line of F_p^1 carrying ceil(p^sigma) points."""
+    line = AffineFlat.through((0,), LinearSubspace.coordinate((0,), 1, p))
+    return [(line, tuple([(x,) for x in range(ceil_rational_power(p, sigma))]))]
+
+
+_PLANAR = {  # the branch and members of each piece of F(s, t; 2, 1)
+    "a-zero": ("2d-origin-pencil", _origin_pencil), "a-excess": ("2d-axis-pencils", _axis_pencils),
+    "b": ("2d-trivial", _trivial), "c-tau": ("2d-trivial", _trivial),
+    "c-mean": ("2d-st-grid", _st_grid), "c-one": ("2d-strip", _strip),
+}
+# the seed of each piece that extrudes: case c's 2-D piece at (sigma, tau), case d's line
+_SEED = {"c-tau": _trivial, "c-mean": _st_grid, "c-one": _strip, "d": _line}
 
 
 def construct_general(s, t, n: int, k: int, p: int) -> FurstenbergFamily:
     """A small (s, t)-family of k-flats in F_p^n with lambda = 1/2.
 
-    Dispatch on the case of `furstenberg_params`: (a) s = 0 pencils through
-    few points; (b) small t reuses one point set on flats through a fixed
-    coordinate subspace; (c) and (d) the seeded extrusion construction, with
-    the tau > 2 range of (d) reduced to tau = 0 and one more extrusion step.
+    Dispatch on the piece of `furstenberg_params` (`_GENERAL`): the a pieces
+    take pencils through few points; b reuses one point set on flats through
+    a fixed coordinate subspace; the c pieces and d extrude their `_SEED`,
+    case d's tau > 2 reduced to 0 with one more extrusion step.
     """
     check_prime(p)
     pr = furstenberg_params(s, t, n, k)
-    if (n, k) == (2, 1):
-        return construct_2d(pr.s, pr.t, p)
-    if pr.case == "a":
-        return _general_case_a(pr.t, n, k, p)
-    if pr.case == "b":
-        return _general_case_b(pr.s, pr.t, n, k, p, pr.d)
-    return _general_case_cd(pr, p)
+    if (n, k) != (2, 1):
+        return _GENERAL[pr.piece](pr, p)
+    branch, build = _PLANAR[pr.piece]
+    return _family(pr.s, pr.t, 2, 1, p, branch, build(pr.s, pr.t, p))
 
 
-def _general_case_a(t: Fraction, n: int, k: int, p: int) -> FurstenbergFamily:
-    origin = (0,) * n
-    if t <= k * (n - k):
-        need = ceil_rational_power(p, t)
-        members = [
-            (AffineFlat.through(origin, U), (origin,))
-            for U in itertools.islice(enumerate_linear(n, k, p), need)
-        ]
-        return _family(Fraction(0), t, n, k, p, "general-a-origin", members)
-    count = ceil_rational_power(p, t - k * (n - k))
+def _general_origin(pr, p: int) -> FurstenbergFamily:
+    members = _origin_pencil(pr.s, pr.t, p, pr.n, pr.k)
+    return _family(pr.s, pr.t, pr.n, pr.k, p, "general-a-origin", members)
+
+
+def _general_transverse(pr, p: int) -> FurstenbergFamily:
+    n, k = pr.n, pr.k
+    count = ceil_rational_power(p, pr.t - k * (n - k))
     base_space = LinearSubspace.coordinate(range(n - k), n, p)
     transverse_dirs = [
         U for U in enumerate_linear(n, k, p) if len(join_rows(U, base_space)) == n
@@ -216,12 +215,13 @@ def _general_case_a(t: Fraction, n: int, k: int, p: int) -> FurstenbergFamily:
     for x in points:
         for U in transverse_dirs:
             members.append((AffineFlat.through(x, U), (x,)))
-    return _family(Fraction(0), t, n, k, p, "general-a-transverse", members)
+    return _family(pr.s, pr.t, n, k, p, "general-a-transverse", members)
 
 
-def _general_case_b(s, t, n, k, p, d) -> FurstenbergFamily:
-    core = LinearSubspace.coordinate(range(d + 1), n, p)
-    need = ceil_rational_power(p, t)
+def _general_case_b(pr, p: int) -> FurstenbergFamily:
+    n, k = pr.n, pr.k
+    core = LinearSubspace.coordinate(range(pr.d + 1), n, p)
+    need = ceil_rational_power(p, pr.t)
     hosts = list(
         itertools.islice(
             (U for U in enumerate_linear(n, k, p) if len(join_rows(U, core)) == k),
@@ -229,44 +229,35 @@ def _general_case_b(s, t, n, k, p, d) -> FurstenbergFamily:
         )
     )
     assert len(hosts) == need
-    ys = tuple(core.points()[: ceil_rational_power(p, s)])  # sorted: core is coordinate
+    ys = tuple(core.points()[: ceil_rational_power(p, pr.s)])  # sorted: core is coordinate
     origin = (0,) * n
     members = [(AffineFlat.through(origin, U), ys) for U in hosts]
-    return _family(s, t, n, k, p, "general-b-shared", members)
+    return _family(pr.s, pr.t, n, k, p, "general-b-shared", members)
 
 
-def _general_case_cd(pr, p: int) -> FurstenbergFamily:
-    s, t, n, k, d, sigma = pr.s, pr.t, pr.n, pr.k, pr.d, pr.sigma
-    if pr.case == "c":
-        seed_tau, depth = pr.tau, pr.m
-    else:
-        seed_tau, depth = Fraction(0), pr.m + 1
-
-    if seed_tau == 0:
-        # one fully generic line suffices; it lives in a single coordinate
-        npts = ceil_rational_power(p, sigma)
-        line = AffineFlat.through((0,), LinearSubspace.coordinate((0,), 1, p))
-        members = [(line, tuple([(x,) for x in range(npts)]))]
-        ambient = 1
-    else:
-        members = list(construct_2d(sigma, seed_tau, p).members)
-        ambient = 2
-
+def _extruded(pr, p: int) -> FurstenbergFamily:
+    """The piece's seed crossed with F_p^d and extruded to F_p^(d + m + 2):
+    m graph steps over a 2-D seed, m + 1 over case d's line."""
+    n, k, d = pr.n, pr.k, pr.d
+    members = _SEED[pr.piece](pr.sigma, pr.tau, p)
+    ambient = d + pr.m + 2
+    depth = ambient - d - members[0][0].n
     if d > 0:
         members = [_cross(m, d, p, full=True) for m in members]
-        ambient += d
     if depth > 0:
         shared = {}
         members = [w for m in members for w in _extrude_graphs(m, depth, p, shared)]
-        ambient += depth
     if ambient < n:
         members = [_cross(m, n - ambient, p, full=False) for m in members]
+    branch = f"general-{pr.case}"
     if k - d - 1 > 0:
         members = _lift_transverse(members, n, k, p, n - k + d + 1)
-        branch = f"general-{pr.case}-lifted"
-    else:
-        branch = f"general-{pr.case}"
-    return _family(s, t, n, k, p, branch, members)
+        branch += "-lifted"
+    return _family(pr.s, pr.t, n, k, p, branch, members)
+
+
+_GENERAL = {"a-zero": _general_origin, "a-excess": _general_transverse, "b": _general_case_b,
+            **dict.fromkeys(_SEED, _extruded)}
 
 
 def _cross(member, r: int, p: int, full: bool):

@@ -16,9 +16,15 @@ The two index functions:
   fewer than p^s cosets; minus infinity encodes "that exceptional set is
   empty".
 
-Both are piecewise affine with coefficients in {1, 1/2}; their case split is
-written once, on the numerators x of x/D at one scale D.  `_furstenberg_scaled`
-returns F * D, and raises ValueError where (sigma + tau)/2 is off the lattice;
+Both are piecewise affine with coefficients in {1, 1/2}.  Their split into
+pieces is written once, on the numerators x of x/D at one scale D, and names
+each piece by a plain string that the constructions and witnesses dispatch
+on: the case, plus the term that attains F's min or max or M's max(., 0),
+ties going to the earlier term and to 0.  F's pieces are a-zero, a-excess
+(t - k(n-k)), b, c-tau, c-mean ((sigma + tau)/2), c-one and d; M's are 1,
+2-zero, 2-excess (2gamma - beta - 1), 3-zero, 3-excess (2gamma - beta) and 4.
+`_furstenberg_scaled` returns F * D by its piece's formula, and raises
+ValueError where c-mean's (sigma + tau)/2 is off the lattice;
 `_marstrand_scaled` returns M * D or NEG_INF.  The Fraction functions are
 views at D = lcm of their inputs' denominators, doubled for F so that
 (sigma + tau)/2 lies on the lattice.
@@ -153,45 +159,50 @@ class FurstenbergParams:
 
     For s > 0, s = d + sigma with sigma in (0,1].  Outside the flat
     low-t regime, t = (k-d-1)(n-k) + (d+2)m + tau with m in {0,..,n-k-1}
-    and tau in (0, d+2].  ``case`` is one of "a", "b", "c", "d".
+    and tau in (0, d+2].  ``case``, the piece label's first letter, is one
+    of "a", "b", "c", "d".
     """
 
     s: Fraction
     t: Fraction
     n: int
     k: int
-    case: str
+    piece: str
     d: int | None = None
     sigma: Fraction | None = None
     m: int | None = None
     tau: Fraction | None = None
 
+    case = property(lambda self: self.piece[0])
 
-def _furstenberg_case(s: int, t: int, n: int, k: int, D: int):
-    """The case split of an admissible (s/D, t/D; n, k): (case, d, sigma, m,
+
+def _furstenberg_piece(s: int, t: int, n: int, k: int, D: int):
+    """The piece of an admissible (s/D, t/D; n, k): (piece, d, sigma, m,
     tau), sigma and tau at scale D, and None for the parts a case lacks."""
     if s == 0:
-        return "a", None, None, None, None
+        return ("a-zero" if t <= k * (n - k) * D else "a-excess"), None, None, None, None
     d, sigma = _split(s, D)
     low = (k - d - 1) * (n - k) * D
     if t <= low:
         return "b", d, sigma, None, None
     m, tau = _split(t - low, (d + 2) * D)
-    return ("c" if tau <= 2 * D else "d"), d, sigma, m, tau
+    piece = ("d" if tau > 2 * D else "c-tau" if tau <= sigma
+             else "c-mean" if sigma + tau <= 2 * D else "c-one")
+    return piece, d, sigma, m, tau
 
 
 def _furstenberg_scaled(s: int, t: int, n: int, k: int, D: int) -> int:
-    """F(s/D, t/D; n, k) * D for an admissible tuple; ValueError where
-    (sigma + tau)/2 is off the 1/D lattice."""
-    case, _, sigma, m, tau = _furstenberg_case(s, t, n, k, D)
-    if case == "a":
-        return max(0, t - k * (n - k) * D)
-    if case == "b":
+    """F(s/D, t/D; n, k) * D for an admissible tuple, by its piece's formula;
+    ValueError on the c-mean piece where (sigma + tau)/2 is off the 1/D
+    lattice."""
+    piece, _, sigma, m, tau = _furstenberg_piece(s, t, n, k, D)
+    if piece[0] == "a":
+        return 0 if piece == "a-zero" else t - k * (n - k) * D
+    if piece == "b":
         return s
-    # case d has tau > 2D, so the min below is D: s + m + 1
-    if (sigma + tau) % 2:
+    if piece == "c-mean" and (sigma + tau) % 2:
         raise ValueError(f"F({s}/{D}, {t}/{D}; {n}, {k}) is not on the 1/{D} lattice")
-    return s + m * D + min(tau, (sigma + tau) // 2, D)
+    return s + m * D + (tau if piece == "c-tau" else (sigma + tau) // 2 if piece == "c-mean" else D)
 
 
 def _furstenberg_domain(s, t, n: int, k: int) -> tuple[Fraction, Fraction]:
@@ -205,9 +216,9 @@ def _furstenberg_domain(s, t, n: int, k: int) -> tuple[Fraction, Fraction]:
 def furstenberg_params(s, t, n: int, k: int) -> FurstenbergParams:
     s, t = _furstenberg_domain(s, t, n, k)
     D, x, y = _lattice(s, t, 2)
-    case, d, sigma, m, tau = _furstenberg_case(x, y, n, k, D)
+    piece, d, sigma, m, tau = _furstenberg_piece(x, y, n, k, D)
     sigma, tau = sigma and Fraction(sigma, D), tau and Fraction(tau, D)  # None stays None
-    return FurstenbergParams(s, t, n, k, case, d, sigma, m, tau)
+    return FurstenbergParams(s, t, n, k, piece, d, sigma, m, tau)
 
 
 def furstenberg_index(s, t, n: int, k: int) -> Fraction:
@@ -223,7 +234,8 @@ def furstenberg_index(s, t, n: int, k: int) -> Fraction:
 
 @dataclass(frozen=True)
 class MarstrandParams:
-    """Canonical decomposition a = m + beta, s = l + gamma plus the type tag."""
+    """Canonical decomposition a = m + beta, s = l + gamma plus M's piece
+    label, whose first character is the type tag."""
 
     a: Fraction
     s: Fraction
@@ -233,31 +245,35 @@ class MarstrandParams:
     beta: Fraction
     l: int
     gamma: Fraction
-    mtype: int
+    piece: str
+
+    mtype = property(lambda self: int(self.piece[0]))
 
 
-def _marstrand_type(a: int, s: int, n: int, k: int, D: int):
-    """The type split of (a/D, s/D; n, k): (mtype, m, beta, l, gamma), beta
-    and gamma at scale D."""
+def _marstrand_piece(a: int, s: int, n: int, k: int, D: int):
+    """The piece of (a/D, s/D; n, k): (piece, m, beta, l, gamma), beta and
+    gamma at scale D."""
     (m, beta), (l, gamma) = _split(a, D), _split(s, D)
     if s > min(a, k * D):
-        return 1, m, beta, l, gamma
+        return "1", m, beta, l, gamma
     if s <= a - (n - k) * D:
-        return 4, m, beta, l, gamma
-    return (2 if gamma > beta else 3), m, beta, l, gamma
+        return "4", m, beta, l, gamma
+    if gamma > beta:
+        return ("2-excess" if 2 * gamma > beta + D else "2-zero"), m, beta, l, gamma
+    return ("3-excess" if 2 * gamma > beta else "3-zero"), m, beta, l, gamma
 
 
 def _marstrand_scaled(a: int, s: int, n: int, k: int, D: int):
-    """M(a/D, s/D; n, k) * D, or NEG_INF for type 4."""
-    mtype, m, beta, l, gamma = _marstrand_type(a, s, n, k, D)
+    """M(a/D, s/D; n, k) * D by its piece's formula, or NEG_INF for type 4."""
+    piece, m, beta, l, gamma = _marstrand_piece(a, s, n, k, D)
     kk = k * (n - k) * D
-    if mtype == 1:
+    if piece == "1":
         return kk
-    if mtype == 2:
-        return kk - (m - l) * (k - l) * D + max(2 * gamma - beta - D, 0)
-    if mtype == 3:
-        return kk - (m + 1 - l) * (k - l) * D + max(2 * gamma - beta, 0)
-    return NEG_INF
+    if piece == "4":
+        return NEG_INF
+    if piece[0] == "2":
+        return kk - (m - l) * (k - l) * D + (2 * gamma - beta - D if piece == "2-excess" else 0)
+    return kk - (m + 1 - l) * (k - l) * D + (2 * gamma - beta if piece == "3-excess" else 0)
 
 
 def _marstrand_domain(a, s, n: int, k: int) -> tuple[Fraction, Fraction]:
@@ -275,8 +291,8 @@ def _marstrand_domain(a, s, n: int, k: int) -> tuple[Fraction, Fraction]:
 def marstrand_params(a, s, n: int, k: int) -> MarstrandParams:
     a, s = _marstrand_domain(a, s, n, k)
     D, x, y = _lattice(a, s, 1)
-    mtype, m, beta, l, gamma = _marstrand_type(x, y, n, k, D)
-    return MarstrandParams(a, s, n, k, m, Fraction(beta, D), l, Fraction(gamma, D), mtype)
+    piece, m, beta, l, gamma = _marstrand_piece(x, y, n, k, D)
+    return MarstrandParams(a, s, n, k, m, Fraction(beta, D), l, Fraction(gamma, D), piece)
 
 
 def marstrand_index(a, s, n: int, k: int) -> Exponent:

@@ -46,7 +46,7 @@ from .indices import (
     Exponent,
     _furstenberg_scaled,
     _marstrand_scaled,
-    _marstrand_type,
+    _marstrand_piece,
     _split,
     as_fraction,
     furstenberg_index,
@@ -322,7 +322,8 @@ def check_index_properties(n: int, k: int, grid: GridSpec) -> list[Counterexampl
                 inside and l_int <= m_int <= n + l_int - k - 1 and gamma <= beta,
                 s <= a - (n - k) * D,
             ]
-            if sum(conds) != 1 or _marstrand_type(a, s, n, k, D)[0] != conds.index(True) + 1:
+            piece = _marstrand_piece(a, s, n, k, D)[0]
+            if sum(conds) != 1 or piece[0] != str(conds.index(True) + 1):
                 report("type_partition", nk, sum(conds) * D, D, D, a=a, s=s)
 
     if (n, k) == (2, 1):

@@ -1,5 +1,11 @@
 """The tests' Fraction formulas for both indices: every step of the case split
-in exact rationals, as the paper states it, with no lattice."""
+in exact rationals, as the paper states it, with no lattice.
+
+Each params' piece label is decided by the conditions the constructions and
+witnesses dispatched on before they read the label: the origin pencil while
+t <= k(n-k), `construct_2d`'s chain on (sigma, tau), and the rectangle
+product for type 3 with gamma > beta/2 and type 2 with gamma > (beta+1)/2.
+"""
 
 from fractions import Fraction
 
@@ -26,7 +32,7 @@ def furstenberg_params(s, t, n, k):
     if not is_admissible(s, t, n, k):
         raise ValueError(f"({s},{t};{n},{k}) is not admissible")
     if s == 0:
-        return FurstenbergParams(s, t, n, k, "a")
+        return FurstenbergParams(s, t, n, k, "a-zero" if t <= k * (n - k) else "a-excess")
     d, sigma = canonical_split(s)
     if t <= (k - d - 1) * (n - k):
         return FurstenbergParams(s, t, n, k, "b", d, sigma)
@@ -34,8 +40,15 @@ def furstenberg_params(s, t, n, k):
     # m = ceil(tprime / (d+2)) - 1, so that tau lands in (0, d+2]
     m = (tprime.numerator - 1) // (tprime.denominator * (d + 2))
     tau = tprime - (d + 2) * m
-    case = "c" if tau <= 2 else "d"
-    return FurstenbergParams(s, t, n, k, case, d, sigma, m, tau)
+    if tau > 2:
+        piece = "d"
+    elif tau <= sigma:
+        piece = "c-tau"
+    elif tau <= 2 - sigma:
+        piece = "c-mean"
+    else:
+        piece = "c-one"
+    return FurstenbergParams(s, t, n, k, piece, d, sigma, m, tau)
 
 
 def furstenberg_index(s, t, n, k):
@@ -60,14 +73,14 @@ def marstrand_params(a, s, n, k):
     m, beta = canonical_split(a)
     l, gamma = canonical_split(s)
     if s > min(a, Fraction(k)):
-        mtype = 1
+        piece = "1"
     elif s <= a - (n - k):
-        mtype = 4
+        piece = "4"
     elif gamma > beta:
-        mtype = 2
+        piece = "2-excess" if gamma > (beta + 1) / 2 else "2-zero"
     else:
-        mtype = 3
-    return MarstrandParams(a, s, n, k, m, beta, l, gamma, mtype)
+        piece = "3-excess" if gamma > beta / 2 else "3-zero"
+    return MarstrandParams(a, s, n, k, m, beta, l, gamma, piece)
 
 
 def marstrand_index(a, s, n, k):

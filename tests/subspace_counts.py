@@ -1,6 +1,6 @@
 """Direction counts and families the tests check the witnesses against."""
 
-from fpfurst.exceptional import _rectangle, _rectangle_product, _theta_families
+from fpfurst.exceptional import _rectangle, _theta_families
 from fpfurst.flags import gaussian_binomial
 from fpfurst.indices import marstrand_params
 
@@ -18,12 +18,17 @@ def degenerate_direction_count(n, k, m, l, p):
     )
 
 
+def product_sides(pr):
+    """(m, beta) of an excess piece's rectangle product R x F_p^m: type 3's
+    own, and type 2's at a = (m-1) + (beta+1)."""
+    return (pr.m, pr.beta) if pr.mtype == 3 else (pr.m - 1, pr.beta + 1)
+
+
 def type3_direction_families(a, s, n, k, p):
     """The per-theta families of the rectangle-product branches, in
     `exceptional_set` order: `_theta_families` on the branch's rectangle."""
     pr = marstrand_params(a, s, n, k)
-    product = _rectangle_product(pr)
-    if product is None:
+    if pr.piece not in ("2-excess", "3-excess"):
         raise ValueError("no rectangle-product branch applies to these parameters")
-    m, beta_eff = product
+    m, beta_eff = product_sides(pr)
     return _theta_families(_rectangle(beta_eff, pr.gamma, p), pr.gamma, n, k, p, m, pr.l)[1]

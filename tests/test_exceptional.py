@@ -13,7 +13,6 @@ from fpfurst.errors import DegenerateScaleError
 from fpfurst.exceptional import (
     _certify,
     _rectangle,
-    _rectangle_product,
     certify_lower_bound,
     construct_marstrand_witness,
     construct_oberlin_rectangle,
@@ -33,7 +32,7 @@ from fpfurst.projections import (
     subspace_projection_exponent,
 )
 from projection_oracle import projection_count
-from subspace_counts import degenerate_direction_count, type3_direction_families
+from subspace_counts import degenerate_direction_count, product_sides, type3_direction_families
 
 F = Fraction
 
@@ -141,7 +140,7 @@ def test_slab_witnesses_claim_exactly_the_small_projection_count():
                 if s > k:
                     continue
                 pr = marstrand_params(a, s, n, k)
-                if pr.mtype not in (2, 3) or _rectangle_product(pr) is not None:
+                if pr.piece not in ("2-zero", "3-zero"):
                     continue
                 branch, m = ("type2-slab", pr.m) if pr.mtype == 2 else ("type3-enlarged", pr.m + 1)
                 for p in primes:
@@ -257,7 +256,7 @@ def _per_theta_oracle(a, s, n, k, p):
     projection exponents of theta + F_p^m, F_p^m and F_p^2 x F_p^m.  Returns
     the families by theta and the union of their members in enumeration order."""
     pr = marstrand_params(a, s, n, k)
-    m, beta_eff = _rectangle_product(pr)
+    m, beta_eff = product_sides(pr)
     thetas = exceptional_set(_rectangle(beta_eff, pr.gamma, p), ExceptionalQuery(pr.gamma, 1))
     mid = LinearSubspace.coordinate(range(2, 2 + m), n, p)
     wide = LinearSubspace.coordinate(range(2 + m), n, p)
@@ -299,7 +298,7 @@ def test_type3_families_have_the_exact_size(p, ask):
     """The p + 1 lines theta_V split the D degenerate directions evenly: each
     family has D / (p + 1) members, and the witness claims #Theta of them."""
     pr = marstrand_params(*ask)
-    m, _ = _rectangle_product(pr)
+    m, _ = product_sides(pr)
     d = degenerate_direction_count(ask[2], ask[3], m, pr.l, p)
     assert d % (p + 1) == 0
     families = type3_direction_families(*ask, p)

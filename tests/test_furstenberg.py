@@ -14,8 +14,9 @@ from fpfurst.flags import AffineFlat, LinearSubspace, enumerate_affine
 from fpfurst.furstenberg import (
     _cross,
     _extrude_graphs,
+    _family,
     _first_off_flat,
-    _strip_family,
+    _strip,
     construct_2d,
     construct_general,
     lower_bound_sanity,
@@ -403,7 +404,7 @@ def _strip_reference(s, t, p):
 def test_strip_family_matches_filtered_lines(p):
     # ceil(p^s) <= p for s <= 1, so no s of the 1/12 grid is degenerate
     for s in (F(i, 12) for i in range(13)):
-        fam = _strip_family(s, F(2), p)
+        fam = _family(s, F(2), 2, 1, p, "2d-strip", _strip(s, F(2), p))
         members, union = _strip_reference(s, F(2), p)
         assert fam.members == members, s
         assert fam.union == union, s
@@ -444,7 +445,7 @@ def test_extrude_graphs_matches_point_formula(p, depth):
         AffineFlat.through((0,), LinearSubspace.coordinate((0,), 1, p)),
         tuple([(x,) for x in range(p)]),
     )
-    strip = _strip_family(F(1, 2), F(2), p).members
+    strip = _strip(F(1, 2), F(2), p)
     members = [line, strip[1], strip[-1]]  # slanted and vertical lines
     if p ** (3 * depth) <= 729:
         members.append(_cross(strip[p + 1], 1, p, full=True))  # a 2-flat of F_p^3
@@ -578,6 +579,28 @@ def _sweep_digest(items):
     return hashlib.sha256(repr(items).encode()).hexdigest()
 
 
+def _sweep(q, p, summary):
+    """Every admissible (s, t; n, k) of the 1/q grid for n <= 4 at p builds a
+    valid family within both bounds, or is degenerate.  Returns the
+    degenerate keys and, per built point, its key followed by
+    `summary(family)`, both in grid order."""
+    raised, built = [], []
+    for n, k in ((2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)):
+        for i, j in itertools.product(range(q * k + 1), range(q * (k + 1) * (n - k) + 1)):
+            s, t = F(i, q), F(j, q)
+            key = (str(s), str(t), n, k)
+            try:
+                fam = construct_general(s, t, n, k, p)
+            except DegenerateScaleError:
+                raised.append(key)
+                continue
+            assert verify_family(fam).is_valid, key
+            assert meets_upper_bound(fam, 16) and lower_bound_sanity(fam), key
+            built.append((key, *summary(fam)))
+    assert any(item[1].endswith("-lifted") for item in built)  # _lift_transverse ran
+    return raised, built
+
+
 @pytest.mark.parametrize(
     "p, degenerate, degenerate_digest, branch_digest",
     [
@@ -592,23 +615,19 @@ def _sweep_digest(items):
     ],
 )
 def test_construction_sweep_over_the_half_grid(p, degenerate, degenerate_digest, branch_digest):
-    # Every admissible (s, t; n, k) of the 1/2 grid for n <= 4 builds a valid
-    # family within both bounds, or is degenerate at p.  The digests pin the
-    # degenerate points and each built point's branch, in grid order.
-    raised, branches = [], []
-    for n, k in ((2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)):
-        for i, j in itertools.product(range(2 * k + 1), range(2 * (k + 1) * (n - k) + 1)):
-            s, t = F(i, 2), F(j, 2)
-            key = (str(s), str(t), n, k)
-            try:
-                fam = construct_general(s, t, n, k, p)
-            except DegenerateScaleError:
-                raised.append(key)
-                continue
-            assert verify_family(fam).is_valid, key
-            assert meets_upper_bound(fam, 16) and lower_bound_sanity(fam), key
-            branches.append((key, fam.branch))
+    # The digests pin the degenerate points and each built point's branch.
+    raised, branches = _sweep(2, p, lambda fam: (fam.branch,))
     assert len(raised) + len(branches) == 244
     assert len(raised) == degenerate and _sweep_digest(raised) == degenerate_digest
     assert _sweep_digest(branches) == branch_digest
-    assert any(branch.endswith("-lifted") for _, branch in branches)  # _lift_transverse ran
+
+
+def test_construction_sweep_over_the_third_grid():
+    # A case-c family's branch does not name its 2-D seed, so each built
+    # point's member and union sizes are pinned with its branch; the digests
+    # were taken from the constructions that dispatched on their own
+    # conditions, before they read the piece label.
+    raised, built = _sweep(3, 3, lambda fam: (fam.branch, len(fam.members), len(fam.union)))
+    assert (len(built), len(raised)) == (474, 15)
+    assert _sweep_digest(raised) == "127dcfeb5efd5c272604a8fcf39b259354efe106d3644c32fd828c4944be406f"
+    assert _sweep_digest(built) == "a9ef224f07fbc0a39af9250e856b2666960fc2e7b5fee20768a663c7fee26d73"

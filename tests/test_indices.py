@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from fpfurst.indices import (
     NEG_INF,
     _furstenberg_scaled,
     _marstrand_scaled,
-    _marstrand_type,
+    _marstrand_piece,
     _split,
     ceil_rational_power,
     ceil_scaled_power,
@@ -177,7 +178,7 @@ def test_marstrand_index_values(a, s, n, k, expected):
 def test_classify_marstrand_type(a, s, n, k, expected):
     D = math.lcm(a.denominator, s.denominator)
     assert index_oracle.marstrand_params(a, s, n, k).mtype == expected
-    assert _marstrand_type(int(a * D), int(s * D), n, k, D)[0] == expected
+    assert _marstrand_piece(int(a * D), int(s * D), n, k, D)[0][0] == str(expected)
 
 
 def test_marstrand_2d_display():
@@ -271,11 +272,13 @@ def _same_marstrand(a, s, n, k):
     assert marstrand_index(a, s, n, k) == want
     pr = index_oracle.marstrand_params(a, s, n, k)
     assert marstrand_params(a, s, n, k) == pr
-    assert _marstrand_type(int(a * D), int(s * D), n, k, D)[0] == pr.mtype
+    assert _marstrand_piece(int(a * D), int(s * D), n, k, D)[0] == pr.piece
 
 
 @pytest.mark.parametrize("n,k", PAIRS_UP_TO_6)
 def test_lattice_indices_equal_the_fraction_oracle_on_the_twelfth_grid(n, k):
+    # the params comparison includes the piece label, against the oracle's
+    # dispatch conditions
     for si in range(12 * k + 1):
         for ti in range(12 * (k + 1) * (n - k) + 1):
             _same_furstenberg(F(si, 12), F(ti, 12), n, k)
@@ -323,3 +326,77 @@ def test_lattice_furstenberg_refuses_a_value_off_its_lattice():
     with pytest.raises(ValueError, match="not on the 1/2 lattice"):
         _furstenberg_scaled(1, 2, 2, 1, 2)
     assert _furstenberg_scaled(2, 4, 2, 1, 4) == 5
+
+
+def test_lattice_furstenberg_takes_an_odd_sum_off_the_mean_piece():
+    # sigma + tau is odd, but the piece's term is 1, not (sigma + tau)/2:
+    # F(1, 3/2; 2, 1) = 2 on c-one, and F(2, 5/2; 3, 2) = 3 on d
+    assert _furstenberg_scaled(2, 3, 2, 1, 2) == 4
+    assert _furstenberg_scaled(4, 5, 3, 2, 2) == 6
+
+
+# -- the piece label against the oracle's dispatch conditions --
+
+
+def test_piece_ties_go_to_the_earlier_term():
+    """On the 1/12 grid for n <= 6, every point of a tie line takes the
+    earlier term: tau = sigma the tau piece, tau = 2 - sigma the mean, t =
+    k(n-k) at s = 0 and 2gamma = beta + 1 or beta the zero pieces.  The
+    twelfth-grid test above compares these labels with the oracle's."""
+    ties = {}
+
+    def tie(line, got, want):
+        assert got == want, line
+        ties[line] = ties.get(line, 0) + 1
+
+    for n, k in PAIRS_UP_TO_6:
+        for si, ti in itertools.product(range(12 * k + 1), range(12 * (k + 1) * (n - k) + 1)):
+            s, t = F(si, 12), F(ti, 12)
+            pr = furstenberg_params(s, t, n, k)
+            if s == 0 and t == k * (n - k):
+                tie("t = k(n-k)", pr.piece, "a-zero")
+            elif pr.case == "c" and pr.tau == pr.sigma:
+                tie("tau = sigma", pr.piece, "c-tau")
+            elif pr.case == "c" and pr.tau == 2 - pr.sigma:
+                tie("tau = 2 - sigma", pr.piece, "c-mean")
+        for ai, si in itertools.product(range(1, 12 * n + 1), range(1, 12 * (k + 1) + 1)):
+            pr = marstrand_params(F(ai, 12), F(si, 12), n, k)
+            if pr.mtype == 2 and 2 * pr.gamma == pr.beta + 1:
+                tie("2gamma = beta + 1", pr.piece, "2-zero")
+            elif pr.mtype == 3 and 2 * pr.gamma == pr.beta:
+                tie("2gamma = beta", pr.piece, "3-zero")
+    assert ties == {
+        "t = k(n-k)": 15, "tau = sigma": 840, "tau = 2 - sigma": 770,
+        "2gamma = beta + 1": 350, "2gamma = beta": 420,
+    }
+
+
+def test_rectangle_pieces_are_the_oberlin_domain_in_2d():
+    # (a, s; 2, 1) is on an excess piece of M exactly where a/2 < s <= min(1, a)
+    grid = [F(j, 24) for j in range(1, 49)]
+    for a, s in itertools.product(grid, grid):
+        piece = marstrand_params(a, s, 2, 1).piece
+        assert (piece in ("2-excess", "3-excess")) == (a / 2 < s <= min(F(1), a)), (a, s)
+
+
+@pytest.mark.parametrize(
+    "args,piece,case",
+    [((0, 1, 2, 1), "a-zero", "a"), ((0, F(3, 2), 2, 1), "a-excess", "a"),
+     ((F(3, 2), 1, 4, 3), "b", "b"), ((F(1, 2), F(1, 2), 2, 1), "c-tau", "c"),
+     ((F(1, 2), 1, 2, 1), "c-mean", "c"), ((1, F(3, 2), 2, 1), "c-one", "c"),
+     ((2, F(5, 2), 3, 2), "d", "d")],
+)
+def test_furstenberg_params_expose_the_piece_and_its_case(args, piece, case):
+    pr = furstenberg_params(*args)
+    assert (pr.piece, pr.case) == (piece, case)
+
+
+@pytest.mark.parametrize(
+    "args,piece,mtype",
+    [((F(1, 2), 2, 3, 2), "1", 1), ((F(5, 2), F(7, 4), 4, 2), "2-zero", 2),
+     ((F(5, 2), F(15, 8), 4, 2), "2-excess", 2), ((F(3, 2), F(5, 4), 4, 2), "3-zero", 3),
+     ((F(3, 2), F(3, 2), 4, 2), "3-excess", 3), ((3, 1, 3, 1), "4", 4)],
+)
+def test_marstrand_params_expose_the_piece_and_its_type(args, piece, mtype):
+    pr = marstrand_params(*args)
+    assert (pr.piece, pr.mtype) == (piece, mtype)

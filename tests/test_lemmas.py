@@ -11,7 +11,7 @@ from fpfurst.indices import (
     NEG_INF,
     _furstenberg_scaled,
     _marstrand_scaled,
-    _marstrand_type,
+    _marstrand_piece,
     _split,
     furstenberg_index,
     marstrand_index,
@@ -126,8 +126,8 @@ def test_properties_closed_form_grid():
 
 def _m_unclamped_type3(x, y, n, k, D):
     """M with the max{., 0} clamp of the type-3 formula dropped."""
-    mtype, m, beta, l, gamma = _marstrand_type(x, y, n, k, D)
-    if mtype == 3:
+    piece, m, beta, l, gamma = _marstrand_piece(x, y, n, k, D)
+    if piece[0] == "3":
         return (k * (n - k) - (m + 1 - l) * (k - l)) * D + (2 * gamma - beta)
     return _marstrand_scaled(x, y, n, k, D)
 
@@ -186,7 +186,7 @@ PROPERTY_BREAKS = {
     "easym_lower": {"_marstrand_scaled": _m_minus_one},
     "closed_form_f21": {"_furstenberg_scaled": _f_minus_one},
     "closed_form_m21": {"_marstrand_scaled": _m_plus_one},
-    "type_partition": {"_marstrand_type": lambda a, s, n, k, D: (1,) * 5},
+    "type_partition": {"_marstrand_piece": lambda a, s, n, k, D: ("1",) * 5},
 }
 
 
