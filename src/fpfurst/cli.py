@@ -27,7 +27,9 @@ exceptional each take their one constant flag, and no other subcommand takes
 either.  --jobs 1 (the default) evaluates every case in this process and
 loads no process pool; N > 1 fans the cases out over N worker processes
 without changing row order.  A launch imports only the modules its command
-runs, and imports them while parsing the config, before any case.
+runs, and imports them while parsing the config, before any case.  The
+package's records share a base class of its own (`primefield._Record`), so
+no launch imports the standard library's record generator or `inspect`.
 
 Outputs: <out>/<command>.csv with one row per case (schema fixed per
 command, exact decimal integers and num/den rationals only, so identical
@@ -58,12 +60,11 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 
 from .indices import as_fraction, furstenberg_index, marstrand_index
-from .primefield import PRIME_LIMIT, is_prime
+from .primefield import PRIME_LIMIT, _Record, is_prime
 
 
 class ConfigError(ValueError):
@@ -85,20 +86,24 @@ CSV_COLUMNS = {
 }
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    command: str
-    params: dict
-    constant: Fraction | None = None  # the bound's constant, for construct and exceptional
-    jobs: int = 1
+class ExperimentConfig(_Record):
+    """A parsed config; `constant` is the bound's constant, for construct and
+    exceptional."""
+
+    def __init__(self, command: str, params: dict, constant: Fraction | None = None, jobs: int = 1):
+        self._set_fields(command, params, constant, jobs)
 
 
-@dataclass
-class RunReport:
-    command: str
-    rows: list[dict] = field(default_factory=list)
-    counterexample_csv: str = ""
-    wall_ms: int = 0
+class RunReport(_Record):
+    """The rows of a run as they are filled in: mutable, so unhashable."""
+
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, command: str, rows: list[dict] | None = None, counterexample_csv: str = "",
+                 wall_ms: int = 0):
+        self._set_fields(command, [] if rows is None else rows, counterexample_csv, wall_ms)
 
     @property
     def cases(self) -> int:
@@ -460,7 +465,7 @@ def main(argv=None) -> int:
             constant = overrides["constant"] = _parse_rational(args.constant, flag)
             if constant <= 0:
                 raise ConfigError(f"{flag} must be positive, got {constant}")
-        config = replace(config, **overrides)
+        config = config.replace(**overrides)
         if args.out:
             Path(args.out).mkdir(parents=True, exist_ok=True)
     except (ConfigError, OSError, UnicodeDecodeError) as exc:

@@ -27,7 +27,6 @@ Branches, by the piece of M(a, s; n, k):
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateScaleError
@@ -41,25 +40,18 @@ from .indices import (
     marstrand_index,
     marstrand_params,
 )
-from .primefield import check_prime
+from .primefield import _Record, check_prime
 from .projections import ExceptionalQuery, PointSet, exceptional_set, small_projection_directions
 
 FIFTH = Fraction(1, 5)
 
 
-@dataclass(frozen=True)
-class ExceptionalWitness:
+class ExceptionalWitness(_Record):
     """A set A plus claimed exceptional directions and the enumerated truth."""
 
-    a: Fraction
-    s: Fraction
-    n: int
-    k: int
-    p: int
-    branch: str
-    set_a: PointSet
-    claimed: tuple[LinearSubspace, ...]
-    certified_count: int
+    def __init__(self, a: Fraction, s: Fraction, n: int, k: int, p: int, branch: str,
+                 set_a: PointSet, claimed: tuple[LinearSubspace, ...], certified_count: int):
+        self._set_fields(a, s, n, k, p, branch, set_a, claimed, certified_count)
 
     @property
     def mtype(self) -> int:

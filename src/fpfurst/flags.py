@@ -15,9 +15,9 @@ input; the two enumerators do not, because what they yield is valid by
 construction: residues in `range(p)` at a prime checked once per call, RREF
 shape and pivot count fixed by the pivot pattern, and bases that are 0 at
 every pivot.  They create each object with `object.__new__` and set its
-fields in field order, so `__post_init__` never runs: a subspace's with
-`object.__setattr__`, which keeps the layout the dataclass `__init__` gives
-it (filling `__dict__` directly would give every retained instance a
+fields in field order, so its `__init__` and the checks in it never run: a
+subspace's with `object.__setattr__`, which keeps the layout its `__init__`
+gives it (filling `__dict__` directly would give every retained instance a
 dictionary of its own), and a flat's, which has slots and no `__dict__`,
 through its slot descriptors.
 """
@@ -25,11 +25,10 @@ through its slot descriptors.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
 from ._kernel import _dense, _reduce, _reduction_rows
-from .primefield import PrimeMatrix, _check_ints, check_prime
+from .primefield import PrimeMatrix, _check_ints, _check_matrix, _Record, check_prime
 
 
 def gaussian_binomial(n: int, k: int, p: int) -> int:
@@ -54,24 +53,22 @@ def small_projection_count(n: int, k: int, m: int, l: int, p: int) -> int:
                for j in range(max(m - l, m - k, 0), min(m, d) + 1))
 
 
-@dataclass(frozen=True)
 class LinearSubspace(PrimeMatrix):
     """A k-dimensional subspace of F_p^n: its RREF basis, then its pivots."""
 
-    pivots: tuple[int, ...]
-
-    def __post_init__(self):
-        super().__post_init__()
-        if type(self.pivots) is not tuple:
+    def __init__(self, p: int, rows: int, cols: int, entries: tuple[int, ...], pivots: tuple[int, ...]):
+        _check_matrix(p, rows, cols, entries)
+        if type(pivots) is not tuple:
             raise TypeError("pivots must be a tuple")
-        if len(self.pivots) != self.rows:
+        if len(pivots) != rows:
             raise ValueError("pivot count mismatch")
         # enumerate_linear's shape: row i is 1 at its pivot c, 0 left of c and at the other pivots
-        n, piv, e = self.cols, self.pivots, self.entries
+        n, piv, e = cols, pivots, entries
         if list(piv) != sorted(set(piv)) or not set(piv) <= set(range(n)) or any(
             [e[i * n + j] != (j == c) for i, c in enumerate(piv) for j in {*range(c + 1), *piv}]
         ):
             raise ValueError(f"basis is not the RREF of pivots {piv}")
+        self._set_fields(p, rows, cols, entries, pivots)
 
     @property
     def n(self) -> int:
@@ -130,23 +127,22 @@ class LinearSubspace(PrimeMatrix):
         return pts
 
 
-@dataclass(frozen=True, slots=True)
-class AffineFlat:
+class AffineFlat(_Record):
     """A coset base + direction, base vanishing on the direction's pivots."""
 
-    direction: LinearSubspace
-    base: tuple[int, ...]
+    __slots__ = ("direction", "base")
 
-    def __post_init__(self):
-        if type(self.base) is not tuple:
+    def __init__(self, direction: LinearSubspace, base: tuple[int, ...]):
+        if type(base) is not tuple:
             raise TypeError("base must be a tuple")
-        if len(self.base) != self.direction.n:
+        if len(base) != direction.n:
             raise ValueError("base length mismatch")
-        _check_ints(self.base)
-        if min(self.base, default=0) < 0 or max(self.base, default=0) >= self.direction.p:
+        _check_ints(base)
+        if min(base, default=0) < 0 or max(base, default=0) >= direction.p:
             raise ValueError("base entries must be residues in [0, p)")
-        if any(self.base[c] for c in self.direction.pivots):
+        if any(base[c] for c in direction.pivots):
             raise ValueError("base must vanish on pivot coordinates")
+        self._set_fields(direction, base)
 
     @property
     def n(self) -> int:
@@ -221,7 +217,7 @@ def enumerate_linear(n: int, k: int, p: int):
     the entries in row-major order is the RREF entry tuple, in that order.
     Total count is gaussian_binomial(n, k, p).
 
-    Each value is valid by construction and skips `__post_init__` (see the
+    Each value is valid by construction and skips `__init__` (see the
     module docstring).
     """
     if not 0 <= k <= n:
@@ -250,7 +246,7 @@ def enumerate_affine(n: int, k: int, p: int):
     then canonical bases in lexicographic order of the free coordinates.
 
     Every base is 0 at the direction's pivots, so each flat is built without
-    `__post_init__`, its two slots set through their descriptors."""
+    `__init__`, its two slots set through their descriptors."""
     new = object.__new__
     set_direction, set_base = AffineFlat.direction.__set__, AffineFlat.base.__set__
     for direction in enumerate_linear(n, k, p):

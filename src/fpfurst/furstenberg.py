@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -45,25 +44,20 @@ from .indices import (
     furstenberg_index,
     furstenberg_params,
 )
-from .primefield import check_prime
+from .primefield import _Record, check_prime
 from .projections import PointSet
 
 HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class FurstenbergFamily:
+class FurstenbergFamily(_Record):
     """A constructed family: flats with their marked point sets."""
 
-    s: Fraction
-    t: Fraction
-    n: int
-    k: int
-    p: int
-    branch: str
-    members: tuple[tuple[AffineFlat, tuple[tuple[int, ...], ...]], ...]
-
     lam = HALF
+
+    def __init__(self, s: Fraction, t: Fraction, n: int, k: int, p: int, branch: str,
+                 members: tuple[tuple[AffineFlat, tuple[tuple[int, ...], ...]], ...]):
+        self._set_fields(s, t, n, k, p, branch, members)
 
     @cached_property
     def union(self) -> PointSet:
@@ -71,9 +65,9 @@ class FurstenbergFamily:
         return PointSet(self.n, self.p, tuple(sorted(set().union(*(ys for _, ys in self.members)))))
 
 
-@dataclass(frozen=True)
-class FamilyValidity:
-    failures: tuple[str, ...]
+class FamilyValidity(_Record):
+    def __init__(self, failures: tuple[str, ...]):
+        self._set_fields(failures)
 
     @property
     def is_valid(self) -> bool:

@@ -33,10 +33,11 @@ views at D = lcm of their inputs' denominators, doubled for F so that
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from typing import Union
+
+from .primefield import _Record
 
 
 @total_ordering
@@ -153,8 +154,7 @@ def is_admissible(s, t, n: int, k: int) -> bool:
     return 1 <= k < n and 0 <= s <= k and 0 <= t <= (k + 1) * (n - k)
 
 
-@dataclass(frozen=True)
-class FurstenbergParams:
+class FurstenbergParams(_Record):
     """An admissible tuple together with its canonical decomposition.
 
     For s > 0, s = d + sigma with sigma in (0,1].  Outside the flat
@@ -163,15 +163,9 @@ class FurstenbergParams:
     of "a", "b", "c", "d".
     """
 
-    s: Fraction
-    t: Fraction
-    n: int
-    k: int
-    piece: str
-    d: int | None = None
-    sigma: Fraction | None = None
-    m: int | None = None
-    tau: Fraction | None = None
+    def __init__(self, s: Fraction, t: Fraction, n: int, k: int, piece: str, d: int | None = None,
+                 sigma: Fraction | None = None, m: int | None = None, tau: Fraction | None = None):
+        self._set_fields(s, t, n, k, piece, d, sigma, m, tau)
 
     case = property(lambda self: self.piece[0])
 
@@ -232,20 +226,13 @@ def furstenberg_index(s, t, n: int, k: int) -> Fraction:
     return Fraction(_furstenberg_scaled(x, y, n, k, D), D)
 
 
-@dataclass(frozen=True)
-class MarstrandParams:
+class MarstrandParams(_Record):
     """Canonical decomposition a = m + beta, s = l + gamma plus M's piece
     label, whose first character is the type tag."""
 
-    a: Fraction
-    s: Fraction
-    n: int
-    k: int
-    m: int
-    beta: Fraction
-    l: int
-    gamma: Fraction
-    piece: str
+    def __init__(self, a: Fraction, s: Fraction, n: int, k: int, m: int, beta: Fraction, l: int,
+                 gamma: Fraction, piece: str):
+        self._set_fields(a, s, n, k, m, beta, l, gamma, piece)
 
     mtype = property(lambda self: int(self.piece[0]))
 

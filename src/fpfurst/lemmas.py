@@ -37,7 +37,6 @@ from __future__ import annotations
 import io
 import csv
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 
@@ -52,6 +51,7 @@ from .indices import (
     furstenberg_index,
     marstrand_index,
 )
+from .primefield import _Record
 
 # read by clibench's tracer; the checkers cache per call and leave both empty
 _findex = lru_cache(maxsize=None)(furstenberg_index)
@@ -62,16 +62,14 @@ _LIPSCHITZ = 2
 ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(_Record):
     """A finite rational mesh with a unit-fraction step."""
 
-    step: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "step", as_fraction(self.step))
-        if self.step <= 0 or self.step.numerator != 1:
+    def __init__(self, step: Fraction):
+        step = as_fraction(step)
+        if step <= 0 or step.numerator != 1:
             raise ValueError("step must be a positive unit fraction like 1/12")
+        self._set_fields(step)
 
     def values(self, lo, hi, include_lo: bool = True, include_hi: bool = True):
         """Grid points in [lo, hi], optionally dropping either endpoint; no
@@ -86,16 +84,13 @@ class GridSpec:
         return vals
 
 
-@dataclass(frozen=True)
-class CounterexampleReport:
+class CounterexampleReport(_Record):
     """One violated instance: witness values plus both sides and the deficit
     (positive exactly when reported)."""
 
-    lemma: str
-    witness: tuple[tuple[str, Fraction], ...]
-    lhs: Exponent
-    rhs: Exponent
-    deficit: Fraction
+    def __init__(self, lemma: str, witness: tuple[tuple[str, Fraction], ...], lhs: Exponent,
+                 rhs: Exponent, deficit: Fraction):
+        self._set_fields(lemma, witness, lhs, rhs, deficit)
 
     def witness_dict(self):
         return dict(self.witness)

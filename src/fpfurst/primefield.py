@@ -8,7 +8,6 @@ Counting is done elsewhere in arbitrary-precision integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 
@@ -66,24 +65,75 @@ def _check_ints(values):
         raise TypeError("entries must be ints")
 
 
-@dataclass(frozen=True)
-class PrimeMatrix:
+def _check_matrix(p, rows, cols, entries):
+    """A PrimeMatrix's checks; a LinearSubspace runs them too."""
+    check_prime(p)
+    if type(entries) is not tuple:
+        raise TypeError("entries must be a tuple")
+    if len(entries) != rows * cols:
+        raise ValueError("entry count does not match shape")
+    _check_ints(entries)
+    if any(not (0 <= e < p) for e in entries):
+        raise ValueError("entries must be residues in [0, p)")
+
+
+class _Record:
+    """Base of the package's value records.
+
+    A record's fields are the parameters of its class's `__init__`, in order.
+    The `__init__` checks its arguments and stores them with `_set_fields`.
+    The base supplies the rest: equality and hashing by field values, only
+    between instances of one class; a `Name(field=value, ...)` repr;
+    assignment and deletion that raise `AttributeError`; pickling and copying
+    through `__init__`; and `replace`.  A subclass that declares no
+    `__slots__` has a `__dict__`, so it can hold a `cached_property`.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        init = cls.__init__.__code__
+        cls._fields = init.co_varnames[1 : init.co_argcount]
+
+    def _set_fields(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={value!r}" for name, value in zip(self._fields, self._values())])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def replace(self, **changes):
+        """A copy with the given fields changed, built and checked by `__init__`."""
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+
+class PrimeMatrix(_Record):
     """Immutable row-major matrix over F_p."""
 
-    p: int
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        check_prime(self.p)
-        if type(self.entries) is not tuple:
-            raise TypeError("entries must be a tuple")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match shape")
-        _check_ints(self.entries)
-        if any(not (0 <= e < self.p) for e in self.entries):
-            raise ValueError("entries must be residues in [0, p)")
+    def __init__(self, p: int, rows: int, cols: int, entries: tuple[int, ...]):
+        _check_matrix(p, rows, cols, entries)
+        self._set_fields(p, rows, cols, entries)
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]

@@ -25,27 +25,21 @@ from __future__ import annotations
 import bisect
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _kernel
 from .flags import LinearSubspace, _echelon, enumerate_linear, join_rows
 from .indices import as_fraction, ceil_rational_power
-from .primefield import _check_ints, check_prime
+from .primefield import _check_ints, _Record, check_prime
 
 
-@dataclass(frozen=True)
-class PointSet:
+class PointSet(_Record):
     """Sorted, deduplicated finite subset of F_p^n with exact cardinality: a
     strictly sorted tuple of length-n tuples of int residues."""
 
-    n: int
-    p: int
-    points: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        check_prime(self.p)
-        pts, n, p = self.points, self.n, self.p
+    def __init__(self, n: int, p: int, points: tuple[tuple[int, ...], ...]):
+        check_prime(p)
+        pts = points
         # Whole-set checks in C-level builtins; the offending point is looked
         # for only once a check has failed, to name it in the message.
         if type(pts) is not tuple or set(map(type, pts)) - {tuple}:
@@ -61,6 +55,7 @@ class PointSet:
             raise ValueError(f"bad point {bad} for F_{p}^{n}")
         if not all(map(operator.lt, pts, pts[1:])):
             raise ValueError("points must be strictly sorted")
+        self._set_fields(n, p, points)
 
     @classmethod
     def from_iterable(cls, points, n: int, p: int) -> "PointSet":
@@ -91,17 +86,14 @@ class PointSet:
         return tuple(itertools.chain.from_iterable(self.points))
 
 
-@dataclass(frozen=True)
-class ExceptionalQuery:
+class ExceptionalQuery(_Record):
     """The question "is #proj_V(A) < p^s", for V of dimension n - k."""
 
-    s: Fraction
-    k: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "s", as_fraction(self.s))
-        if self.s <= 0:
+    def __init__(self, s: Fraction, k: int):
+        s = as_fraction(s)
+        if s <= 0:
             raise ValueError("s must be positive")
+        self._set_fields(s, k)
 
 
 def exceptional_set(A: PointSet, q: ExceptionalQuery) -> list[LinearSubspace]:

@@ -121,11 +121,9 @@ def test_csv_deterministic_across_runs():
 
 
 def test_jobs_parallel_matches_serial():
-    from dataclasses import replace
-
     cfg = _cfg(command="index", s=["1/4", "1/2", "3/4", "1"], t=["1", "2"], n=2, k=1)
     serial = run(cfg).to_csv()
-    parallel = run(replace(cfg, jobs=2)).to_csv()
+    parallel = run(cfg.replace(jobs=2)).to_csv()
     assert serial == parallel
 
 
@@ -153,12 +151,16 @@ def test_jobs_1_loads_no_process_pool():
 
 # The fpfurst modules loaded at a CLI launch's entry to `cli.run` and at its
 # exit; the two must be equal, so that no import is timed as case evaluation.
+# `dataclasses` and `inspect` are watched too: no launch may load either,
+# unless the interpreter's own start-up already has.
 _FOOTPRINT_SCRIPT = """
 import json, sys
+started = set(sys.modules)
 from fpfurst import cli
 
 def loaded():
-    return sorted(name for name in sys.modules if name.split(".")[0] == "fpfurst")
+    watched = ("fpfurst", "dataclasses", "inspect")
+    return sorted(name for name in set(sys.modules) - started if name.split(".")[0] in watched)
 
 run, seen = cli.run, {}
 
@@ -200,6 +202,7 @@ def test_a_launch_imports_only_what_its_command_runs(config, modules, tmp_path):
 def test_import_fpfurst_loads_no_submodule():
     script = (
         "import sys\n"
+        "started = set(sys.modules)\n"
         "import fpfurst\n"
         "loaded = lambda: sorted(m for m in sys.modules if m.startswith('fpfurst.'))\n"
         "print(loaded())\n"
@@ -207,9 +210,11 @@ def test_import_fpfurst_loads_no_submodule():
         "print(loaded())\n"
         "fpfurst.lemmas\n"
         "print(loaded())\n"
+        "print([m for m in ('dataclasses', 'inspect') if m in set(sys.modules) - started])\n"
     )
     assert _python(script) == (
-        "[]\n['fpfurst._kernel']\n['fpfurst._kernel', 'fpfurst.indices', 'fpfurst.lemmas']\n"
+        "[]\n['fpfurst._kernel']\n"
+        "['fpfurst._kernel', 'fpfurst.indices', 'fpfurst.lemmas', 'fpfurst.primefield']\n[]\n"
     )
 
 

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import gc
 import itertools
 import os
@@ -21,7 +20,13 @@ from fpfurst.flags import (
     join_rows,
     reduce_mod_subspace,
 )
+from fpfurst.cli import ExperimentConfig, RunReport
+from fpfurst.exceptional import ExceptionalWitness
+from fpfurst.furstenberg import FamilyValidity, FurstenbergFamily, construct_2d
+from fpfurst.indices import furstenberg_params, marstrand_params
+from fpfurst.lemmas import CounterexampleReport, GridSpec
 from fpfurst.primefield import PrimeMatrix
+from fpfurst.projections import ExceptionalQuery, PointSet
 from rank_oracle import matrix, rref
 
 
@@ -99,13 +104,13 @@ def test_enumeration_order_matches_rref_oracle(n, k, p):
 
 @pytest.mark.parametrize("n,k,p", ORACLE_CASES + [(4, 2, 7), (3, 1, 5)])
 def test_enumerated_values_are_valid(n, k, p):
-    # The enumerators skip __post_init__; dataclasses.replace runs it again,
-    # so each value must survive its own constructor unchanged.
+    # The enumerators skip __init__; replace runs it again, so each value
+    # must survive its own constructor unchanged.
     for V in enumerate_linear(n, k, p):
-        W = dataclasses.replace(V)
+        W = V.replace()
         assert W == V and hash(W) == hash(V)
     for flat in enumerate_affine(n, k, p):
-        same = dataclasses.replace(flat)
+        same = flat.replace()
         assert same == flat and hash(same) == hash(flat)
 
 
@@ -174,7 +179,7 @@ def test_enumerated_subspace_is_one_object():
     # the RREF basis' PrimeMatrix fields, then the pivots: no nested matrix
     V = list(enumerate_linear(3, 2, 5))[7]
     assert isinstance(V, PrimeMatrix) and (V.n, V.k) == (3, 2)
-    assert [f.name for f in dataclasses.fields(V)] == ["p", "rows", "cols", "entries", "pivots"]
+    assert V._fields == ("p", "rows", "cols", "entries", "pivots")
     assert vars(V) == {"p": 5, "rows": 2, "cols": 3, "entries": (1, 0, 1, 0, 1, 2), "pivots": (0, 1)}
 
 
@@ -183,17 +188,111 @@ def test_flats_are_slotted_and_frozen():
     V = LinearSubspace.from_rows([[1, 2, 0]], 3, 5)
     for flat in (list(enumerate_affine(3, 1, 5))[7], AffineFlat(V, (0, 1, 3))):
         assert not hasattr(flat, "__dict__")
-        assert [f.name for f in dataclasses.fields(flat)] == ["direction", "base"]
+        assert flat._fields == ("direction", "base")
         for name, value in (("direction", V), ("base", (0, 0, 0))):
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
                 setattr(flat, name, value)
 
 
-def test_enumerated_flat_survives_pickle_and_deepcopy():
-    flat = list(enumerate_affine(3, 2, 3))[20]
-    for same in (pickle.loads(pickle.dumps(flat)), copy.deepcopy(flat)):
-        assert same is not flat and same == flat and hash(same) == hash(flat)
-        assert type(same) is AffineFlat and not hasattr(same, "__dict__")
+def _records():
+    """One record of each class: the record, a change its constructor refuses
+    with that error and message (an unknown field where it checks nothing),
+    and its repr."""
+    F = Fraction
+    line = LinearSubspace.from_rows([[1, 2]], 2, 5)
+    member = (AffineFlat.through((0, 0), line), ((0, 0), (1, 2)))
+    unknown = ({"bogus": 1}, TypeError, "unexpected keyword argument 'bogus'")
+    cases = [
+        (PrimeMatrix(5, 1, 2, (1, 4)), ({"entries": (1, 5)}, ValueError, "residues"),
+         "PrimeMatrix(p=5, rows=1, cols=2, entries=(1, 4))"),
+        (line, ({"pivots": (1,)}, ValueError, "not the RREF"),
+         "LinearSubspace(p=5, rows=1, cols=2, entries=(1, 2), pivots=(0,))"),
+        (list(enumerate_affine(3, 2, 3))[20], ({"base": (0, 0)}, ValueError, "base length"),
+         "AffineFlat(direction=LinearSubspace(p=3, rows=2, cols=3, entries=(1, 0, 2, 0, 1, 0), "
+         "pivots=(0, 1)), base=(0, 0, 2))"),
+        (PointSet(2, 5, ((0, 1), (3, 4))), ({"points": ((3, 4), (0, 1))}, ValueError, "sorted"),
+         "PointSet(n=2, p=5, points=((0, 1), (3, 4)))"),
+        (ExceptionalQuery(F(1, 2), 1), ({"s": 0}, ValueError, "s must be positive"),
+         "ExceptionalQuery(s=Fraction(1, 2), k=1)"),
+        (furstenberg_params(F(1, 2), 1, 2, 1), unknown,
+         "FurstenbergParams(s=Fraction(1, 2), t=Fraction(1, 1), n=2, k=1, piece='c-mean', d=0, "
+         "sigma=Fraction(1, 2), m=0, tau=Fraction(1, 1))"),
+        (marstrand_params(F(3, 2), F(3, 2), 4, 2), unknown,
+         "MarstrandParams(a=Fraction(3, 2), s=Fraction(3, 2), n=4, k=2, m=1, beta=Fraction(1, 2), "
+         "l=1, gamma=Fraction(1, 2), piece='3-excess')"),
+        (GridSpec(F(1, 4)), ({"step": F(2, 3)}, ValueError, "unit fraction"),
+         "GridSpec(step=Fraction(1, 4))"),
+        (CounterexampleReport("recursion_f1", (("s", F(1)),), F(1), F(2), F(1)), unknown,
+         "CounterexampleReport(lemma='recursion_f1', witness=(('s', Fraction(1, 1)),), "
+         "lhs=Fraction(1, 1), rhs=Fraction(2, 1), deficit=Fraction(1, 1))"),
+        (FurstenbergFamily(F(1), F(2), 2, 1, 5, "2d-strip", (member,)), unknown,
+         "FurstenbergFamily(s=Fraction(1, 1), t=Fraction(2, 1), n=2, k=1, p=5, branch='2d-strip', "
+         "members=((AffineFlat(direction=LinearSubspace(p=5, rows=1, cols=2, entries=(1, 2), "
+         "pivots=(0,)), base=(0, 0)), ((0, 0), (1, 2))),))"),
+        (FamilyValidity(("member 1: duplicate flat",)), unknown,
+         "FamilyValidity(failures=('member 1: duplicate flat',))"),
+        (ExceptionalWitness(F(1), F(1, 2), 2, 1, 5, "type1", PointSet(2, 5, ((0, 0),)), (line,), 1),
+         unknown,
+         "ExceptionalWitness(a=Fraction(1, 1), s=Fraction(1, 2), n=2, k=1, p=5, branch='type1', "
+         "set_a=PointSet(n=2, p=5, points=((0, 0),)), claimed=(LinearSubspace(p=5, rows=1, "
+         "cols=2, entries=(1, 2), pivots=(0,)),), certified_count=1)"),
+        (ExperimentConfig("index", {"k": [1]}), unknown,
+         "ExperimentConfig(command='index', params={'k': [1]}, constant=None, jobs=1)"),
+        (RunReport("index", [{"status": "pass"}], "", 3), unknown,
+         "RunReport(command='index', rows=[{'status': 'pass'}], counterexample_csv='', wall_ms=3)"),
+    ]
+    return [pytest.param(*case, id=type(case[0]).__name__) for case in cases]
+
+
+@pytest.mark.parametrize("record, refused, text", _records())
+def test_enumerated_flat_survives_pickle_and_deepcopy(record, refused, text):
+    # Every record keeps the contract of a frozen dataclass (RunReport that of
+    # a mutable one): a round trip through pickle or deepcopy, equality and
+    # hashing by field values within one class, the repr, refused assignment,
+    # and a replace that runs the constructor's checks.
+    cls, values = type(record), {name: getattr(record, name) for name in record._fields}
+    hashable = cls is not RunReport and "params" not in values  # a dict field is unhashable
+    for same in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert same is not record and same == record and type(same) is cls
+        if cls is AffineFlat:
+            assert not hasattr(same, "__dict__")
+        else:
+            assert vars(same) == values
+        if hashable:
+            assert hash(same) == hash(record)
+        else:
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(same)
+    assert repr(record) == text
+    twin = type("Twin", (cls,), {})(**values)
+    assert record != twin and twin != record
+    name = record._fields[-1]
+    if cls is RunReport:
+        setattr(record, name, 4)
+        assert record.replace(wall_ms=3) == RunReport("index", [{"status": "pass"}], "", 3)
+        assert RunReport("index").rows == [] and RunReport("index").rows is not RunReport("index").rows
+    else:
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(record, name, values[name])
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(record, name)
+    changes, error, match = refused
+    with pytest.raises(error, match=match):
+        record.replace(**changes)
+    assert record.replace() == record
+
+
+def test_replace_rebuilds_without_cached_values():
+    # replace goes through __init__, so no cached property is carried over
+    empty = FurstenbergFamily(Fraction(1), Fraction(2), 2, 1, 5, "2d-strip", ())
+    fam = construct_2d(1, 2, 5)
+    assert len(empty.union) == 0 and len(fam.union) == 25
+    shrunk = fam.replace(members=fam.members[:1])
+    assert "union" not in vars(shrunk) and shrunk.union.points == fam.members[0][1]
+    assert empty.replace(members=fam.members).union == fam.union
+    V = LinearSubspace.from_rows([[1, 2, 0]], 3, 5)
+    V._rows
+    assert "_rows" in vars(V) and "_rows" not in vars(V.replace())
 
 
 @pytest.mark.parametrize("p", [2, 3])

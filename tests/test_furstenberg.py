@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import sys
-from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -152,7 +151,7 @@ def test_verify_family_detects_point_off_flat():
         q for q in full_space(2, 29) if not flat.contains_point(q)
     )
     mutated_members = ((flat, PointSet.from_iterable([*ys, bad_point], 2, 29).points),) + fam.members[1:]
-    mutated = replace(fam, members=mutated_members)
+    mutated = fam.replace(members=mutated_members)
     validity = verify_family(mutated)
     assert not validity.is_valid
     assert any("member 0" in f and "off its flat" in f for f in validity.failures)
@@ -160,7 +159,7 @@ def test_verify_family_detects_point_off_flat():
 
 def _with_y_set(fam, i, ys):
     """fam with member i's y-set replaced."""
-    return replace(fam, members=fam.members[:i] + ((fam.members[i][0], ys),) + fam.members[i + 1 :])
+    return fam.replace(members=fam.members[:i] + ((fam.members[i][0], ys),) + fam.members[i + 1 :])
 
 
 def test_verify_family_names_off_flat_point_of_later_member():
@@ -230,7 +229,7 @@ def test_verify_family_empty_y_set_is_only_too_small():
 
 def test_verify_family_detects_truncated_family():
     fam = construct_2d(F(1, 2), 1, 29)
-    mutated = replace(fam, members=fam.members[:1])
+    mutated = fam.replace(members=fam.members[:1])
     validity = verify_family(mutated)
     assert not validity.is_valid
     assert any("fewer than lambda*p^t" in f for f in validity.failures)
@@ -240,7 +239,7 @@ def test_verify_family_detects_small_y_set():
     fam = construct_2d(1, 2, 5)
     flat, ys = fam.members[0]
     mutated_members = ((flat, ys[:1]),) + fam.members[1:]
-    validity = verify_family(replace(fam, members=mutated_members))
+    validity = verify_family(fam.replace(members=mutated_members))
     assert not validity.is_valid
     assert any("member 0" in f and "below lambda*p^s" in f for f in validity.failures)
 
@@ -262,9 +261,9 @@ def test_determinism_and_round_trip():
 
 def test_union_is_the_union_of_the_members_y_sets():
     fam = construct_2d(F(1, 2), 1, 29)
-    assert [f.name for f in fields(fam)] == ["s", "t", "n", "k", "p", "branch", "members"]
+    assert fam._fields == ("s", "t", "n", "k", "p", "branch", "members")
     for m in (1, 7, 20):
-        kept = replace(fam, members=fam.members[:m])
+        kept = fam.replace(members=fam.members[:m])
         assert kept.union == PointSet.from_iterable((q for _, ys in kept.members for q in ys), 2, 29)
         assert len(kept.union) < len(fam.union)
 
@@ -281,7 +280,7 @@ def test_verify_family_reports_y_set_in_wrong_space(ys, bad):
     # re-validated in the family's space F_7^2
     fam = construct_2d(F(1, 2), 1, 7)
     diagonal = AffineFlat.through((0, 0), LinearSubspace.from_rows([[1, 1]], 2, 7))
-    validity = verify_family(replace(fam, members=((diagonal, ys),) + fam.members[1:]))
+    validity = verify_family(fam.replace(members=((diagonal, ys),) + fam.members[1:]))
     assert validity.failures == (f"member 0: invalid y-set: bad point {bad} for F_7^2",)
 
 
@@ -313,7 +312,7 @@ _NOT_TUPLES = "member 0: invalid y-set: points must be a tuple of tuples"
 def test_verify_family_reports_unvalidated_y_set(points, failures):
     fam = construct_2d(1, 2, 5)
     assert fam.members[0][1] == _DIAGONAL and len(fam.union) == 25
-    validity = verify_family(replace(fam, members=((fam.members[0][0], points),) + fam.members[1:]))
+    validity = verify_family(fam.replace(members=((fam.members[0][0], points),) + fam.members[1:]))
     assert validity.failures == failures
     assert validity.is_valid == (not failures)
 
@@ -335,7 +334,7 @@ def test_verify_family_reports_flat_in_wrong_space():
         AffineFlat.through((0, 0), LinearSubspace.from_rows([[1, 1]], 2, 7)),
         AffineFlat.through((0, 0, 0), LinearSubspace.from_rows([[1, 1, 0]], 3, 5)),
     ):
-        mutated = replace(fam, members=((flat, fam.members[0][1]),) + fam.members[1:])
+        mutated = fam.replace(members=((flat, fam.members[0][1]),) + fam.members[1:])
         assert verify_family(mutated).failures == ("member 0: flat in wrong space",)
 
 
@@ -343,13 +342,13 @@ def test_verify_family_reports_flat_dimension():
     # the whole plane holds member 0's marked points, but it is a 2-flat
     fam = construct_2d(1, 2, 5)
     plane = AffineFlat.through((0, 0), LinearSubspace.coordinate((0, 1), 2, 5))
-    mutated = replace(fam, members=((plane, fam.members[0][1]),) + fam.members[1:])
+    mutated = fam.replace(members=((plane, fam.members[0][1]),) + fam.members[1:])
     assert verify_family(mutated).failures == ("member 0: flat dimension 2 != 1",)
 
 
 def test_verify_family_reports_duplicate_flat():
     fam = construct_2d(1, 2, 5)
-    mutated = replace(fam, members=fam.members[:1] * 2 + fam.members[2:])
+    mutated = fam.replace(members=fam.members[:1] * 2 + fam.members[2:])
     assert verify_family(mutated).failures == ("member 1: duplicate flat",)
 
 
@@ -358,9 +357,9 @@ def test_lower_bound_sanity_refuses_small_unions():
     assert lower_bound_sanity(fam)
     axis = next(m for m in fam.members if m[0].direction.row(0) == (0, 1) and m[0].base == (0, 0))
     # #E = 2 < ceil(p^s / 2) = 3
-    assert not lower_bound_sanity(replace(fam, members=((axis[0], axis[1][:2]),)))
+    assert not lower_bound_sanity(fam.replace(members=((axis[0], axis[1][:2]),)))
     # #E = 3 clears the first bound, but 3 * #G(1, F_5^2) = 18 < ceil(p^3 / 4) = 32
-    three = replace(fam, s=F(1), t=F(2), members=((axis[0], axis[1][:3]),))
+    three = fam.replace(s=F(1), t=F(2), members=((axis[0], axis[1][:3]),))
     assert three.union.points == ((0, 0), (0, 1), (0, 2)) and not lower_bound_sanity(three)
 
 
@@ -553,8 +552,8 @@ def test_validation_work_per_construction(case, primes, branch, validations, mon
     # count grows.  It checks the marked points column-major, with no _reduce
     # call under any name the package binds it to.
     checks, reduces = [], []
-    check, reduce = PointSet.__post_init__, _kernel._reduce
-    monkeypatch.setattr(PointSet, "__post_init__", lambda self: checks.append(1) or check(self))
+    check, reduce = PointSet.__init__, _kernel._reduce
+    monkeypatch.setattr(PointSet, "__init__", lambda self, *a: checks.append(1) or check(self, *a))
     for module in [m for name, m in sys.modules.items() if name.startswith("fpfurst.")]:
         if getattr(module, "_reduce", None) is reduce:
             monkeypatch.setattr(module, "_reduce", lambda *a: reduces.append(1) or reduce(*a))
