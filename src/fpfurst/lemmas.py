@@ -25,11 +25,12 @@ an int operation.  Both indices are piecewise affine with coefficients in
   F(s2, t1 + v; k, k-1) has 4q.
 
 The case split lives once, in `indices`, whose lattice evaluators the
-checkers call at D under a cache for one call.  NEG_INF stays NEG_INF:
-`x + NEG_INF` and `x > NEG_INF` work for an int x, and the one subtraction, a
-report's default deficit |rhs - lhs|, is one whole unit when a side is
-NEG_INF.  Reports convert back to Fractions, equal to those of a
-Fraction sweep of the same grid.
+checkers call at D under a cache for one call.  An F recursion sweeps its
+innermost variable only where a lower bound on the left side, which assumes
+nothing of F, is below the target: the exact least over s1 for recursion_f2,
+and s2 + u + v for recursion_f1.  NEG_INF stays NEG_INF: `x + NEG_INF` and
+`x > NEG_INF` work for an int x, and a report's default deficit |rhs - lhs|
+is 1 when a side is NEG_INF.  Reports, in Fractions, equal a Fraction sweep's.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import csv
 import math
 from fractions import Fraction
 from functools import lru_cache, partial
+from operator import add
 
 from .indices import (
     NEG_INF,
@@ -74,14 +76,9 @@ class GridSpec(_Record):
     def values(self, lo, hi, include_lo: bool = True, include_hi: bool = True):
         """Grid points in [lo, hi], optionally dropping either endpoint; no
         caller in `src/`, kept for clibench's tracer."""
-        lo, hi = as_fraction(lo), as_fraction(hi)
-        q = self.step.denominator
-        vals = [Fraction(j, q) for j in range(math.ceil(lo * q), math.floor(hi * q) + 1)]
-        if vals and not include_lo and vals[0] == lo:
-            vals = vals[1:]
-        if vals and not include_hi and vals[-1] == hi:
-            vals = vals[:-1]
-        return vals
+        lo, hi, q = as_fraction(lo), as_fraction(hi), self.step.denominator
+        return [Fraction(j, q) for j in range(math.ceil(lo * q), math.floor(hi * q) + 1)
+                if (include_lo or j != lo * q) and (include_hi or j != hi * q)]
 
 
 class CounterexampleReport(_Record):
@@ -107,7 +104,7 @@ def reports_to_csv(reports) -> str:
         w = r.witness_dict()
         writer.writerow(
             [r.lemma]
-            + [str(w[f]) if f in w else "" for f in fields]
+            + [str(w.get(f, "")) for f in fields]
             + [str(r.lhs), str(r.rhs), str(r.deficit)]
         )
     return buf.getvalue()
@@ -164,7 +161,8 @@ def check_recursion_f1(k: int, grid: GridSpec, slack=ZERO) -> list[Counterexampl
     admissible domain (s2 > k - 1), where the index is undefined.
 
     The inequality checked is
-        u + max{F(s2, t1+v; k, k-1), s2 + v} >= F(s, t; k+1, k) + slack.
+        u + max{F(s2, t1+v; k, k-1), s2 + v} >= F(s, t; k+1, k) + slack,
+    and the u sweep runs only where its lower bound s2 + u + v is below it.
     """
     _check_pair(k + 1, k)
     if k < 2:
@@ -179,12 +177,13 @@ def check_recursion_f1(k: int, grid: GridSpec, slack=ZERO) -> list[Counterexampl
                     s2 = s - s1
                     f12 = F(s1, t2, 2, 1)
                     # u on the grid in [s1, 1] with v = f12 - u in [0, 1]
-                    for u in range(max(s1, -((D - f12) // g) * g), min(D, f12) + 1, g):
-                        v = f12 - u
-                        lhs = u + max(F(s2, t1 + v, k, k - 1), s2 + v)
-                        if lhs < target:
-                            report("recursion_f1", [("k", k)], lhs, target, s=s, t=t,
-                                   t1=t1, t2=t2, s1=s1, s2=s2, u=u, v=v)
+                    if s2 + f12 < target:  # lhs >= u + s2 + v = s2 + f12 for every u
+                        for u in range(max(s1, -((D - f12) // g) * g), min(D, f12) + 1, g):
+                            v = f12 - u
+                            lhs = u + max(F(s2, t1 + v, k, k - 1), s2 + v)
+                            if lhs < target:
+                                report("recursion_f1", [("k", k)], lhs, target, s=s, t=t,
+                                       t1=t1, t2=t2, s1=s1, s2=s2, u=u, v=v)
     return out
 
 
@@ -194,23 +193,29 @@ def check_recursion_f2(n: int, k: int, grid: GridSpec, slack=ZERO) -> list[Count
         F(s1, t1; n-1, k) + max{F(s, t2; k+1, k) - s1, 0}
             >= F(s, t; n, k) + slack
 
-    over t1 in [0, (k+1)(n-k-1)], t2 = t - t1 in [0, k+1], s1 in [s, k].
+    over t1 in [0, (k+1)(n-k-1)], t2 = t - t1 in [0, k+1], s1 in [s, k]; the
+    s1 sweep runs only where its least left side is below the right side.
     """
     _check_pair(n, k)
     if n < k + 2:
         raise ValueError("recursion needs n >= k + 2")
     F, D, g, eps, out, report = _frame(grid, 2, slack, _furstenberg_scaled)
-    for s in range(0, k * D + 1, g):
+    s1s = range(0, k * D + 1, g)  # low[t1 / g][s1 / g] = F(s1, t1; n-1, k)
+    low = [[F(s1, t1, n - 1, k) for s1 in s1s]
+           for t1 in range(0, (k + 1) * (n - k - 1) * D + 1, g)]
+    hinge = lru_cache(maxsize=None)(lambda inner: [max(inner - s1, 0) for s1 in s1s])
+    for j, s in enumerate(s1s):
         for t in range(0, (k + 1) * (n - k) * D + 1, g):
             target = F(s, t, n, k) + eps
             for t1 in range(max(0, t - (k + 1) * D), min((k + 1) * (n - k - 1) * D, t) + 1, g):
                 t2 = t - t1
                 inner = F(s, t2, k + 1, k)
-                for s1 in range(s, k * D + 1, g):
-                    lhs = F(s1, t1, n - 1, k) + max(inner - s1, 0)
-                    if lhs < target:
-                        report("recursion_f2", [("n", n), ("k", k)], lhs, target,
-                               s=s, t=t, t1=t1, t2=t2, s1=s1)
+                if min(map(add, low[t1 // g][j:], hinge(inner)[j:])) < target:
+                    for s1 in range(s, k * D + 1, g):
+                        lhs = F(s1, t1, n - 1, k) + max(inner - s1, 0)
+                        if lhs < target:
+                            report("recursion_f2", [("n", n), ("k", k)], lhs, target,
+                                   s=s, t=t, t1=t1, t2=t2, s1=s1)
     return out
 
 
@@ -330,12 +335,7 @@ def check_index_properties(n: int, k: int, grid: GridSpec) -> list[Counterexampl
                     report("closed_form_f21", [], val, closed, s=s, t=t)
         for a in range(g, 2 * D + 1, g):
             for s in range(g, 2 * D + 1, g):
-                if s > min(a, D):
-                    closed = D
-                elif s > a - D:
-                    closed = max(0, 2 * s - a)
-                else:
-                    closed = NEG_INF
+                closed = D if s > min(a, D) else max(0, 2 * s - a) if s > a - D else NEG_INF
                 val = M(a, s, 2, 1)
                 if val != closed:
                     report("closed_form_m21", [], val, closed, D, a=a, s=s)

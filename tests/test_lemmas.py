@@ -7,6 +7,8 @@ from itertools import product
 import pytest
 
 import index_oracle
+import lattice_oracle
+from fpfurst import lemmas
 from fpfurst.indices import (
     NEG_INF,
     _furstenberg_scaled,
@@ -455,3 +457,84 @@ def test_recursion_m_tight_set_is_pinned(dims):
     assert len(points) == tight < outer
     assert {r.deficit for r in reports} == {F(1, 6)}
     assert hashlib.sha256(repr(points).encode()).hexdigest() == digest
+
+
+# -- bound-first sweeps: the checkers skip an inner sweep where a lower bound
+# on its left side reaches the target, and report exactly the exhaustive
+# sweep's witnesses (tests/lattice_oracle.py), whatever the evaluator --
+
+def _f_bumped(q):
+    """F plus one whole unit at odd indices of the s-lattice of step 1/q: not
+    monotone in s, and recursion_f1 fails for it at slack 0."""
+    def bumped(x, y, n, k, D):
+        return _furstenberg_scaled(x, y, n, k, D) + (D if x * q // D % 2 else 0)
+    return bumped
+
+
+def _f_minus_2s(x, y, n, k, D):
+    """F minus twice its s: not increasing in s, so the least left side of a
+    recursion_f2 sweep is attained at its far end, s1 = k."""
+    return _furstenberg_scaled(x, y, n, k, D) - 2 * x
+
+
+EVALUATORS = {
+    "F": lambda q: _furstenberg_scaled,
+    "F-1": lambda q: _f_minus_one,
+    "2F": lambda q: _f_doubled,
+    "F+odd": _f_bumped,
+    "F-2s": lambda q: _f_minus_2s,
+}
+F_RECURSIONS = [
+    (check_recursion_f1, lattice_oracle.check_recursion_f1, (2,), 4),
+    (check_recursion_f1, lattice_oracle.check_recursion_f1, (3,), 4),
+] + [(check_recursion_f2, lattice_oracle.check_recursion_f2, pair, 2)
+     for pair in ((4, 2), (5, 3), (4, 1), (5, 2))]
+F_RECURSION_IDS = ["f1-2", "f1-3", "f2-42", "f2-53", "f2-41", "f2-52"]
+
+
+@pytest.mark.parametrize("evaluator", list(EVALUATORS))
+@pytest.mark.parametrize("q", [2, 3, 6])
+@pytest.mark.parametrize("checker, oracle, dims, c", F_RECURSIONS, ids=F_RECURSION_IDS)
+def test_f_recursions_equal_exhaustive_lattice_sweep(checker, oracle, dims, c, q, evaluator,
+                                                     monkeypatch):
+    """Both sweeps make the same `report` calls, in the same order, so their
+    reports are equal; the calls are kept as raw lattice tuples, which spares
+    the Fraction conversion of tens of thousands of reports at q = 6."""
+    frame = lemmas._frame
+
+    def raw_frame(*args):
+        *head, out, _ = frame(*args)
+        return (*head, out, lambda *call, **witness: out.append((call, witness)))
+
+    monkeypatch.setattr("fpfurst.lemmas._frame", raw_frame)
+    monkeypatch.setattr("fpfurst.lemmas._furstenberg_scaled", EVALUATORS[evaluator](q))
+    grid = GridSpec(F(1, q))
+    for slack in (F(0), F(1, c * q), F(1, 7), F(1, 2)):  # 1/(cq) is one lattice unit
+        expected = oracle(*dims, grid, slack=slack)
+        assert checker(*dims, grid, slack=slack) == expected
+        if slack > 0:
+            assert expected  # every positive slack drives the report path
+        elif evaluator == "F":
+            assert not expected  # the recursions hold for F itself
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("checker, oracle, dims, c", F_RECURSIONS, ids=F_RECURSION_IDS)
+def test_f_recursions_evaluate_only_exhaustive_sweep_points(checker, oracle, dims, c, q,
+                                                            monkeypatch):
+    """Every point the bound-first checker hands the evaluator, the exhaustive
+    sweep hands it too: no new input, so no new off-lattice ValueError."""
+    def recording(seen):
+        def evaluator(x, y, n, k, D):
+            seen.add((x, y, n, k, D))
+            return _furstenberg_scaled(x, y, n, k, D)
+        return evaluator
+
+    grid = GridSpec(F(1, q))
+    for slack in (F(0), F(1, c * q)):
+        seen, full = set(), set()
+        monkeypatch.setattr("fpfurst.lemmas._furstenberg_scaled", recording(seen))
+        checker(*dims, grid, slack=slack)
+        monkeypatch.setattr("fpfurst.lemmas._furstenberg_scaled", recording(full))
+        oracle(*dims, grid, slack=slack)
+        assert seen and seen <= full
