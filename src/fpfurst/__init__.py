@@ -10,12 +10,10 @@ import importlib
 # The public names, by the module that defines them.
 _MODULES = {
     "_kernel": ("backend_name",),
-    "errors": ("DegenerateScaleError",),
     "exceptional": (
         "ExceptionalWitness",
         "certify_lower_bound",
         "construct_marstrand_witness",
-        "construct_oberlin_rectangle",
     ),
     "flags": (
         "AffineFlat",
@@ -26,7 +24,6 @@ _MODULES = {
     ),
     "furstenberg": (
         "FurstenbergFamily",
-        "construct_2d",
         "construct_general",
         "lower_bound_sanity",
         "meets_upper_bound",
@@ -45,7 +42,7 @@ _MODULES = {
         "check_recursion_f2",
         "check_recursion_m",
     ),
-    "primefield": ("PrimeMatrix", "is_prime"),
+    "primefield": ("DegenerateScaleError", "PrimeMatrix", "is_prime"),
     "projections": (
         "ExceptionalQuery",
         "PointSet",

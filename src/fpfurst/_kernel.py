@@ -1,12 +1,13 @@
 """The one coset-reduction routine and the projection count built on it.
 
 Every canonical coset name in the package -- `flags.reduce_mod_subspace`,
-subspace membership, flat membership and the projection counts -- is computed
-by `_reduce`, and so is every echelon basis: `flags._echelon` reduces each
-vector modulo the rows so far and keeps the nonzero remainders.  It gives
-`flags.join_rows`' rows of U + V, which `project_count_flat` takes as they
-are, and `LinearSubspace.from_rows`' RREF.  `_reduce` works on pure Python
-ints, so there is no limit on p**n.
+subspace membership, a point's flat membership and the projection counts --
+is computed by `_reduce`, and so is every echelon basis: `flags._echelon`
+reduces each vector modulo the rows so far and keeps the nonzero remainders.
+It gives `flags.join_rows`' rows of U + V, which `project_count_flat` takes
+as they are, and `LinearSubspace.from_rows`' RREF.  `verify_family` runs the
+same elimination column-major over a member's marked points, with no
+`_reduce` call.  `_reduce` works on pure Python ints, so p**n is unbounded.
 """
 
 from __future__ import annotations

@@ -95,15 +95,10 @@ class ExperimentConfig(_Record):
 
 
 class RunReport(_Record):
-    """The rows of a run as they are filled in: mutable, so unhashable."""
+    """The rows of a finished run; unhashable, as `rows` is a list."""
 
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
-
-    def __init__(self, command: str, rows: list[dict] | None = None, counterexample_csv: str = "",
-                 wall_ms: int = 0):
-        self._set_fields(command, [] if rows is None else rows, counterexample_csv, wall_ms)
+    def __init__(self, command: str, rows: list[dict], counterexample_csv: str, wall_ms: int):
+        self._set_fields(command, rows, counterexample_csv, wall_ms)
 
     @property
     def cases(self) -> int:
@@ -234,19 +229,12 @@ def _eval_index(kind, s, n, k, t=None, a=None) -> dict:
     return {"value": str(value), "status": "pass"}
 
 
-def _eval_lemma(lemma, k, step, n=None) -> dict:
-    from .lemmas import (GridSpec, check_index_properties, check_recursion_f1,
-                         check_recursion_f2, check_recursion_m)
+def _eval_lemma(checker, lemma, step, **pair) -> dict:
+    """Run the `lemmas` function named `checker` on k, or on n and k (`pair`),
+    looked up per call, so a function rebound in `lemmas` is the one run."""
+    from . import lemmas
 
-    grid = GridSpec(step)
-    if lemma == "recursion_f1":
-        reports = check_recursion_f1(k, grid)
-    elif lemma == "recursion_f2":
-        reports = check_recursion_f2(n, k, grid)
-    elif lemma == "recursion_m":
-        reports = check_recursion_m(n, k, grid)
-    else:
-        reports = check_index_properties(n, k, grid)
+    reports = getattr(lemmas, checker)(**pair, grid=lemmas.GridSpec(step))
     return {"violations": len(reports), "status": "fail" if reports else "pass", "_reports": reports}
 
 
@@ -311,19 +299,21 @@ def _eval_count(kind, n, k, p, m=None, l=None) -> dict:
 
 # Every variant a config can select, one row each: an `index` kind, a lemma,
 # or an unsplit command.  A row names the command, the module whose import
-# loads every name the evaluator reads, the evaluator (module-level, so --jobs
-# can pickle it), the keys swept as a Cartesian product, in product order, and
-# the optional keys with their defaults.  A swept key with no default is
+# loads every name the evaluator reads, the evaluator (module-level, or
+# `_eval_lemma` bound to the name of a lemma's checker, so --jobs can pickle
+# it), the keys swept as a Cartesian product, in product order, and the
+# optional keys with their defaults.  A swept key with no default is
 # required.  `parse_config` imports the row's module, so a launch loads only
 # what its command runs, and loads it before `run`.
 _STEP = {"step": (Fraction(1, 4),)}
+_lemma = functools.partial(functools.partial, _eval_lemma)  # _lemma(name) binds a checker
 _KEYS = {
     "furstenberg": ("index", "indices", _eval_index, ("s", "t", "n", "k"), {}),
     "marstrand": ("index", "indices", _eval_index, ("a", "s", "n", "k"), {}),
-    "recursion_f1": ("lemmas", "lemmas", _eval_lemma, ("k", "step"), _STEP),
-    "recursion_f2": ("lemmas", "lemmas", _eval_lemma, ("pairs", "step"), _STEP),
-    "recursion_m": ("lemmas", "lemmas", _eval_lemma, ("pairs", "step"), _STEP),
-    "properties": ("lemmas", "lemmas", _eval_lemma, ("pairs", "step"),
+    "recursion_f1": ("lemmas", "lemmas", _lemma("check_recursion_f1"), ("k", "step"), _STEP),
+    "recursion_f2": ("lemmas", "lemmas", _lemma("check_recursion_f2"), ("pairs", "step"), _STEP),
+    "recursion_m": ("lemmas", "lemmas", _lemma("check_recursion_m"), ("pairs", "step"), _STEP),
+    "properties": ("lemmas", "lemmas", _lemma("check_index_properties"), ("pairs", "step"),
                    {"step": (Fraction(1, 12),)}),
     "construct": ("construct", "furstenberg", _eval_construct, ("s", "t", "n", "k", "p"), {}),
     "exceptional": ("exceptional", "exceptional", _eval_exceptional,
@@ -401,17 +391,14 @@ def run(config: ExperimentConfig) -> RunReport:
             rows = list(pool.map(evaluate, cases))
     else:
         rows = [evaluate(case) for case in cases]
-    report = RunReport(command=config.command)
-    reports = []
+    reports, counterexample_csv = [], ""
     for row in rows:
-        reports.extend(row.pop("_reports", []))
-    report.rows = rows
+        reports += row.pop("_reports", ())
     if config.command == "lemmas":
         from .lemmas import reports_to_csv
 
-        report.counterexample_csv = reports_to_csv(reports)
-    report.wall_ms = int((time.monotonic() - start) * 1000)
-    return report
+        counterexample_csv = reports_to_csv(reports)
+    return RunReport(config.command, rows, counterexample_csv, int((time.monotonic() - start) * 1000))
 
 
 def write_report(report: RunReport, out_dir: str | Path) -> Path:

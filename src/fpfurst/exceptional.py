@@ -1,14 +1,14 @@
 """Witnesses showing the exceptional-set exponent is attained, certified by
 full enumeration.
 
-Each constructor returns the set A, the specific directions the recipe claims
-are exceptional, and a certified count obtained by enumerating every direction
-in G(n-k, F_p^n) and testing "#proj_V(A) < p^s" exactly; only the count is
-taken over one point of A per coset of its axis stabiliser (see
-`projections`).  No claim is taken on faith: every claimed direction is
-individually re-verified, and a construction whose claims fail (possible
-only below its degeneracy scale) raises instead of returning an unsound
-witness.
+Each recipe gives the set A and the specific directions it claims are
+exceptional; the one dispatcher, `construct_marstrand_witness`, adds a
+certified count obtained by enumerating every direction in G(n-k, F_p^n) and
+testing "#proj_V(A) < p^s" exactly; only the count is taken over one point of
+A per coset of its axis stabiliser (see `projections`).  No claim is taken
+on faith: every claimed direction is individually re-verified, and a
+construction whose claims fail (possible only below its degeneracy scale)
+raises instead of returning an unsound witness.
 
 Branches, by the piece of M(a, s; n, k):
   1         -- any set of ceil(p^a) points; every direction is claimed.
@@ -29,7 +29,6 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .errors import DegenerateScaleError
 from ._kernel import _reduce
 from .flags import LinearSubspace, enumerate_linear, join_rows
 from .indices import (
@@ -40,7 +39,7 @@ from .indices import (
     marstrand_index,
     marstrand_params,
 )
-from .primefield import _Record, check_prime
+from .primefield import DegenerateScaleError, _Record, check_prime
 from .projections import ExceptionalQuery, PointSet, exceptional_set, small_projection_directions
 
 FIFTH = Fraction(1, 5)
@@ -74,31 +73,10 @@ def _rectangle(a, s, p: int) -> PointSet:
     return PointSet.from_iterable(itertools.product(xs, ys), 2, p)
 
 
-def _slope_line(kappa: int, p: int) -> LinearSubspace:
-    return LinearSubspace.from_rows([[1, kappa % p]], 2, p)
-
-
-def construct_oberlin_rectangle(a, s, p: int) -> ExceptionalWitness:
-    """The rectangle witness in F_p^2: A is the (1/5)p^(a-s) x (1/5)p^s box of
-    symmetric lattice points, and the claimed exceptional directions are the
-    lines through the origin of slope kappa with |kappa| <= (1/5)p^(2s-a),
-    on the excess pieces of M(a, s; 2, 1), where a/2 < s <= min(1, a)."""
-    check_prime(p)
-    pr = marstrand_params(a, s, 2, 1)
-    a, s = pr.a, pr.s
-    if pr.piece not in ("2-excess", "3-excess"):
-        raise ValueError(f"({a},{s}; 2, 1) is on the {pr.piece} piece of M, not an excess piece")
-    if floor_scaled_power(FIFTH, p, s) < 1:
-        raise DegenerateScaleError(f"row range floor(p^s / 5) is empty at p = {p}")
-    set_a = _rectangle(a, s, p)
-    slope_bound = floor_scaled_power(FIFTH, p, 2 * s - a)
-    claimed = tuple(_slope_line(kappa, p) for kappa in _sym_range(slope_bound, p))
-    return _certify(a, s, 2, 1, p, "oberlin-rectangle", set_a, claimed)
-
-
 def construct_marstrand_witness(a, s, n: int, k: int, p: int) -> ExceptionalWitness:
     """Build the witness of the piece of M that (a, s; n, k) lies on; in F_p^2
     an excess piece is the Oberlin rectangle, whose slope lines are the claims."""
+    check_prime(p)
     pr = marstrand_params(a, s, n, k)
     a, s, piece = pr.a, pr.s, pr.piece
     if piece == "1":
@@ -116,10 +94,22 @@ def construct_marstrand_witness(a, s, n: int, k: int, p: int) -> ExceptionalWitn
         return _certify(a, s, n, k, p, "type3-enlarged", subset, claimed)
     # the excess pieces: the rectangle product, type 2's at a = (m-1) + (beta+1)
     if n == 2:
-        return construct_oberlin_rectangle(a, s, p)
+        return _certify(a, s, n, k, p, "oberlin-rectangle", *_oberlin_rectangle(a, s, p))
     shift = 3 - pr.mtype
     product = _rectangle_product_witness(n, k, p, pr.m - shift, pr.beta + shift, pr.gamma, pr.l)
     return _certify(a, s, n, k, p, f"type{pr.mtype}-rectangle", *product)
+
+
+def _oberlin_rectangle(a, s, p):
+    """The rectangle witness in F_p^2, on the excess pieces of M(a, s; 2, 1),
+    where a/2 < s <= min(1, a): A is the (1/5)p^(a-s) x (1/5)p^s box of
+    symmetric lattice points, and the claims are the lines through the origin
+    of slope kappa with |kappa| <= (1/5)p^(2s-a)."""
+    if floor_scaled_power(FIFTH, p, s) < 1:
+        raise DegenerateScaleError(f"row range floor(p^s / 5) is empty at p = {p}")
+    set_a = _rectangle(a, s, p)
+    kappas = _sym_range(floor_scaled_power(FIFTH, p, 2 * s - a), p)
+    return set_a, tuple(LinearSubspace.from_rows([[1, kappa]], 2, p) for kappa in kappas)
 
 
 def _slab_witness(n, k, p, m, isize, l):

@@ -28,7 +28,6 @@ import operator
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import DegenerateScaleError
 from .flags import (
     AffineFlat,
     LinearSubspace,
@@ -44,7 +43,7 @@ from .indices import (
     furstenberg_index,
     furstenberg_params,
 )
-from .primefield import _Record, check_prime
+from .primefield import DegenerateScaleError, _Record, check_prime
 from .projections import PointSet
 
 HALF = Fraction(1, 2)
@@ -76,15 +75,6 @@ class FamilyValidity(_Record):
 
 def _family(s, t, n, k, p, branch, members) -> FurstenbergFamily:
     return FurstenbergFamily(s, t, n, k, p, branch, tuple(members))
-
-
-def construct_2d(s, t, p: int) -> FurstenbergFamily:
-    """A small (s, t)-family of lines in F_p^2 with lambda = 1/2, by the
-    piece of F(s, t; 2, 1) (`_PLANAR`): pencils on the a pieces; on b and
-    c-tau the trivial sum-bound family; on c-mean the slope/intercept grid of
-    lines clipped to a short x-range; on c-one every non-horizontal line
-    clipped to the strip of the first ceil(p^s) rows."""
-    return construct_general(s, t, 2, 1, p)
 
 
 def _origin_pencil(s, t: Fraction, p: int, n: int = 2, k: int = 1):

@@ -1,4 +1,5 @@
-"""Primality and the matrix type over F_p that everything sits on.
+"""Primality, the matrix type over F_p that everything sits on, and the
+error of a construction that a prime is too small for.
 
 Scalars are stored as plain machine-word residues in [0, p); the prime modulus
 is verified eagerly by deterministic Miller-Rabin, because a composite modulus
@@ -51,6 +52,11 @@ def _is_prime(p: int) -> bool:
         else:
             return False
     return True
+
+
+class DegenerateScaleError(ValueError):
+    """Raised when a construction cannot be realized nondegenerately at the
+    requested prime, e.g. a required point or slope range is empty."""
 
 
 def check_prime(p: int) -> int:

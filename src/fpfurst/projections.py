@@ -122,21 +122,14 @@ def exceptional_set(A: PointSet, q: ExceptionalQuery) -> list[LinearSubspace]:
     return out
 
 
-def subspace_projection_exponent(W: LinearSubspace, V: LinearSubspace) -> int:
-    """The exponent e with #proj_V(W) = p^e for a subspace W.
-
-    The cosets of V meeting W are the cosets of V in W + V, so
-    #proj_V(W) = p^(dim(W + V) - dim V) exactly; no point of W is listed.
-    """
-    return len(join_rows(V, W)) - V.k
-
-
 def small_projection_directions(W: LinearSubspace, k: int, l: int):
     """Yield each V in G(n-k, F_p^n) with #proj_V(W) <= p^l, in enumeration
     order.
 
-    As in `subspace_projection_exponent`, V is kept iff dim(W + V) <= l + dim V;
-    one `_echelon` of V's rows on top of W's, read once per call, decides it.
+    The cosets of V meeting W are the cosets of V in W + V, so
+    #proj_V(W) = p^(dim(W + V) - dim V) and V is kept iff
+    dim(W + V) <= l + dim V; one `_echelon` of V's rows on top of W's, read
+    once per call, decides it.
     """
     n, p, d = W.n, W.p, W.n - k
     rows, most, starts = W._rows, l + d, range(0, d * n, n)

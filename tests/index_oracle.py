@@ -3,7 +3,7 @@ in exact rationals, as the paper states it, with no lattice.
 
 Each params' piece label is decided by the conditions the constructions and
 witnesses dispatched on before they read the label: the origin pencil while
-t <= k(n-k), `construct_2d`'s chain on (sigma, tau), and the rectangle
+t <= k(n-k), the 2-D construction's chain on (sigma, tau), and the rectangle
 product for type 3 with gamma > beta/2 and type 2 with gamma > (beta+1)/2.
 """
 

@@ -1,10 +1,11 @@
 """The tests' projections of explicit point sets: every point is reduced, with
-no quotient by the set's axis stabiliser as `exceptional_set` takes."""
+no quotient by the set's axis stabiliser as `exceptional_set` takes.  The
+projection exponent of a subspace is read off a rank instead."""
 
 import itertools
 
 from fpfurst import _kernel
-from fpfurst.flags import LinearSubspace
+from fpfurst.flags import LinearSubspace, join_rows
 from fpfurst.projections import PointSet
 
 
@@ -24,6 +25,15 @@ def projection_count(A: PointSet, V: LinearSubspace) -> int:
     """#proj_V(A): the kernel on A's points and V's rows."""
     _check_compatible(A, V)
     return _kernel.project_count_flat(A.points, len(A), A.n, V._rows, V.k, V.pivots, A.p)
+
+
+def subspace_projection_exponent(W: LinearSubspace, V: LinearSubspace) -> int:
+    """The exponent e with #proj_V(W) = p^e for a subspace W.
+
+    The cosets of V meeting W are the cosets of V in W + V, so
+    #proj_V(W) = p^(dim(W + V) - dim V) exactly; no point of W is listed.
+    """
+    return len(join_rows(V, W)) - V.k
 
 
 def _check_compatible(A: PointSet, V: LinearSubspace):

@@ -17,7 +17,6 @@ from fpfurst.cli import parse_config, run
 from fpfurst.exceptional import (
     certify_lower_bound,
     construct_marstrand_witness,
-    construct_oberlin_rectangle,
 )
 from fpfurst.flags import (
     LinearSubspace,
@@ -27,7 +26,6 @@ from fpfurst.flags import (
     small_projection_count,
 )
 from fpfurst.furstenberg import (
-    construct_2d,
     construct_general,
     lower_bound_sanity,
     meets_upper_bound,
@@ -71,7 +69,7 @@ def _finish(num: int, label: str, ok: bool, t0: float, limit: float):
 def families():
     built = {}
     for (s, t), p in itertools.product(TWO_D_CASES, TWO_D_PRIMES):
-        built[(s, t, 2, 1, p)] = construct_2d(s, t, p)
+        built[(s, t, 2, 1, p)] = construct_general(s, t, 2, 1, p)
     for (s, t, n, k), p in itertools.product(GENERAL_CASES, GENERAL_PRIMES):
         built[(s, t, n, k, p)] = construct_general(s, t, n, k, p)
     return built
@@ -176,7 +174,7 @@ def test_criterion_08_oberlin_witnesses():
     ok = True
     for p in (41, 101):
         for a, s in ((F(3, 2), F(1)), (F(1), F(3, 4))):
-            w = construct_oberlin_rectangle(a, s, p)
+            w = construct_marstrand_witness(a, s, 2, 1, p)
             ok &= len(w.set_a) >= ceil_scaled_power(F(1, 25), p, a)
             ok &= w.certified_count >= ceil_scaled_power(F(1, 5), p, 2 * s - a)
             ok &= len(w.claimed) >= 1

@@ -186,9 +186,9 @@ _FLATS = ["fpfurst._kernel", "fpfurst.flags", "fpfurst.projections"]
         pytest.param({"command": "count", "n": 3, "k": 1, "p": 2, "m": 1, "l": 0},
                      _CORE + _FLATS, id="count"),
         pytest.param({"command": "construct", "s": "1/2", "t": "1", "n": 2, "k": 1, "p": 5},
-                     _CORE + _FLATS + ["fpfurst.errors", "fpfurst.furstenberg"], id="construct"),
+                     _CORE + _FLATS + ["fpfurst.furstenberg"], id="construct"),
         pytest.param({"command": "exceptional", "a": "3/2", "s": "3/2", "n": 4, "k": 2, "p": 3},
-                     _CORE + _FLATS + ["fpfurst.errors", "fpfurst.exceptional"],
+                     _CORE + _FLATS + ["fpfurst.exceptional"],
                      id="exceptional"),
     ],
 )

@@ -9,13 +9,11 @@ import pytest
 
 from fpfurst import _kernel
 from fpfurst.cli import parse_config, run
-from fpfurst.errors import DegenerateScaleError
 from fpfurst.exceptional import (
     _certify,
     _rectangle,
     certify_lower_bound,
     construct_marstrand_witness,
-    construct_oberlin_rectangle,
 )
 from fpfurst.flags import (
     LinearSubspace,
@@ -25,13 +23,13 @@ from fpfurst.flags import (
     small_projection_count,
 )
 from fpfurst.indices import ceil_rational_power, floor_scaled_power, marstrand_params
+from fpfurst.primefield import DegenerateScaleError
 from fpfurst.projections import (
     ExceptionalQuery,
     PointSet,
     exceptional_set,
-    subspace_projection_exponent,
 )
-from projection_oracle import projection_count
+from projection_oracle import projection_count, subspace_projection_exponent
 from subspace_counts import degenerate_direction_count, product_sides, type3_direction_families
 
 F = Fraction
@@ -48,7 +46,7 @@ def test_dispatcher_picks_oberlin_exactly_where_the_2d_rectangle_applies(monkeyp
     def oberlin(a, s, p):
         raise _Oberlin
 
-    monkeypatch.setattr("fpfurst.exceptional.construct_oberlin_rectangle", oberlin)
+    monkeypatch.setattr("fpfurst.exceptional._oberlin_rectangle", oberlin)
     grid = [F(j, 24) for j in range(1, 49)]
     for a in grid:
         for s in grid:
@@ -62,14 +60,8 @@ def test_dispatcher_picks_oberlin_exactly_where_the_2d_rectangle_applies(monkeyp
             assert chose == (a / 2 < s <= min(F(1), a)), (a, s)
 
 
-def test_dispatcher_returns_the_oberlin_witness_in_2d():
-    assert construct_marstrand_witness(F(3, 2), 1, 2, 1, 41) == construct_oberlin_rectangle(
-        F(3, 2), 1, 41
-    )
-
-
 def test_oberlin_rectangle_spec_case():
-    w = construct_oberlin_rectangle(F(3, 2), 1, 101)
+    w = construct_marstrand_witness(F(3, 2), 1, 2, 1, 101)
     assert len(w.set_a) == 5 * 41 == 205
     assert len(w.claimed) == 2 * floor_scaled_power(F(1, 5), 101, F(1, 2)) + 1 == 5
     assert w.certified_count >= len(w.claimed)
@@ -77,7 +69,7 @@ def test_oberlin_rectangle_spec_case():
 
 
 def test_oberlin_claims_individually_exceptional():
-    w = construct_oberlin_rectangle(1, F(3, 4), 101)
+    w = construct_marstrand_witness(1, F(3, 4), 2, 1, 101)
     assert len(w.claimed) == 5
     for V in w.claimed:
         assert projection_count(w.set_a, V) < ceil_rational_power(101, F(3, 4))
@@ -95,15 +87,28 @@ def test_certify_refuses_a_claimed_direction_that_is_not_exceptional():
 
 
 def test_oberlin_boundary_s_equals_a():
-    w = construct_oberlin_rectangle(1, 1, 101)
+    w = construct_marstrand_witness(1, 1, 2, 1, 101)
     assert w.certified_count >= len(w.claimed) >= 1
 
 
 def test_oberlin_preconditions():
-    with pytest.raises(ValueError):
-        construct_oberlin_rectangle(F(3, 2), F(1, 2), 101)  # s <= a/2
-    with pytest.raises(DegenerateScaleError):
-        construct_oberlin_rectangle(1, F(3, 4), 7)  # floor(p^s / 5) = 0
+    with pytest.raises(DegenerateScaleError, match="row range floor"):
+        construct_marstrand_witness(1, F(3, 4), 2, 1, 7)  # floor(p^s / 5) = 0
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (4, 2)])
+def test_dispatcher_refuses_a_nonprime_p_first_on_every_piece(n, k):
+    # p is checked before any recipe: p = 0 once met "does not embed in F_0"
+    # or "does not fit in F_0" on the n > 2 excess pieces and on 3-zero
+    points = {}
+    for a, s in itertools.product([F(j, 4) for j in range(1, 4 * n + 1)], repeat=2):
+        if s <= k:
+            points.setdefault(marstrand_params(a, s, n, k).piece, (a, s))
+    assert set(points) == {"1", "2-zero", "2-excess", "3-zero", "3-excess", "4"}
+    for a, s in points.values():
+        for p in (0, 1, 4, 9):
+            with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+                construct_marstrand_witness(a, s, n, k, p)
 
 
 def test_type2_slab_spec_case():
@@ -344,12 +349,12 @@ def test_certified_count_monotone_in_s():
 
 
 def test_certify_negative_control():
-    w = construct_oberlin_rectangle(F(3, 2), 1, 41)
+    w = construct_marstrand_witness(F(3, 2), 1, 2, 1, 41)
     assert not certify_lower_bound(w, 10**6)
 
 
 def test_certify_refuses_nonpositive_constant():
-    w = construct_oberlin_rectangle(F(3, 2), 1, 41)
+    w = construct_marstrand_witness(F(3, 2), 1, 2, 1, 41)
     for c in (0, F(-1, 5)):
         with pytest.raises(ValueError):
             certify_lower_bound(w, c)

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpfurst import _kernel
-from fpfurst.errors import DegenerateScaleError
 from fpfurst.flags import AffineFlat, LinearSubspace, enumerate_affine
 from fpfurst.furstenberg import (
     _cross,
@@ -16,13 +15,13 @@ from fpfurst.furstenberg import (
     _family,
     _first_off_flat,
     _strip,
-    construct_2d,
     construct_general,
     lower_bound_sanity,
     meets_upper_bound,
     verify_family,
 )
 from fpfurst.indices import ceil_rational_power
+from fpfurst.primefield import DegenerateScaleError
 from fpfurst.projections import PointSet
 from projection_oracle import full_space
 
@@ -30,7 +29,7 @@ F = Fraction
 
 
 def test_strip_family_is_full_strip():
-    fam = construct_2d(1, 2, 5)
+    fam = construct_general(1, 2, 2, 1, 5)
     assert fam.branch == "2d-strip"
     assert len(fam.union) == 25
     assert verify_family(fam).is_valid
@@ -38,7 +37,7 @@ def test_strip_family_is_full_strip():
 
 
 def test_st_grid_family_bounds():
-    fam = construct_2d(F(1, 2), 1, 29)
+    fam = construct_general(F(1, 2), 1, 2, 1, 29)
     assert fam.branch == "2d-st-grid"
     assert verify_family(fam).is_valid
     # slopes 1..ceil(29^(1/4)), intercepts 1..ceil(29^(3/4)), x-range 1..3:
@@ -48,20 +47,20 @@ def test_st_grid_family_bounds():
 
 
 def test_pencil_family_size():
-    fam = construct_2d(0, F(3, 2), 7)
+    fam = construct_general(0, F(3, 2), 2, 1, 7)
     assert len(fam.union) == ceil_rational_power(7, F(1, 2)) == 3
     assert verify_family(fam).is_valid
     assert fam.lam == F(1, 2)
 
 
 def test_origin_pencil_single_point():
-    fam = construct_2d(0, 1, 7)
+    fam = construct_general(0, 1, 2, 1, 7)
     assert len(fam.union) == 1 and len(fam.members) == 7
     assert verify_family(fam).is_valid
 
 
 def test_trivial_branch():
-    fam = construct_2d(1, F(1, 2), 11)
+    fam = construct_general(1, F(1, 2), 2, 1, 11)
     assert fam.branch == "2d-trivial"
     assert verify_family(fam).is_valid and meets_upper_bound(fam, 16)
 
@@ -69,16 +68,16 @@ def test_trivial_branch():
 def test_branch_selection_is_pinned():
     # overlapping ranges resolve deterministically: t = s prefers the trivial
     # sum-bound family, t = 2 - s prefers the line grid
-    assert construct_2d(F(1, 2), F(1, 2), 11).branch == "2d-trivial"
-    assert construct_2d(F(1, 2), F(3, 2), 11).branch == "2d-st-grid"
-    assert construct_2d(F(1, 2), F(7, 4), 11).branch == "2d-strip"
+    assert construct_general(F(1, 2), F(1, 2), 2, 1, 11).branch == "2d-trivial"
+    assert construct_general(F(1, 2), F(3, 2), 2, 1, 11).branch == "2d-st-grid"
+    assert construct_general(F(1, 2), F(7, 4), 2, 1, 11).branch == "2d-strip"
 
 
 def test_construct_2d_rejects_out_of_range():
     with pytest.raises(ValueError):
-        construct_2d(F(3, 2), 1, 5)
+        construct_general(F(3, 2), 1, 2, 1, 5)
     with pytest.raises(ValueError):
-        construct_2d(F(1, 2), F(5, 2), 5)
+        construct_general(F(1, 2), F(5, 2), 2, 1, 5)
 
 
 def test_general_case_a_origin():
@@ -145,7 +144,7 @@ def test_inadmissible_rejected():
 
 
 def test_verify_family_detects_point_off_flat():
-    fam = construct_2d(F(1, 2), 1, 29)
+    fam = construct_general(F(1, 2), 1, 2, 1, 29)
     flat, ys = fam.members[0]
     bad_point = next(
         q for q in full_space(2, 29) if not flat.contains_point(q)
@@ -228,7 +227,7 @@ def test_verify_family_empty_y_set_is_only_too_small():
 
 
 def test_verify_family_detects_truncated_family():
-    fam = construct_2d(F(1, 2), 1, 29)
+    fam = construct_general(F(1, 2), 1, 2, 1, 29)
     mutated = fam.replace(members=fam.members[:1])
     validity = verify_family(mutated)
     assert not validity.is_valid
@@ -236,7 +235,7 @@ def test_verify_family_detects_truncated_family():
 
 
 def test_verify_family_detects_small_y_set():
-    fam = construct_2d(1, 2, 5)
+    fam = construct_general(1, 2, 2, 1, 5)
     flat, ys = fam.members[0]
     mutated_members = ((flat, ys[:1]),) + fam.members[1:]
     validity = verify_family(fam.replace(members=mutated_members))
@@ -246,8 +245,8 @@ def test_verify_family_detects_small_y_set():
 
 def test_lower_bound_sanity_all_branches():
     for fam in (
-        construct_2d(F(1, 2), F(3, 2), 29),
-        construct_2d(1, 2, 5),
+        construct_general(F(1, 2), F(3, 2), 2, 1, 29),
+        construct_general(1, 2, 2, 1, 5),
         construct_general(F(3, 2), 1, 4, 3, 7),
     ):
         assert lower_bound_sanity(fam)
@@ -260,7 +259,7 @@ def test_determinism_and_round_trip():
 
 
 def test_union_is_the_union_of_the_members_y_sets():
-    fam = construct_2d(F(1, 2), 1, 29)
+    fam = construct_general(F(1, 2), 1, 2, 1, 29)
     assert fam._fields == ("s", "t", "n", "k", "p", "branch", "members")
     for m in (1, 7, 20):
         kept = fam.replace(members=fam.members[:m])
@@ -278,7 +277,7 @@ def test_union_is_the_union_of_the_members_y_sets():
 def test_verify_family_reports_y_set_in_wrong_space(ys, bad):
     # points of F_11^2 or F_7^1 make the union invalid, and the y-set is then
     # re-validated in the family's space F_7^2
-    fam = construct_2d(F(1, 2), 1, 7)
+    fam = construct_general(F(1, 2), 1, 2, 1, 7)
     diagonal = AffineFlat.through((0, 0), LinearSubspace.from_rows([[1, 1]], 2, 7))
     validity = verify_family(fam.replace(members=((diagonal, ys),) + fam.members[1:]))
     assert validity.failures == (f"member 0: invalid y-set: bad point {bad} for F_7^2",)
@@ -310,7 +309,7 @@ _NOT_TUPLES = "member 0: invalid y-set: points must be a tuple of tuples"
     ],
 )
 def test_verify_family_reports_unvalidated_y_set(points, failures):
-    fam = construct_2d(1, 2, 5)
+    fam = construct_general(1, 2, 2, 1, 5)
     assert fam.members[0][1] == _DIAGONAL and len(fam.union) == 25
     validity = verify_family(fam.replace(members=((fam.members[0][0], points),) + fam.members[1:]))
     assert validity.failures == failures
@@ -320,7 +319,7 @@ def test_verify_family_reports_unvalidated_y_set(points, failures):
 def test_verify_family_counts_a_float_point_after_its_int_twin():
     # member 0 marks (1, 1) before member 9 marks (1.0, 1): the union keeps the
     # int, and 1.0 counts as the point 1, by value
-    fam = construct_2d(1, 2, 5)
+    fam = construct_general(1, 2, 2, 1, 5)
     ys = fam.members[9][1]
     assert (1, 1) in fam.members[0][1] and ys[1] == (1, 1)
     mutated = _with_y_set(fam, 9, ys[:1] + ((1.0, 1),) + ys[2:])
@@ -329,7 +328,7 @@ def test_verify_family_counts_a_float_point_after_its_int_twin():
 
 
 def test_verify_family_reports_flat_in_wrong_space():
-    fam = construct_2d(1, 2, 5)
+    fam = construct_general(1, 2, 2, 1, 5)
     for flat in (
         AffineFlat.through((0, 0), LinearSubspace.from_rows([[1, 1]], 2, 7)),
         AffineFlat.through((0, 0, 0), LinearSubspace.from_rows([[1, 1, 0]], 3, 5)),
@@ -340,20 +339,20 @@ def test_verify_family_reports_flat_in_wrong_space():
 
 def test_verify_family_reports_flat_dimension():
     # the whole plane holds member 0's marked points, but it is a 2-flat
-    fam = construct_2d(1, 2, 5)
+    fam = construct_general(1, 2, 2, 1, 5)
     plane = AffineFlat.through((0, 0), LinearSubspace.coordinate((0, 1), 2, 5))
     mutated = fam.replace(members=((plane, fam.members[0][1]),) + fam.members[1:])
     assert verify_family(mutated).failures == ("member 0: flat dimension 2 != 1",)
 
 
 def test_verify_family_reports_duplicate_flat():
-    fam = construct_2d(1, 2, 5)
+    fam = construct_general(1, 2, 2, 1, 5)
     mutated = fam.replace(members=fam.members[:1] * 2 + fam.members[2:])
     assert verify_family(mutated).failures == ("member 1: duplicate flat",)
 
 
 def test_lower_bound_sanity_refuses_small_unions():
-    fam = construct_2d(1, 2, 5)
+    fam = construct_general(1, 2, 2, 1, 5)
     assert lower_bound_sanity(fam)
     axis = next(m for m in fam.members if m[0].direction.row(0) == (0, 1) and m[0].base == (0, 0))
     # #E = 2 < ceil(p^s / 2) = 3
@@ -364,7 +363,7 @@ def test_lower_bound_sanity_refuses_small_unions():
 
 
 def test_meets_upper_bound_refuses_nonpositive_constant():
-    fam = construct_2d(1, 2, 5)
+    fam = construct_general(1, 2, 2, 1, 5)
     for constant in (0, -1):
         with pytest.raises(ValueError):
             meets_upper_bound(fam, constant)
@@ -377,7 +376,7 @@ def test_construct_2d_sweep_degenerates_only_at_the_slope_cap():
     for p in (2, 3, 5, 7):
         for s, t in itertools.product((F(i, 12) for i in range(13)), (F(j, 12) for j in range(25))):
             try:
-                fam = construct_2d(s, t, p)
+                fam = construct_general(s, t, 2, 1, p)
             except DegenerateScaleError as exc:
                 assert str(exc).startswith("slope count ceil(p^((t-s)/2)) = "), exc
                 raised[p] = raised.get(p, 0) + 1

@@ -22,9 +22,13 @@ from fpfurst.projections import (
     count_small_projection_subspaces,
     exceptional_set,
     small_projection_directions,
+)
+from projection_oracle import (
+    full_space,
+    project_set,
+    projection_count,
     subspace_projection_exponent,
 )
-from projection_oracle import full_space, project_set, projection_count
 from rank_oracle import stacked_rank
 
 F = Fraction
