@@ -166,7 +166,7 @@ def _theta_families(rect: PointSet, gamma: Fraction, n, k, p, m, l):
     """
     thetas = exceptional_set(rect, ExceptionalQuery(gamma, 1))
     families = {theta.entries: [] for theta in thetas}
-    mid = LinearSubspace.coordinate(range(2, 2 + m), n, p)
+    mid = tuple(range(2, 2 + m))
     e1, e2 = (1,) + (0,) * (n - 1), (0, 1) + (0,) * (n - 2)
     claimed = []
     for V in enumerate_linear(n, n - k, p):

@@ -1,8 +1,8 @@
 """Canonical subspaces and affine flats of F_p^n: representation, enumeration,
-counting, and subspace sums by rank.
+counting, and sums with coordinate subspaces.
 
 Canonical forms make equality structural: a linear subspace is one object,
-its RREF basis with its pivots, built by `_echelon` as `join_rows` is; an
+its RREF basis with its pivots, built by `_echelon`; an
 affine flat is (direction, base), the base the unique coset representative
 vanishing on the direction's pivot coordinates.  The streams produced here are
 deterministic -- lexicographic in (pivot pattern, free entries) -- so "the
@@ -25,7 +25,7 @@ through its slot descriptors.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+from functools import cache, cached_property
 
 from ._kernel import _dense, _reduce, _reduction_rows
 from .primefield import PrimeMatrix, _check_ints, _check_matrix, _Record, check_prime
@@ -63,11 +63,10 @@ class LinearSubspace(PrimeMatrix):
         if len(pivots) != rows:
             raise ValueError("pivot count mismatch")
         # enumerate_linear's shape: row i is 1 at its pivot c, 0 left of c and at the other pivots
-        n, piv, e = cols, pivots, entries
-        if list(piv) != sorted(set(piv)) or not set(piv) <= set(range(n)) or any(
-            [e[i * n + j] != (j == c) for i, c in enumerate(piv) for j in {*range(c + 1), *piv}]
+        if pivots != tuple(sorted(set(pivots).intersection(range(cols)))) or any(
+            [entries[i * cols + j] != (j == c) for i, c in enumerate(pivots) for j in {*range(c + 1), *pivots}]
         ):
-            raise ValueError(f"basis is not the RREF of pivots {piv}")
+            raise ValueError(f"basis is not the RREF of pivots {pivots}")
         self._set_fields(p, rows, cols, entries, pivots)
 
     @property
@@ -90,9 +89,9 @@ class LinearSubspace(PrimeMatrix):
             raise ValueError("row length mismatch")
         _check_ints(itertools.chain.from_iterable(rows))
         echelon = sorted(_echelon([[e % p for e in r] for r in rows], [], n, p))
-        entries = []
-        for i in range(len(echelon)):
-            entries += _reduce(_dense(echelon[i : i + 1], n), echelon[i + 1 :], p)
+        entries = [
+            b for i in range(len(echelon)) for b in _reduce(_dense(echelon[i : i + 1], n), echelon[i + 1 :], p)
+        ]
         return cls(p, len(echelon), n, tuple(entries), tuple([c for c, _ in echelon]))
 
     @classmethod
@@ -113,17 +112,12 @@ class LinearSubspace(PrimeMatrix):
         return _reduction_rows(self.entries, self.n, self.k, self.pivots)
 
     def points(self) -> list[tuple[int, ...]]:
-        """All p^k points, in lexicographic order of the coefficient vector."""
-        p, n = self.p, self.n
-        rows = self.to_rows()
-        pts = []
-        for coeffs in itertools.product(range(p), repeat=self.k):
-            v = [0] * n
-            for c, row in zip(coeffs, rows):
-                if c:
-                    for j in range(n):
-                        v[j] = (v[j] + c * row[j]) % p
-            pts.append(tuple(v))
+        """All p^k points, in lexicographic order of the coefficient vector:
+        row by row, each point q of the span so far gives way to q + c * row
+        for c in range(p)."""
+        p, pts = self.p, [(0,) * self.n]
+        for row in self.to_rows():
+            pts = [tuple([(a + c * b) % p for a, b in zip(q, row)]) for q in pts for c in range(p)]
         return pts
 
 
@@ -165,12 +159,8 @@ class AffineFlat(_Record):
         return reduce_mod_subspace(x, self.direction) == self.base
 
     def points(self) -> list[tuple[int, ...]]:
-        base = self.base
-        p, n = self.p, self.n
-        return [
-            tuple((a + b) % p for a, b in zip(base, q))
-            for q in self.direction.points()
-        ]
+        p = self.p
+        return [tuple((a + b) % p for a, b in zip(self.base, q)) for q in self.direction.points()]
 
 
 def reduce_mod_subspace(x, V: LinearSubspace) -> tuple[int, ...]:
@@ -198,13 +188,37 @@ def _echelon(vectors, rows: list, n: int, p: int) -> list:
     return rows
 
 
-def join_rows(U: LinearSubspace, V: LinearSubspace) -> list:
-    """Rows in `_reduce`'s form spanning U + V, dim(U + V) of them: V's cached
-    rows, then `_echelon`'s.  Pass the subspace fixed across calls as V."""
-    if U.n != V.n or U.p != V.p:
-        raise ValueError("subspaces live in different spaces")
-    p, n, e = V.p, V.n, U.entries
-    return _echelon([e[i : i + n] for i in range(0, U.k * n, n)], list(V._rows), n, p)
+def join_rows(U: LinearSubspace, axes: tuple) -> list:
+    """Rows in `_reduce`'s form spanning U + C, dim(U + C) of them, where C is
+    spanned by the coordinate axes `axes`, a strictly increasing tuple in
+    `range(U.n)`: the axis rows, U's rows whose pivot is off the axes, then
+    `_echelon`'s remainders of the rest.
+
+    An RREF row of U is 1 at its pivot and 0 at U's other pivots, so with its
+    axis columns dropped a row whose pivot is off the axes is already reduced
+    modulo the rows before it; it is read off U's entries at the columns
+    `_join_plan` lists for U's pivot pattern."""
+    n, e = U.n, U.entries
+    rows, read, rest = _join_plan(U.pivots, axes, n)
+    rows = [*rows, *[(c, tuple([(j, b) for j in cols if (b := e[i + j])])) for c, i, cols in read]]
+    return _echelon([e[i : i + n] for i in rest], rows, n, U.p) if rest else rows
+
+
+@cache
+def _join_plan(pivots, axes, n):
+    """`join_rows`' plan for U's pivots: the axis rows; (c, i, columns) for
+    each row of U whose pivot c is off the axes, i its offset in U's entries
+    and the columns right of c on no pivot or axis; and the other rows'
+    offsets.
+    The axes are checked here, once per plan."""
+    if axes != tuple(sorted(set(axes).intersection(range(n)))):
+        raise ValueError(f"axes {axes} are not strictly increasing in range({n})")
+    rows = [(c, i * n, tuple([j for j in range(c + 1, n) if j not in axes + pivots])) for i, c in enumerate(pivots)]
+    return (
+        tuple([(a, ()) for a in axes]),
+        tuple([r for r in rows if r[0] not in axes]),
+        tuple([i for c, i, _ in rows if c in axes])
+    )
 
 
 def enumerate_linear(n: int, k: int, p: int):

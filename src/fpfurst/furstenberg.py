@@ -189,9 +189,9 @@ def _general_origin(pr, p: int) -> FurstenbergFamily:
 def _general_transverse(pr, p: int) -> FurstenbergFamily:
     n, k = pr.n, pr.k
     count = ceil_rational_power(p, pr.t - k * (n - k))
-    base_space = LinearSubspace.coordinate(range(n - k), n, p)
+    base_axes = tuple(range(n - k))
     transverse_dirs = [
-        U for U in enumerate_linear(n, k, p) if len(join_rows(U, base_space)) == n
+        U for U in enumerate_linear(n, k, p) if len(join_rows(U, base_axes)) == n
     ]
     assert len(transverse_dirs) == p ** (k * (n - k))
     points = [q + (0,) * k for q in itertools.product(range(p), repeat=n - k)][:count]
@@ -208,7 +208,7 @@ def _general_case_b(pr, p: int) -> FurstenbergFamily:
     need = ceil_rational_power(p, pr.t)
     hosts = list(
         itertools.islice(
-            (U for U in enumerate_linear(n, k, p) if len(join_rows(U, core)) == k),
+            (U for U in enumerate_linear(n, k, p) if len(join_rows(U, core.pivots)) == k),
             need,
         )
     )
@@ -318,12 +318,12 @@ def _lift_transverse(members, n: int, k: int, p: int, slice_dim: int):
     shared by all members; the k-flats W + D are kept once each in
     first-seen order, and there must be p^((k-d-1)(n-k)) of them per member.
     """
-    coordinate_slice = LinearSubspace.coordinate(range(slice_dim), n, p)
+    slice_axes = tuple(range(slice_dim))
     extension_dim = k - members[0][0].k
     extensions = [
         D.to_rows()
         for D in enumerate_linear(n, extension_dim, p)
-        if len(join_rows(D, coordinate_slice)) == n
+        if len(join_rows(D, slice_axes)) == n
     ]
     expected = p ** (extension_dim * (n - k))
     out = []

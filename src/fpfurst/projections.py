@@ -103,19 +103,19 @@ def exceptional_set(A: PointSet, q: ExceptionalQuery) -> list[LinearSubspace]:
     assert containment of specific witnesses.  Every V is decided by the
     quotient identity of the module docstring, with S the axis stabiliser and
     R the points of A that are zero on its axes.  The echelon basis of S + V
-    is `join_rows(V, S)`: S's axis rows, then V's nonzero remainders.
+    is `join_rows(V, axes)`: S's axis rows, then V's rows with those columns
+    dropped, eliminated only where V's pivot is on an axis.
     """
     if not 0 < q.k < A.n:
         raise ValueError(f"need 0 < k < n, got k={q.k}, n={A.n}")
     n, p, pts = A.n, A.p, A.points
     has = set(pts)
-    axes = [c for c in range(n) if all(x[:c] + ((x[c] + 1) % p,) + x[c + 1 :] in has for x in pts)]
+    axes = tuple([c for c in range(n) if all(x[:c] + ((x[c] + 1) % p,) + x[c + 1 :] in has for x in pts)])
     reps = [x for x in pts if not any([x[c] for c in axes])]
-    S = LinearSubspace.coordinate(axes, n, p)
     bound = ceil_rational_power(p, q.s)
     out = []
     for V in enumerate_linear(n, n - q.k, p):
-        rows = join_rows(V, S)
+        rows = join_rows(V, axes)
         count = _kernel.project_count_flat(reps, len(reps), n, rows, len(rows), [c for c, _ in rows], p)
         if count * p ** (len(rows) - V.k) < bound:
             out.append(V)

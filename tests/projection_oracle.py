@@ -1,12 +1,13 @@
 """The tests' projections of explicit point sets: every point is reduced, with
 no quotient by the set's axis stabiliser as `exceptional_set` takes.  The
-projection exponent of a subspace is read off a rank instead."""
+projection exponent of a subspace is read off the rank oracle instead."""
 
 import itertools
 
 from fpfurst import _kernel
-from fpfurst.flags import LinearSubspace, join_rows
+from fpfurst.flags import LinearSubspace
 from fpfurst.projections import PointSet
+from rank_oracle import stacked_rank
 
 
 def full_space(n: int, p: int) -> PointSet:
@@ -31,9 +32,10 @@ def subspace_projection_exponent(W: LinearSubspace, V: LinearSubspace) -> int:
     """The exponent e with #proj_V(W) = p^e for a subspace W.
 
     The cosets of V meeting W are the cosets of V in W + V, so
-    #proj_V(W) = p^(dim(W + V) - dim V) exactly; no point of W is listed.
+    #proj_V(W) = p^(dim(W + V) - dim V) exactly; no point of W is listed, and
+    dim(W + V) is the rank of the stacked bases, by Gauss-Jordan elimination.
     """
-    return len(join_rows(V, W)) - V.k
+    return stacked_rank(V, W) - V.k
 
 
 def _check_compatible(A: PointSet, V: LinearSubspace):

@@ -480,12 +480,15 @@ def test_canonical_flat_base():
     assert same == flat
 
 
-def test_relate_rejects_mixed_spaces():
-    # the sum of two subspaces of different spaces is refused
-    a = LinearSubspace.from_rows([[1, 0]], 2, 3)
-    b = LinearSubspace.from_rows([[1, 0, 0]], 3, 3)
-    with pytest.raises(ValueError, match="different spaces"):
-        join_rows(a, b)
+def test_join_rows_refuses_axes_not_strictly_increasing_in_range():
+    # a repeated axis would add a row, and so a dimension; each refusal is
+    # raised again on a second call, since a refused plan is never cached
+    U = LinearSubspace.from_rows([[1, 0, 2]], 3, 5)
+    for axes in [(3,), (-1,), (0, 3), (2, 0), (1, 1), (0, 1, 1)]:
+        for _ in range(2):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                join_rows(U, axes)
+    assert len(join_rows(U, (0, 1))) == 3
 
 
 def _blocks_left_behind(stream):

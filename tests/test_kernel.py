@@ -62,9 +62,10 @@ def test_zero_dimensional_subspace_counts_points():
 
 
 def test_exceptional_set_hands_the_kernel_its_rows_and_points(monkeypatch):
-    """Each direction's kernel call gets join_rows(V, S)'s own list and the
-    point tuples of R, the points of A that are zero on its stabiliser axis 0;
-    no basis is flattened or rebuilt per direction."""
+    """Each direction's kernel call gets join_rows(V, (0,))'s own list and the
+    point tuples of R, the points of A that are zero on its stabiliser axis 0.
+    No basis is flattened or rebuilt: each row is read off V's entries by the
+    plan of V's pivot pattern, one plan per pattern."""
     p, n = 3, 4
     A = PointSet.from_iterable(
         [(a, b, c, d) for a in range(p) for b, c, d in [(0, 1, 2), (1, 1, 0), (2, 0, 1)]], n, p
@@ -84,26 +85,27 @@ def test_exceptional_set_hands_the_kernel_its_rows_and_points(monkeypatch):
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     count, joined, calls = _kernel.project_count_flat, [], []
 
-    def join(U, V):
-        joined.append(join_rows(U, V))
+    def join(U, axes):
+        joined.append(join_rows(U, axes))
         return joined[-1]
 
     def kernel(pts, npts, n, rows, kdim, pivots, p):
-        calls.append((pts, rows, dict(built)))
+        calls.append((pts, rows))
         return count(pts, npts, n, rows, kdim, pivots, p)
 
     monkeypatch.setattr(projections, "join_rows", join)
     monkeypatch.setattr(_kernel, "project_count_flat", kernel)
+    flags._join_plan.cache_clear()
     exceptional_set(A, ExceptionalQuery(1, 2))
-    S = LinearSubspace.coordinate([0], n, p)
+    plans = flags._join_plan.cache_info()
     directions = list(enumerate_linear(n, n - 2, p))
     assert len(calls) == len(joined) == len(directions) == 130
-    for (pts, rows, seen), got, V in zip(calls, joined, directions):
-        assert rows is got and rows == join_rows(V, S)
+    for (pts, rows), got, V in zip(calls, joined, directions):
+        assert rows is got and rows == join_rows(V, (0,))
         assert list(pts) == reps
-        assert seen == calls[0][2]
-    # S's rows, cached on the first join; nothing is built after that
-    assert calls[0][2]["_reduction_rows"] == 1
+    assert built == {"_dense": 0, "_reduction_rows": 0}
+    # the 6 pivot patterns of G(2, F_3^4), each planned once
+    assert (plans.misses, plans.currsize, plans.hits) == (6, 6, 124)
 
 
 def test_backend_name_reports():

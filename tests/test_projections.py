@@ -243,31 +243,52 @@ def test_subspace_projection_rank_identity():
                     assert e == stacked_rank(W, V) - V.k
 
 
-def _random_subspace(rng, p, n, within=None):
-    """Span of random rows; with `within`, some rows are combinations of its
-    basis rows, so the two subspaces overlap."""
+def _random_subspace(rng, p, n, axes):
+    """Span of random rows; with axes, some rows are zero off them, so the
+    subspace and the axes' span overlap."""
     rows = []
     for _ in range(rng.randint(0, n)):
-        row = [rng.randrange(p) for _ in range(n)]
-        if within is not None and within.k and rng.random() < 0.5:
-            row = [0] * n
-            for b in within.to_rows():
-                c = rng.randrange(p)
-                row = [(x + c * y) % p for x, y in zip(row, b)]
-        rows.append(row)
+        off_axes = not axes or rng.random() < 0.5
+        rows.append([rng.randrange(p) if off_axes or j in axes else 0 for j in range(n)])
     return LinearSubspace.from_rows(rows, n, p)
 
 
+def _assert_join(U, axes):
+    """join_rows(U, axes) has dim(U + C) rows, C the axes' span, by the rank
+    oracle; U's rows and the axes reduce to 0 modulo them; and each is in
+    `_reduce`'s form: residues, 0 left of its pivot, 1 at it and 0 at every
+    earlier row's pivot.  So the rows are an echelon basis of U + C."""
+    n, p = U.n, U.p
+    rows = join_rows(U, axes)
+    assert len(rows) == stacked_rank(U, LinearSubspace.coordinate(axes, n, p)), (U, axes)
+    for r in U.to_rows() + [[int(j == a) for j in range(n)] for a in axes]:
+        assert not any(_reduce(r, rows, p)), (U, axes, r)
+    for i, row in enumerate(rows):
+        c, dense = row[0], _kernel._dense([row], n)
+        assert dense[: c + 1] == [0] * c + [1] and all(0 <= b < p for b in dense), (U, axes, row)
+        assert not any(dense[d] for d, _ in rows[:i]), (U, axes, row)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_join_rows_span_the_sum_for_every_subspace_and_axis_set(p):
+    for n in range(1, 5):
+        subsets = [axes for r in range(n + 1) for axes in itertools.combinations(range(n), r)]
+        for k in range(n + 1):
+            for U in enumerate_linear(n, k, p):
+                for axes in subsets:
+                    _assert_join(U, axes)
+
+
 def test_join_rows_span_the_sum():
+    # each random U is joined with random axes, with none, with all n, and
+    # with axes under every pivot of U
     rng = random.Random(20261018)
     for _ in range(300):
         p, n = rng.choice([2, 3, 5, 7, 101, 2**61 - 1]), rng.randint(1, 5)
-        V = _random_subspace(rng, p, n)
-        U = _random_subspace(rng, p, n, within=V)
-        rows = join_rows(U, V)
-        assert len(rows) == stacked_rank(U, V)
-        for r in U.to_rows() + V.to_rows():
-            assert not any(_reduce(r, rows, p))
+        axes = tuple(sorted(rng.sample(range(n), rng.randint(0, n))))
+        U = _random_subspace(rng, p, n, axes)
+        for each in (axes, (), tuple(range(n)), tuple(sorted({*U.pivots, *axes}))):
+            _assert_join(U, each)
 
 
 def _point_sets(nmax=3):
