@@ -4,10 +4,12 @@ Every canonical coset name in the package -- `flags.reduce_mod_subspace`,
 subspace membership, a point's flat membership and the projection counts --
 is computed by `_reduce`, and so is every echelon basis: `flags._echelon`
 reduces each vector modulo the rows so far, keeping the nonzero remainders.
-It gives `LinearSubspace.from_rows`' RREF and ends `flags.join_rows`' rows of
-U + axes, which `project_count_flat` takes as is.  `verify_family` runs
-the same elimination column-major over a member's marked points, with no
-`_reduce` call.  `_reduce` works on pure Python ints, so p**n is unbounded.
+It gives `LinearSubspace.from_rows`' RREF, ends `flags.join_rows`' rows of
+U + axes, which `project_count_flat` takes as is, and ranks the short rows of
+the directions `projections.small_projection_directions` cannot decide by
+pivot pattern.  `verify_family` runs the same elimination column-major over a
+member's marked points, with no `_reduce` call.  `_reduce` works on pure
+Python ints, so p**n is unbounded.
 """
 
 from __future__ import annotations

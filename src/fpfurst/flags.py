@@ -83,10 +83,8 @@ class LinearSubspace(PrimeMatrix):
         rows sorted by pivot, each reduced modulo the rows after it."""
         check_prime(p)
         rows = [list(r) for r in rows]
-        if any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("ragged rows")
-        if rows and len(rows[0]) != n:
-            raise ValueError("row length mismatch")
+        if any(len(r) != n for r in rows):
+            raise ValueError(f"ragged rows or row length mismatch: every row needs {n} entries")
         _check_ints(itertools.chain.from_iterable(rows))
         echelon = sorted(_echelon([[e % p for e in r] for r in rows], [], n, p))
         entries = [
@@ -259,13 +257,19 @@ def enumerate_affine(n: int, k: int, p: int):
     """Yield every affine k-flat once: directions in enumerate_linear order,
     then canonical bases in lexicographic order of the free coordinates.
 
-    Every base is 0 at the direction's pivots, so each flat is built without
-    `__init__`, its two slots set through their descriptors."""
-    new = object.__new__
+    The bases depend on the direction's pivot pattern only, so they are built
+    once per pattern, as the product over the coordinates off its pivots, and
+    shared by each direction with that pattern.  Every base is 0 at the
+    direction's pivots, so each flat is built without `__init__`, its two
+    slots set through their descriptors."""
+    new, pivots = object.__new__, None
     set_direction, set_base = AffineFlat.direction.__set__, AffineFlat.base.__set__
     for direction in enumerate_linear(n, k, p):
-        pivots = direction.pivots
-        for base in itertools.product(*[(0,) if c in pivots else range(p) for c in range(n)]):
+        if direction.pivots is not pivots:
+            # the last pattern's bases go first, so two lists never coexist
+            pivots, bases = direction.pivots, ()
+            bases = list(itertools.product(*[(0,) if c in pivots else range(p) for c in range(n)]))
+        for base in bases:
             flat = new(AffineFlat)
             set_direction(flat, direction)
             set_base(flat, base)

@@ -28,7 +28,7 @@ import operator
 from fractions import Fraction
 
 from . import _kernel
-from .flags import LinearSubspace, _echelon, enumerate_linear, join_rows
+from .flags import LinearSubspace, _echelon, _join_plan, enumerate_linear, join_rows
 from .indices import as_fraction, ceil_rational_power
 from .primefield import _check_ints, _Record, check_prime
 
@@ -124,27 +124,42 @@ def exceptional_set(A: PointSet, q: ExceptionalQuery) -> list[LinearSubspace]:
 
 def small_projection_directions(W: LinearSubspace, k: int, l: int):
     """Yield each V in G(n-k, F_p^n) with #proj_V(W) <= p^l, in enumeration
-    order.
+    order, for a coordinate subspace W; any other W is refused with
+    `ValueError` at the first step.
 
     The cosets of V meeting W are the cosets of V in W + V, so
-    #proj_V(W) = p^(dim(W + V) - dim V) and V is kept iff
-    dim(W + V) <= l + dim V; one `_echelon` of V's rows on top of W's, read
-    once per call, decides it.
+    #proj_V(W) = p^(dim(W + V) - dim V).  With m = dim W, d = dim V and r the
+    number of V's RREF rows whose pivot is on one of W's axes (the offsets
+    `_join_plan` lists for V's pivot pattern), dim(W + V) = m + (d - r) +
+    rank(T), T those r rows at the columns off the axes: the other rows are 1
+    at their pivots, off the axes, where every row of T is 0.  So V is kept
+    iff rank(T) <= l - m + r.  The pattern alone decides V when that bound is
+    below 0 or at least r; otherwise one `_echelon` of T's short rows does.
     """
-    n, p, d = W.n, W.p, W.n - k
-    rows, most, starts = W._rows, l + d, range(0, d * n, n)
-    for V in enumerate_linear(n, d, p):
-        e = V.entries
-        if len(_echelon([e[i : i + n] for i in starts], list(rows), n, p)) <= most:
+    n, p, axes = W.n, W.p, W.pivots
+    if any([r for _, r in W._rows]):
+        raise ValueError(f"W is not a coordinate subspace: pivots {axes}, entries {W.entries}")
+    off, pivots = [j for j in range(n) if j not in axes], None
+    for V in enumerate_linear(n, n - k, p):
+        if V.pivots is not pivots:
+            pivots = V.pivots
+            rest = _join_plan(pivots, axes, n)[2]
+            most = l - W.k + len(rest)
+        if most >= len(rest):
             yield V
+        elif most >= 0:
+            e = V.entries
+            if len(_echelon([[e[i + j] for j in off] for i in rest], [], len(off), p)) <= most:
+                yield V
 
 
 def count_small_projection_subspaces(W: LinearSubspace, k: int, l: int) -> int:
     """Number of V in G(n-k, F_p^n) with #proj_V(W) <= p^l.
 
     Hypotheses (n - k >= m - l, l <= k, l <= m for m = dim W) mirror the
-    counting estimate this is checked against.  Every V is enumerated and
-    decided by `small_projection_directions`.
+    counting estimate this is checked against.  W must be a coordinate
+    subspace.  Every V is enumerated and decided by
+    `small_projection_directions`, many by their pivot pattern alone.
     """
     n, m = W.n, W.k
     if not (1 <= k <= n and n - k >= m - l and 0 <= l <= k and l <= m):

@@ -1,5 +1,6 @@
 import copy
 import gc
+import inspect
 import itertools
 import os
 import pathlib
@@ -303,6 +304,28 @@ def test_enumerate_affine_equals_the_constructed_flats(p):
                 for base in sorted({reduce_mod_subspace(x, V) for x in itertools.product(range(p), repeat=n)})
             ]
             assert list(enumerate_affine(n, k, p)) == want, (n, k)
+
+
+def test_enumerate_affine_is_a_generator_function():
+    # the benchmark tracer counts the flats it yields
+    assert inspect.isgeneratorfunction(enumerate_affine)
+
+
+def test_enumerate_affine_bases_are_the_product_over_the_free_coordinates():
+    # the last direction of each pivot pattern of G(2, F_5^4) has the bases of
+    # itertools.product over its non-pivot coordinates, 0 at its pivots, in
+    # that order; the bases are built once per pattern and shared
+    n, k, p = 4, 2, 5
+    bases = {}
+    for flat in enumerate_affine(n, k, p):
+        bases.setdefault(flat.direction, []).append(flat.base)
+    last = {V.pivots: V for V in enumerate_linear(n, k, p)}
+    assert len(last) == 6
+    for pivots, V in last.items():
+        free = [c for c in range(n) if c not in pivots]
+        frees = itertools.product(range(p), repeat=n - k)
+        want = [tuple(dict(zip(free, b)).get(c, 0) for c in range(n)) for b in frees]
+        assert bases[V] == want, pivots
 
 
 _D = LinearSubspace.from_rows([[1, 0]], 2, 5)

@@ -1,6 +1,9 @@
-"""The package namespace: every public name, resolved on first access."""
+"""The package namespace: every public name, resolved on first access; and
+the token counts of the modules every `count` launch compiles."""
 
 import importlib
+import pathlib
+import tokenize
 
 import pytest
 
@@ -62,3 +65,39 @@ def test_an_unknown_name_is_an_attribute_error():
         fpfurst.nope
     with pytest.raises(ImportError, match="nope"):
         exec("from fpfurst import nope", {})
+
+
+# CPython's parser holds a module's tokens in an array that doubles at each
+# power of two.  Past 2,048 tokens `flags.py`'s compile peak rose by about
+# 115 KB, and every launch that compiles it without cached bytecode paid that
+# in peak RSS.
+TOKEN_STEP = 2048
+
+
+def _code_tokens(path) -> int:
+    """Tokens without comments and blank lines, an f-string counted as one
+    token as Python 3.11's tokenizer gives it, whatever the Python."""
+    count = depth = 0
+    with open(path, encoding="utf-8") as f:
+        for tok in tokenize.generate_tokens(f.readline):
+            name = tokenize.tok_name[tok.type]
+            if name in ("COMMENT", "NL"):
+                continue
+            if name == "FSTRING_START":
+                count += depth == 0
+                depth += 1
+            elif name == "FSTRING_END":
+                depth -= 1
+            elif depth == 0:
+                count += 1
+    return count
+
+
+@pytest.mark.parametrize("module", ["flags", "projections"])
+def test_module_stays_below_the_parser_token_step(module):
+    path = pathlib.Path(fpfurst.__file__).with_name(f"{module}.py")
+    tokens = _code_tokens(path)
+    assert tokens < TOKEN_STEP, (
+        f"{module}.py has {tokens} code tokens, at or past the parser's {TOKEN_STEP}-token array "
+        f"step: its compile peak, and so each launch's peak RSS, jumps there; take tokens out or split it"
+    )

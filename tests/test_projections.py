@@ -212,35 +212,49 @@ def test_count_small_projection_hypotheses_enforced():
         count_small_projection_subspaces(W, 2, 0)  # n-k = 1 < m-l = 2
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
 def test_small_projection_directions_match_the_exponent_oracle(p):
-    # every m-subspace W of F_p^n for n <= 4, coordinate or not, and every
-    # (k, l) of the counting hypotheses: the filter keeps exactly the V that
-    # subspace_projection_exponent keeps, in enumeration order
-    for n in range(1, 5):
+    # every coordinate subspace W of F_p^n, on any axis subset of range(n), for
+    # n <= 4 (n <= 3 at p = 5), and every (k, l) of the counting hypotheses:
+    # the filter keeps exactly the V whose exponent by the stacked-rank oracle
+    # is at most l, in enumeration order, as many as small_projection_count
+    for n in range(1, (3 if p == 5 else 4) + 1):
         for k in range(1, n + 1):
             directions = list(enumerate_linear(n, n - k, p))
             for m in range(n + 1):
-                for W in enumerate_linear(n, m, p):
+                for axes in itertools.combinations(range(n), m):
+                    W = LinearSubspace.coordinate(axes, n, p)
                     exponents = [subspace_projection_exponent(W, V) for V in directions]
                     for l in range(max(m - n + k, 0), min(k, m) + 1):
                         got = list(small_projection_directions(W, k, l))
-                        assert got == [V for V, e in zip(directions, exponents) if e <= l], (W, k, l)
+                        assert got == [V for V, e in zip(directions, exponents) if e <= l], (axes, k, l)
                         assert len(got) == small_projection_count(n, k, m, l, p)
+
+
+def test_small_projection_directions_refuse_a_non_coordinate_subspace():
+    # one free entry off the pivot is enough; the count refuses it too
+    W = LinearSubspace.from_rows([[1, 0, 2], [0, 1, 0]], 3, 5)
+    with pytest.raises(ValueError, match="not a coordinate subspace"):
+        next(small_projection_directions(W, 1, 1))
+    with pytest.raises(ValueError, match="not a coordinate subspace"):
+        count_small_projection_subspaces(W, 1, 1)
 
 
 def test_subspace_projection_rank_identity():
     # #proj_V(W) = p^(dim(W + V) - dim V) for every pair of subspaces, with
-    # brute-force projection of W's point list as the oracle
+    # brute-force projection of W's point list as the oracle; for coordinate
+    # W, join_rows(V, W's axes) spans W + V
     for p, nmax in ((2, 4), (3, 3)):
         for n in range(1, nmax + 1):
             subs = [V for k in range(n + 1) for V in enumerate_linear(n, k, p)]
             for W in subs:
                 W_pts = PointSet.from_iterable(W.points(), n, p)
+                coordinate = W == LinearSubspace.coordinate(W.pivots, n, p)
                 for V in subs:
                     e = subspace_projection_exponent(W, V)
                     assert projection_count(W_pts, V) == p**e
-                    assert e == stacked_rank(W, V) - V.k
+                    if coordinate:
+                        assert e == len(join_rows(V, W.pivots)) - V.k
 
 
 def _random_subspace(rng, p, n, axes):
