@@ -1,15 +1,17 @@
-"""The one coset-reduction routine and the projection count built on it.
+"""The package's one elimination: the coset reducer, the echelon builder on
+it, and the projection count.
 
 Every canonical coset name in the package -- `flags.reduce_mod_subspace`,
 subspace membership, a point's flat membership and the projection counts --
-is computed by `_reduce`, and so is every echelon basis: `flags._echelon`
-reduces each vector modulo the rows so far, keeping the nonzero remainders.
-It gives `LinearSubspace.from_rows`' RREF, ends `flags.join_rows`' rows of
-U + axes, which `project_count_flat` takes as is, and ranks the short rows of
-the directions `projections.small_projection_directions` cannot decide by
-pivot pattern.  `verify_family` runs the same elimination column-major over a
-member's marked points, with no `_reduce` call.  `_reduce` works on pure
-Python ints, so p**n is unbounded.
+is computed by `_reduce`, and so is every echelon basis: `_echelon` reduces
+each vector modulo the rows so far, keeping the nonzero remainders.  It names
+`LinearSubspace.from_rows`' RREF, ends `flags.join_rows`' rows of U + axes,
+which `project_count_flat` takes as is, and ranks the short rows of the
+directions `projections.small_projection_directions` cannot decide by pivot
+pattern.  A subspace's own rows in `_reduce`'s form are `join_rows` with no
+axes.  `verify_family` runs the same elimination column-major over a member's
+marked points, with no `_reduce` call.  `_reduce` works on pure Python ints,
+so p**n is unbounded.
 """
 
 from __future__ import annotations
@@ -17,29 +19,6 @@ from __future__ import annotations
 
 def backend_name() -> str:
     return "python"
-
-
-def _reduction_rows(basis, n: int, kdim: int, pivots) -> tuple:
-    """Per RREF row: its pivot column and the nonzero (column, entry) pairs to
-    the right of the pivot.  `basis` is the row-major flat basis (kdim rows)."""
-    rows = []
-    for i in range(kdim):
-        c, off = pivots[i], i * n
-        # tuple() of a list, not of a generator: a generator's tuple is
-        # allocated at a guessed size and shrunk, so every call would move
-        # memory onto the interpreter's small-tuple free lists.
-        rows.append((c, tuple([(j, basis[off + j]) for j in range(c + 1, n) if basis[off + j]])))
-    return tuple(rows)
-
-
-def _dense(rows, n: int) -> list:
-    """Row-major entries of rows in `_reduce`'s form; `_reduction_rows` inverted."""
-    out = [0] * (len(rows) * n)
-    for off, (c, entries) in zip(range(0, len(out), n), rows):
-        out[off + c] = 1
-        for j, b in entries:
-            out[off + j] = b
-    return out
 
 
 def _reduce(x, rows, p: int) -> tuple[int, ...]:
@@ -57,6 +36,21 @@ def _reduce(x, rows, p: int) -> tuple[int, ...]:
             for j, b in entries:
                 w[j] = (w[j] - f * b) % p
     return tuple(w)
+
+
+def _echelon(vectors, rows: list, n: int, p: int) -> list:
+    """Extend `rows`, in `_reduce`'s form, to span the vectors (residues).
+
+    Each vector's nonzero remainder modulo the rows so far, scaled to 1 at its
+    first nonzero column, is appended: zero at every earlier pivot and left of
+    its own, which keeps `_reduce` exact."""
+    for v in vectors:
+        w = _reduce(v, rows, p)
+        nonzero = [j for j in range(n) if w[j]]
+        if nonzero:
+            inv = pow(w[nonzero[0]], -1, p)
+            rows.append((nonzero[0], tuple([(j, w[j] * inv % p) for j in nonzero[1:]])))
+    return rows
 
 
 def project_count_flat(pts, npts: int, n: int, rows, kdim: int, pivots, p: int) -> int:

@@ -2,7 +2,7 @@
 counting, and sums with coordinate subspaces.
 
 Canonical forms make equality structural: a linear subspace is one object,
-its RREF basis with its pivots, built by `_echelon`; an
+its RREF basis with its pivots, named by `_kernel._echelon`; an
 affine flat is (direction, base), the base the unique coset representative
 vanishing on the direction's pivot coordinates.  The streams produced here are
 deterministic -- lexicographic in (pivot pattern, free entries) -- so "the
@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from functools import cache, cached_property
 
-from ._kernel import _dense, _reduce, _reduction_rows
+from ._kernel import _echelon, _reduce
 from .primefield import PrimeMatrix, _check_ints, _check_matrix, _Record, check_prime
 
 
@@ -79,8 +79,10 @@ class LinearSubspace(PrimeMatrix):
 
     @classmethod
     def from_rows(cls, rows, n: int, p: int) -> "LinearSubspace":
-        """Span of the given rows of ints, in canonical form: `_echelon`'s
-        rows sorted by pivot, each reduced modulo the rows after it."""
+        """Span of the given rows of ints, in canonical form.  With E
+        `_echelon`'s rows sorted by pivot, the RREF row with pivot c is
+        e_c - `_reduce`(e_c, E): the remainder is 0 at every pivot and left of
+        c, so the row is 1 at c, 0 at the other pivots, and in the span."""
         check_prime(p)
         rows = [list(r) for r in rows]
         if any(len(r) != n for r in rows):
@@ -88,7 +90,9 @@ class LinearSubspace(PrimeMatrix):
         _check_ints(itertools.chain.from_iterable(rows))
         echelon = sorted(_echelon([[e % p for e in r] for r in rows], [], n, p))
         entries = [
-            b for i in range(len(echelon)) for b in _reduce(_dense(echelon[i : i + 1], n), echelon[i + 1 :], p)
+            ((j == c) - b) % p
+            for c, _ in echelon
+            for j, b in enumerate(_reduce([int(i == c) for i in range(n)], echelon, p))
         ]
         return cls(p, len(echelon), n, tuple(entries), tuple([c for c, _ in echelon]))
 
@@ -106,8 +110,10 @@ class LinearSubspace(PrimeMatrix):
 
     @cached_property
     def _rows(self) -> tuple:
-        """The basis in the form `_kernel._reduce` takes, built once."""
-        return _reduction_rows(self.entries, self.n, self.k, self.pivots)
+        """The RREF rows in the form `_kernel._reduce` takes, built once: each
+        pivot with the nonzero (column, entry) pairs right of it, as
+        `join_rows` gives them with no axes."""
+        return tuple(join_rows(self, ()))
 
     def points(self) -> list[tuple[int, ...]]:
         """All p^k points, in lexicographic order of the coefficient vector:
@@ -169,21 +175,6 @@ def reduce_mod_subspace(x, V: LinearSubspace) -> tuple[int, ...]:
         raise ValueError(f"vector of length {len(w)} is not in F_{p}^{V.cols}")
     _check_ints(w)
     return _reduce(w, V._rows, p)
-
-
-def _echelon(vectors, rows: list, n: int, p: int) -> list:
-    """Extend `rows`, in `_reduce`'s form, to span the vectors (residues).
-
-    Each vector's nonzero remainder modulo the rows so far, scaled to 1 at its
-    first nonzero column, is appended: zero at every earlier pivot and left of
-    its own, which keeps `_reduce` exact."""
-    for v in vectors:
-        w = _reduce(v, rows, p)
-        nonzero = [j for j in range(n) if w[j]]
-        if nonzero:
-            inv = pow(w[nonzero[0]], -1, p)
-            rows.append((nonzero[0], tuple([(j, w[j] * inv % p) for j in nonzero[1:]])))
-    return rows
 
 
 def join_rows(U: LinearSubspace, axes: tuple) -> list:
@@ -265,7 +256,7 @@ def enumerate_affine(n: int, k: int, p: int):
     new, pivots = object.__new__, None
     set_direction, set_base = AffineFlat.direction.__set__, AffineFlat.base.__set__
     for direction in enumerate_linear(n, k, p):
-        if direction.pivots is not pivots:
+        if direction.pivots != pivots:
             # the last pattern's bases go first, so two lists never coexist
             pivots, bases = direction.pivots, ()
             bases = list(itertools.product(*[(0,) if c in pivots else range(p) for c in range(n)]))

@@ -28,7 +28,7 @@ import operator
 from fractions import Fraction
 
 from . import _kernel
-from .flags import LinearSubspace, _echelon, _join_plan, enumerate_linear, join_rows
+from .flags import LinearSubspace, _join_plan, enumerate_linear, join_rows
 from .indices import as_fraction, ceil_rational_power
 from .primefield import _check_ints, _Record, check_prime
 
@@ -141,7 +141,7 @@ def small_projection_directions(W: LinearSubspace, k: int, l: int):
         raise ValueError(f"W is not a coordinate subspace: pivots {axes}, entries {W.entries}")
     off, pivots = [j for j in range(n) if j not in axes], None
     for V in enumerate_linear(n, n - k, p):
-        if V.pivots is not pivots:
+        if V.pivots != pivots:
             pivots = V.pivots
             rest = _join_plan(pivots, axes, n)[2]
             most = l - W.k + len(rest)
@@ -149,7 +149,7 @@ def small_projection_directions(W: LinearSubspace, k: int, l: int):
             yield V
         elif most >= 0:
             e = V.entries
-            if len(_echelon([[e[i + j] for j in off] for i in rest], [], len(off), p)) <= most:
+            if len(_kernel._echelon([[e[i + j] for j in off] for i in rest], [], len(off), p)) <= most:
                 yield V
 
 

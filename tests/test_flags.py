@@ -103,13 +103,25 @@ def test_enumeration_order_matches_rref_oracle(n, k, p):
     assert list(enumerate_affine(n, k, p)) == flats
 
 
+def _rref_rows(V):
+    """V's RREF rows in `_reduce`'s form, read off `to_rows`: each row's first
+    nonzero column with the nonzero (column, entry) pairs to its right."""
+    rows = []
+    for row in V.to_rows():
+        c = next(j for j, b in enumerate(row) if b)
+        rows.append((c, tuple((j, b) for j, b in enumerate(row) if j > c and b)))
+    return tuple(rows)
+
+
 @pytest.mark.parametrize("n,k,p", ORACLE_CASES + [(4, 2, 7), (3, 1, 5)])
 def test_enumerated_values_are_valid(n, k, p):
     # The enumerators skip __init__; replace runs it again, so each value
-    # must survive its own constructor unchanged.
+    # must survive its own constructor unchanged.  `_rows` must be the RREF
+    # rows themselves, which `furstenberg._first_off_flat` relies on.
     for V in enumerate_linear(n, k, p):
         W = V.replace()
         assert W == V and hash(W) == hash(V)
+        assert V._rows == _rref_rows(V)
     for flat in enumerate_affine(n, k, p):
         same = flat.replace()
         assert same == flat and hash(same) == hash(flat)
@@ -432,6 +444,7 @@ def test_from_rows_matches_rref_oracle():
                 reduced, pivots = rref(matrix(rows, p, n))
                 assert V.pivots == pivots, (p, rows)
                 assert V.entries == reduced.entries[: len(pivots) * n], (p, rows)
+                assert V._rows == _rref_rows(V), (p, rows)
                 cases += 1
     assert cases == 6 * 6 * 81
 

@@ -64,30 +64,24 @@ def test_zero_dimensional_subspace_counts_points():
 def test_exceptional_set_hands_the_kernel_its_rows_and_points(monkeypatch):
     """Each direction's kernel call gets join_rows(V, (0,))'s own list and the
     point tuples of R, the points of A that are zero on its stabiliser axis 0.
-    No basis is flattened or rebuilt: each row is read off V's entries by the
-    plan of V's pivot pattern, one plan per pattern."""
+    No direction's `_rows` is built and no basis is listed by `to_rows`: each
+    row is read off V's entries by the plan of V's pivot pattern, one plan per
+    pattern."""
     p, n = 3, 4
     A = PointSet.from_iterable(
         [(a, b, c, d) for a in range(p) for b, c, d in [(0, 1, 2), (1, 1, 0), (2, 0, 1)]], n, p
     )
     reps = [x for x in A.points if x[0] == 0]
-    built = {name: 0 for name in ("_dense", "_reduction_rows")}
-
-    def counting(name, fn):
-        def wrapper(*args):
-            built[name] += 1
-            return fn(*args)
-
-        return wrapper
-
-    for module in (_kernel, flags):
-        for name in built:
-            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-    count, joined, calls = _kernel.project_count_flat, [], []
+    count, joined, calls, seen, listed = _kernel.project_count_flat, [], [], [], []
 
     def join(U, axes):
+        seen.append(U)
         joined.append(join_rows(U, axes))
         return joined[-1]
+
+    def to_rows(self, to_rows=PrimeMatrix.to_rows):
+        listed.append(self)
+        return to_rows(self)
 
     def kernel(pts, npts, n, rows, kdim, pivots, p):
         calls.append((pts, rows))
@@ -95,15 +89,18 @@ def test_exceptional_set_hands_the_kernel_its_rows_and_points(monkeypatch):
 
     monkeypatch.setattr(projections, "join_rows", join)
     monkeypatch.setattr(_kernel, "project_count_flat", kernel)
+    monkeypatch.setattr(PrimeMatrix, "to_rows", to_rows)
     flags._join_plan.cache_clear()
     exceptional_set(A, ExceptionalQuery(1, 2))
+    monkeypatch.undo()
     plans = flags._join_plan.cache_info()
     directions = list(enumerate_linear(n, n - 2, p))
     assert len(calls) == len(joined) == len(directions) == 130
     for (pts, rows), got, V in zip(calls, joined, directions):
         assert rows is got and rows == join_rows(V, (0,))
         assert list(pts) == reps
-    assert built == {"_dense": 0, "_reduction_rows": 0}
+    assert seen == directions and listed == []
+    assert not any(["_rows" in vars(V) for V in seen])
     # the 6 pivot patterns of G(2, F_3^4), each planned once
     assert (plans.misses, plans.currsize, plans.hits) == (6, 6, 124)
 

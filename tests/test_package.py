@@ -93,7 +93,7 @@ def _code_tokens(path) -> int:
     return count
 
 
-@pytest.mark.parametrize("module", ["flags", "projections"])
+@pytest.mark.parametrize("module", ["_kernel", "flags", "projections"])
 def test_module_stays_below_the_parser_token_step(module):
     path = pathlib.Path(fpfurst.__file__).with_name(f"{module}.py")
     tokens = _code_tokens(path)

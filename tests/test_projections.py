@@ -278,7 +278,10 @@ def _assert_join(U, axes):
     for r in U.to_rows() + [[int(j == a) for j in range(n)] for a in axes]:
         assert not any(_reduce(r, rows, p)), (U, axes, r)
     for i, row in enumerate(rows):
-        c, dense = row[0], _kernel._dense([row], n)
+        (c, entries), dense = row, [0] * n
+        dense[c] = 1
+        for j, b in entries:
+            dense[j] = b
         assert dense[: c + 1] == [0] * c + [1] and all(0 <= b < p for b in dense), (U, axes, row)
         assert not any(dense[d] for d, _ in rows[:i]), (U, axes, row)
 
