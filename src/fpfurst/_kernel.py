@@ -1,17 +1,23 @@
 """The package's one elimination: the coset reducer, the echelon builder on
-it, and the projection count.
+it, the same reduction laid out over a point set's columns, and the
+projection count on those columns.
 
 Every canonical coset name in the package -- `flags.reduce_mod_subspace`,
-subspace membership, a point's flat membership and the projection counts --
-is computed by `_reduce`, and so is every echelon basis: `_echelon` reduces
-each vector modulo the rows so far, keeping the nonzero remainders.  It names
-`LinearSubspace.from_rows`' RREF, ends `flags.join_rows`' rows of U + axes,
-which `project_count_flat` takes as is, and ranks the short rows of the
-directions `projections.small_projection_directions` cannot decide by pivot
-pattern.  A subspace's own rows in `_reduce`'s form are `join_rows` with no
-axes.  `verify_family` runs the same elimination column-major over a member's
-marked points, with no `_reduce` call.  `_reduce` works on pure Python ints,
-so p**n is unbounded.
+subspace membership, a point's flat membership -- is computed by `_reduce`,
+and so is every echelon basis: `_echelon` reduces each vector modulo the rows
+so far, keeping the nonzero remainders.  It names `LinearSubspace.from_rows`'
+RREF, ends `flags.join_rows`' rows of U + axes, which `project_count_flat`
+takes as is, and ranks the short rows of the directions
+`projections.small_projection_directions` cannot decide by pivot pattern.
+`join_rows` and that rank hand `_echelon` only the free columns, those off the
+axes and off V's pivots.  A subspace's own rows in `_reduce`'s form are
+`join_rows` with no axes.
+
+`_reduce_columns` runs `_reduce`'s steps in the same order over all of a
+point set's columns at once, so each non-pivot column holds that coordinate
+of every point's `_reduce`.  `project_count_flat` counts the distinct rows of
+those columns, and `verify_family` compares them with a flat's base, with no
+`_reduce` call.  Everything works on pure Python ints, so p**n is unbounded.
 """
 
 from __future__ import annotations
@@ -38,6 +44,22 @@ def _reduce(x, rows, p: int) -> tuple[int, ...]:
     return tuple(w)
 
 
+def _reduce_columns(pts, rows, p: int) -> list:
+    """The columns of the nonempty points (residue tuples), reduced modulo
+    `rows` in `_reduce`'s form: for each row (c, entries) and each entry
+    (j, b), column j loses b times column c, as coordinate j of one point does
+    in `_reduce`, and in the same order.  No row has an entry at an earlier
+    row's pivot, so a pivot column is read only before `_reduce` would zero
+    it; it is left as it is, and every other column j holds coordinate j of
+    each point's `_reduce`."""
+    cols = list(zip(*pts))
+    for c, entries in rows:
+        pivot_col = cols[c]
+        for j, b in entries:
+            cols[j] = [(a - x * b) % p for a, x in zip(cols[j], pivot_col)]
+    return cols
+
+
 def _echelon(vectors, rows: list, n: int, p: int) -> list:
     """Extend `rows`, in `_reduce`'s form, to span the vectors (residues).
 
@@ -56,8 +78,14 @@ def _echelon(vectors, rows: list, n: int, p: int) -> list:
 def project_count_flat(pts, npts: int, n: int, rows, kdim: int, pivots, p: int) -> int:
     """Number of distinct cosets x + V met by the points.
 
-    Reads only pts (tuples of residues), rows (V's basis in `_reduce`'s form)
-    and p.  npts, n, kdim and pivots stay positional for the benchmark tracer
-    until ROADMAP item 6; callers pass their true values.
+    pts are tuples of residues in F_p^n, rows V's basis in `_reduce`'s form
+    and pivots its pivot columns.  Two points share a coset iff their
+    `_reduce_columns` agree at every non-pivot column; with no such column
+    there is one coset.  A set of 0 or 1 points is its own count.  npts and
+    kdim stay positional for the benchmark tracer until ROADMAP item 6;
+    callers pass their true values.
     """
-    return len({_reduce(x, rows, p) for x in pts})
+    if len(pts) < 2:
+        return len(pts)
+    cols = _reduce_columns(pts, rows, p)
+    return len(set(zip(*[cols[j] for j in range(n) if j not in pivots]))) or 1

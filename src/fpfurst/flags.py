@@ -184,29 +184,37 @@ def join_rows(U: LinearSubspace, axes: tuple) -> list:
     `_echelon`'s remainders of the rest.
 
     An RREF row of U is 1 at its pivot and 0 at U's other pivots, so with its
-    axis columns dropped a row whose pivot is off the axes is already reduced
-    modulo the rows before it; it is read off U's entries at the columns
-    `_join_plan` lists for U's pivot pattern."""
+    axis columns dropped it is nonzero only there and at the free columns
+    `_join_plan` lists for U's pivot pattern.  A row whose pivot is off the
+    axes is then already reduced modulo the rows before it, and is read off
+    U's entries at the free columns right of its pivot.  The rest are 0 off
+    the free columns once reduced, so they are eliminated as short rows at
+    the free columns alone, and none when there are none."""
     n, e = U.n, U.entries
-    rows, read, rest = _join_plan(U.pivots, axes, n)
+    rows, read, rest, free = _join_plan(U.pivots, axes, n)
     rows = [*rows, *[(c, tuple([(j, b) for j in cols if (b := e[i + j])])) for c, i, cols in read]]
-    return _echelon([e[i : i + n] for i in rest], rows, n, U.p) if rest else rows
+    if rest and free:
+        short = _echelon([[e[i + j] for j in free] for i in rest], [], len(free), U.p)
+        rows += [(free[c], tuple([(free[j], b) for j, b in r])) for c, r in short]
+    return rows
 
 
 @cache
 def _join_plan(pivots, axes, n):
     """`join_rows`' plan for U's pivots: the axis rows; (c, i, columns) for
     each row of U whose pivot c is off the axes, i its offset in U's entries
-    and the columns right of c on no pivot or axis; and the other rows'
-    offsets.
+    and the free columns right of c; the other rows' offsets; and the free
+    columns, those on no pivot or axis.
     The axes are checked here, once per plan."""
     if axes != tuple(sorted(set(axes).intersection(range(n)))):
         raise ValueError(f"axes {axes} are not strictly increasing in range({n})")
-    rows = [(c, i * n, tuple([j for j in range(c + 1, n) if j not in axes + pivots])) for i, c in enumerate(pivots)]
+    free = tuple([j for j in range(n) if j not in axes + pivots])
+    rows = [(c, i * n, tuple([j for j in free if j > c])) for i, c in enumerate(pivots)]
     return (
         tuple([(a, ()) for a in axes]),
         tuple([r for r in rows if r[0] not in axes]),
-        tuple([i for c, i, _ in rows if c in axes])
+        tuple([i for c, i, _ in rows if c in axes]),
+        free,
     )
 
 

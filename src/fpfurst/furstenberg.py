@@ -28,6 +28,7 @@ import operator
 from fractions import Fraction
 from functools import cached_property
 
+from ._kernel import _reduce_columns
 from .flags import (
     AffineFlat,
     LinearSubspace,
@@ -341,20 +342,16 @@ def _lift_transverse(members, n: int, k: int, p: int, slice_dim: int):
 def _first_off_flat(pts, flat: AffineFlat, p: int):
     """The first of the points (residue tuples) off the flat, or None.
 
-    `_kernel._reduce` laid out over the points' columns: for each basis row
-    (c, entries) and each entry (j, b), column j loses b times column c, as
-    coordinate j of one point does.  RREF entries avoid every pivot, so each
-    row reads its pivot column unchanged, and the pivot coordinates, which
-    `_reduce` zeroes, are not compared.  The points lie on the flat iff every
-    other column, touched by a row or not, is constant at the base.
+    `_kernel._reduce_columns` reduces the points modulo the direction's RREF
+    rows column by column.  A pivot column, which `_reduce` zeroes, is not
+    compared; every other column holds that coordinate of each point's
+    `_reduce`.  The points lie on the flat iff each of those columns, touched
+    by a row or not, is constant at the base, and the first point off it is
+    the first to leave the base in any of them.
     """
     if not pts:
         return None
-    cols = list(zip(*pts))
-    for c, entries in flat.direction._rows:
-        pivot_col = cols[c]
-        for j, b in entries:
-            cols[j] = [(a - x * b) % p for a, x in zip(cols[j], pivot_col)]
+    cols = _reduce_columns(pts, flat.direction._rows, p)
     pivots = flat.direction.pivots
     off = [
         (cols[j], e) for j, e in enumerate(flat.base)

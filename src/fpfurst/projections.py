@@ -131,25 +131,27 @@ def small_projection_directions(W: LinearSubspace, k: int, l: int):
     #proj_V(W) = p^(dim(W + V) - dim V).  With m = dim W, d = dim V and r the
     number of V's RREF rows whose pivot is on one of W's axes (the offsets
     `_join_plan` lists for V's pivot pattern), dim(W + V) = m + (d - r) +
-    rank(T), T those r rows at the columns off the axes: the other rows are 1
-    at their pivots, off the axes, where every row of T is 0.  So V is kept
-    iff rank(T) <= l - m + r.  The pattern alone decides V when that bound is
-    below 0 or at least r; otherwise one `_echelon` of T's short rows does.
+    rank(T), T those r rows at the plan's free columns, off the axes and off
+    V's pivots: off the axes, every row of T is 0 at V's pivots, and the
+    other rows are 1 at their pivots, where T is 0.  So V is kept iff
+    rank(T) <= l - m + r.  The pattern alone decides V when that bound is
+    below 0 or at least min(r, #free columns), which bounds rank(T);
+    otherwise one `_echelon` of T's short rows does.
     """
     n, p, axes = W.n, W.p, W.pivots
     if any([r for _, r in W._rows]):
         raise ValueError(f"W is not a coordinate subspace: pivots {axes}, entries {W.entries}")
-    off, pivots = [j for j in range(n) if j not in axes], None
+    pivots = None
     for V in enumerate_linear(n, n - k, p):
         if V.pivots != pivots:
             pivots = V.pivots
-            rest = _join_plan(pivots, axes, n)[2]
+            _, _, rest, free = _join_plan(pivots, axes, n)
             most = l - W.k + len(rest)
-        if most >= len(rest):
+        if most >= min(len(rest), len(free)):
             yield V
         elif most >= 0:
             e = V.entries
-            if len(_kernel._echelon([[e[i + j] for j in off] for i in rest], [], len(off), p)) <= most:
+            if len(_kernel._echelon([[e[i + j] for j in free] for i in rest], [], len(free), p)) <= most:
                 yield V
 
 

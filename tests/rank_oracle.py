@@ -1,6 +1,9 @@
 """The tests' rank oracle: Gauss-Jordan elimination on lists, independent of
-`_kernel._reduce`, and the rank of stacked bases it gives."""
+`_kernel._reduce`, and the rank of stacked bases it gives; and
+`flags.join_rows` as it eliminates full-length vectors, the oracle its short
+rows at the free columns must equal row for row."""
 
+from fpfurst._kernel import _echelon
 from fpfurst.primefield import PrimeMatrix
 
 
@@ -46,3 +49,17 @@ def stacked_rank(*mats: PrimeMatrix) -> int:
     entries = tuple(e for m in mats for e in m.entries)
     stacked = PrimeMatrix(mats[0].p, sum(m.rows for m in mats), mats[0].cols, entries)
     return len(rref(stacked)[1])
+
+
+def full_join_rows(U, axes) -> list:
+    """Rows in `_reduce`'s form spanning U + C, C the axes' span, with no plan
+    and no free columns: the axis rows, U's RREF rows whose pivot is off the
+    axes with their axis entries dropped, then `_echelon` of the other rows
+    as full-length vectors."""
+    n, rows, rest = U.n, [(a, ()) for a in axes], []
+    for c, row in zip(U.pivots, U.to_rows()):
+        if c in axes:
+            rest.append(row)
+        else:
+            rows.append((c, tuple((j, b) for j, b in enumerate(row) if j > c and j not in axes and b)))
+    return _echelon(rest, rows, n, U.p)

@@ -548,14 +548,17 @@ def test_golden_y_sets_survive_validation(case):
 def test_validation_work_per_construction(case, primes, branch, validations, monkeypatch):
     # A construction validates nothing; verify_family builds the union, the
     # only PointSet, so the count is the same at both primes while the member
-    # count grows.  It checks the marked points column-major, with no _reduce
-    # call under any name the package binds it to.
-    checks, reduces = [], []
-    check, reduce = PointSet.__init__, _kernel._reduce
+    # count grows.  It checks the marked points column-major, one
+    # _reduce_columns per member, with no _reduce call under any name the
+    # package binds it to.
+    checks, reduces, columns = [], [], []
+    check, reduce, reduce_columns = PointSet.__init__, _kernel._reduce, _kernel._reduce_columns
     monkeypatch.setattr(PointSet, "__init__", lambda self, *a: checks.append(1) or check(self, *a))
     for module in [m for name, m in sys.modules.items() if name.startswith("fpfurst.")]:
         if getattr(module, "_reduce", None) is reduce:
             monkeypatch.setattr(module, "_reduce", lambda *a: reduces.append(1) or reduce(*a))
+        if getattr(module, "_reduce_columns", None) is reduce_columns:
+            monkeypatch.setattr(module, "_reduce_columns", lambda *a: columns.append(1) or reduce_columns(*a))
     members = set()
     for p in primes:
         fam = construct_general(*case, p)
@@ -563,9 +566,10 @@ def test_validation_work_per_construction(case, primes, branch, validations, mon
         members.add(len(fam.members))
         assert not checks
         reduces.clear()
+        columns.clear()
         assert verify_family(fam).is_valid
         assert len(checks) == validations
-        assert not reduces
+        assert not reduces and len(columns) == len(fam.members)
         # the patch is live: one membership test is one _reduce
         flat, ys = fam.members[-1]
         assert flat.contains_point(ys[0]) and len(reduces) == 1

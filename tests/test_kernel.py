@@ -1,4 +1,8 @@
+import itertools
 import random
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fpfurst import _kernel, backend_name, flags, projections
 from fpfurst.flags import LinearSubspace, enumerate_linear, join_rows
@@ -59,6 +63,32 @@ def test_pure_kernel_counts_cosets():
 def test_zero_dimensional_subspace_counts_points():
     pts = [(1, 2), (1, 2), (3, 4)]
     assert _kernel.project_count_flat(pts, 3, 2, (), 0, (), 5) == 2
+
+
+_POINTS = st.sampled_from([2, 3, 5]).flatmap(lambda p: st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(p), st.just(n), st.lists(st.tuples(*[st.integers(0, p - 1)] * n), max_size=12)
+)))
+
+
+@given(_POINTS)
+@example((5, 4, []))
+@example((5, 4, [(1, 2, 3, 4)]))
+@example((3, 4, [(0, 0, 0, 1), (0, 0, 0, 2), (1, 2, 0, 0)]))
+@settings(max_examples=60, deadline=None)
+def test_column_kernel_counts_reduced_points_for_every_join(case):
+    """The column kernel's count equals the number of distinct `_reduce`
+    remainders modulo join_rows(V, axes), for every subspace V of F_p^n and
+    every axis set: axes and pivots covering every column (no free column)
+    included.  Points may repeat."""
+    p, n, pts = case
+    subsets = [axes for r in range(n + 1) for axes in itertools.combinations(range(n), r)]
+    for k in range(n + 1):
+        for V in enumerate_linear(n, k, p):
+            for axes in subsets:
+                rows = join_rows(V, axes)
+                pivots = [c for c, _ in rows]
+                got = _kernel.project_count_flat(pts, len(pts), n, rows, len(rows), pivots, p)
+                assert got == len({_kernel._reduce(x, rows, p) for x in pts}), (V, axes, pts)
 
 
 def test_exceptional_set_hands_the_kernel_its_rows_and_points(monkeypatch):

@@ -29,7 +29,7 @@ from projection_oracle import (
     projection_count,
     subspace_projection_exponent,
 )
-from rank_oracle import stacked_rank
+from rank_oracle import full_join_rows, stacked_rank
 
 F = Fraction
 FIFTH = F(1, 5)
@@ -271,9 +271,11 @@ def _assert_join(U, axes):
     """join_rows(U, axes) has dim(U + C) rows, C the axes' span, by the rank
     oracle; U's rows and the axes reduce to 0 modulo them; and each is in
     `_reduce`'s form: residues, 0 left of its pivot, 1 at it and 0 at every
-    earlier row's pivot.  So the rows are an echelon basis of U + C."""
+    earlier row's pivot.  So the rows are an echelon basis of U + C.  They
+    are, row for row, the rows of the full-length elimination oracle."""
     n, p = U.n, U.p
     rows = join_rows(U, axes)
+    assert rows == full_join_rows(U, axes), (U, axes)
     assert len(rows) == stacked_rank(U, LinearSubspace.coordinate(axes, n, p)), (U, axes)
     for r in U.to_rows() + [[int(j == a) for j in range(n)] for a in axes]:
         assert not any(_reduce(r, rows, p)), (U, axes, r)
