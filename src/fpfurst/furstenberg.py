@@ -45,7 +45,7 @@ from .indices import (
     furstenberg_params,
 )
 from .primefield import DegenerateScaleError, _Record, check_prime
-from .projections import PointSet
+from .projections import PointSet, small_projection_directions
 
 HALF = Fraction(1, 2)
 
@@ -74,10 +74,6 @@ class FamilyValidity(_Record):
         return not self.failures
 
 
-def _family(s, t, n, k, p, branch, members) -> FurstenbergFamily:
-    return FurstenbergFamily(s, t, n, k, p, branch, tuple(members))
-
-
 def _origin_pencil(s, t: Fraction, p: int, n: int = 2, k: int = 1):
     """The first ceil(p^t) k-flats through the origin, each marking it."""
     origin = (0,) * n
@@ -87,7 +83,7 @@ def _origin_pencil(s, t: Fraction, p: int, n: int = 2, k: int = 1):
 
 def _axis_pencils(s, t: Fraction, p: int):
     count = ceil_rational_power(p, t - 1)  # <= p, since t <= 2
-    slanted = [D for D in enumerate_linear(2, 1, p) if D.row(0) != (1, 0)][: p - 1]
+    slanted = _complements(2, 1, p)[: p - 1]  # every line but the x-axis
     members = []
     for i in range(count):
         x = (i, 0)
@@ -169,58 +165,58 @@ _SEED = {"c-tau": _trivial, "c-mean": _st_grid, "c-one": _strip, "d": _line}
 def construct_general(s, t, n: int, k: int, p: int) -> FurstenbergFamily:
     """A small (s, t)-family of k-flats in F_p^n with lambda = 1/2.
 
-    Dispatch on the piece of `furstenberg_params` (`_GENERAL`): the a pieces
-    take pencils through few points; b reuses one point set on flats through
-    a fixed coordinate subspace; the c pieces and d extrude their `_SEED`,
-    case d's tau > 2 reduced to 0 with one more extrusion step.
+    Dispatch on the piece of `furstenberg_params` (`_PLANAR` in F_p^2,
+    `_GENERAL` elsewhere): the a pieces take pencils through few points; b
+    reuses one point set on flats through a fixed coordinate subspace; the c
+    pieces and d extrude their `_SEED`, case d's tau > 2 reduced to 0 with
+    one more extrusion step.  Each recipe gives its branch and members, and
+    the family is built here.
     """
     check_prime(p)
     pr = furstenberg_params(s, t, n, k)
-    if (n, k) != (2, 1):
-        return _GENERAL[pr.piece](pr, p)
-    branch, build = _PLANAR[pr.piece]
-    return _family(pr.s, pr.t, 2, 1, p, branch, build(pr.s, pr.t, p))
+    if (n, k) == (2, 1):
+        branch, build = _PLANAR[pr.piece]
+        members = build(pr.s, pr.t, p)
+    else:
+        branch, members = _GENERAL[pr.piece](pr, p)
+    return FurstenbergFamily(pr.s, pr.t, n, k, p, branch, tuple(members))
 
 
-def _general_origin(pr, p: int) -> FurstenbergFamily:
-    members = _origin_pencil(pr.s, pr.t, p, pr.n, pr.k)
-    return _family(pr.s, pr.t, pr.n, pr.k, p, "general-a-origin", members)
+def _complements(n: int, dim: int, p: int) -> list:
+    """The dim-subspaces U of F_p^n with U + F_p^(n-dim) = F_p^n, the slice
+    spanned by the first n - dim axes, in enumeration order: the
+    p^(dim*(n-dim)) complements of that slice."""
+    axes = tuple(range(n - dim))
+    found = [U for U in enumerate_linear(n, dim, p) if len(join_rows(U, axes)) == n]
+    assert len(found) == p ** (dim * (n - dim))
+    return found
 
 
-def _general_transverse(pr, p: int) -> FurstenbergFamily:
+def _general_transverse(pr, p: int):
     n, k = pr.n, pr.k
     count = ceil_rational_power(p, pr.t - k * (n - k))
-    base_axes = tuple(range(n - k))
-    transverse_dirs = [
-        U for U in enumerate_linear(n, k, p) if len(join_rows(U, base_axes)) == n
-    ]
-    assert len(transverse_dirs) == p ** (k * (n - k))
+    transverse_dirs = _complements(n, k, p)
     points = [q + (0,) * k for q in itertools.product(range(p), repeat=n - k)][:count]
     members = []
     for x in points:
         for U in transverse_dirs:
             members.append((AffineFlat.through(x, U), (x,)))
-    return _family(pr.s, pr.t, n, k, p, "general-a-transverse", members)
+    return "general-a-transverse", members
 
 
-def _general_case_b(pr, p: int) -> FurstenbergFamily:
+def _general_case_b(pr, p: int):
     n, k = pr.n, pr.k
     core = LinearSubspace.coordinate(range(pr.d + 1), n, p)
     need = ceil_rational_power(p, pr.t)
-    hosts = list(
-        itertools.islice(
-            (U for U in enumerate_linear(n, k, p) if len(join_rows(U, core.pivots)) == k),
-            need,
-        )
-    )
+    # U contains the core iff the core projects to one coset of U
+    hosts = list(itertools.islice(small_projection_directions(core, n - k, 0), need))
     assert len(hosts) == need
     ys = tuple(core.points()[: ceil_rational_power(p, pr.s)])  # sorted: core is coordinate
     origin = (0,) * n
-    members = [(AffineFlat.through(origin, U), ys) for U in hosts]
-    return _family(pr.s, pr.t, n, k, p, "general-b-shared", members)
+    return "general-b-shared", [(AffineFlat.through(origin, U), ys) for U in hosts]
 
 
-def _extruded(pr, p: int) -> FurstenbergFamily:
+def _extruded(pr, p: int):
     """The piece's seed crossed with F_p^d and extruded to F_p^(d + m + 2):
     m graph steps over a 2-D seed, m + 1 over case d's line."""
     n, k, d = pr.n, pr.k, pr.d
@@ -236,13 +232,15 @@ def _extruded(pr, p: int) -> FurstenbergFamily:
         members = [_cross(m, n - ambient, p, full=False) for m in members]
     branch = f"general-{pr.case}"
     if k - d - 1 > 0:
-        members = _lift_transverse(members, n, k, p, n - k + d + 1)
+        members = _lift_transverse(members, n, k, p)
         branch += "-lifted"
-    return _family(pr.s, pr.t, n, k, p, branch, members)
+    return branch, members
 
 
-_GENERAL = {"a-zero": _general_origin, "a-excess": _general_transverse, "b": _general_case_b,
-            **dict.fromkeys(_SEED, _extruded)}
+_GENERAL = {  # each piece's recipe for F(s, t; n, k), giving its branch and members
+    "a-zero": lambda pr, p: ("general-a-origin", _origin_pencil(pr.s, pr.t, p, pr.n, pr.k)),
+    "a-excess": _general_transverse, "b": _general_case_b, **dict.fromkeys(_SEED, _extruded),
+}
 
 
 def _cross(member, r: int, p: int, full: bool):
@@ -308,24 +306,20 @@ def _extrude_graphs(member, depth: int, p: int, shared: dict):
     return out
 
 
-def _lift_transverse(members, n: int, k: int, p: int, slice_dim: int):
+def _lift_transverse(members, n: int, k: int, p: int):
     """Replace each flat W by every k-flat through it that meets the
-    coordinate slice S = F_p^slice_dim exactly in W.
+    coordinate slice S = F_p^(n-k+d+1) exactly in W.
 
     With s = d + sigma, every W has dimension d+1 and lies in S, since its
-    ambient space has at most slice_dim = n-k+d+1 coordinates.  So for an
-    extension direction D of dimension k-d-1, W + D is a k-flat meeting S
-    exactly in W iff D + S = F_p^n.  These D are chosen once, by rank, and
-    shared by all members; the k-flats W + D are kept once each in
-    first-seen order, and there must be p^((k-d-1)(n-k)) of them per member.
+    ambient space has at most n-k+d+1 coordinates.  So for an extension
+    direction D of dimension k-d-1, W + D is a k-flat meeting S exactly in W
+    iff D + S = F_p^n: S is the first n - (k-d-1) axes, and the D are its
+    `_complements`, listed once and shared by all members.  The k-flats
+    W + D are kept once each in first-seen order, and there must be
+    p^((k-d-1)(n-k)) of them per member.
     """
-    slice_axes = tuple(range(slice_dim))
     extension_dim = k - members[0][0].k
-    extensions = [
-        D.to_rows()
-        for D in enumerate_linear(n, extension_dim, p)
-        if len(join_rows(D, slice_axes)) == n
-    ]
+    extensions = [D.to_rows() for D in _complements(n, extension_dim, p)]
     expected = p ** (extension_dim * (n - k))
     out = []
     for flat, ys in members:

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpfurst import _kernel
-from fpfurst.flags import AffineFlat, LinearSubspace, enumerate_affine
+from fpfurst.flags import AffineFlat, LinearSubspace, enumerate_affine, enumerate_linear
 from fpfurst.furstenberg import (
+    FurstenbergFamily,
+    _complements,
     _cross,
     _extrude_graphs,
-    _family,
     _first_off_flat,
     _strip,
     construct_general,
@@ -24,6 +25,7 @@ from fpfurst.indices import ceil_rational_power
 from fpfurst.primefield import DegenerateScaleError
 from fpfurst.projections import PointSet
 from projection_oracle import full_space
+from rank_oracle import stacked_rank
 
 F = Fraction
 
@@ -402,10 +404,21 @@ def _strip_reference(s, t, p):
 def test_strip_family_matches_filtered_lines(p):
     # ceil(p^s) <= p for s <= 1, so no s of the 1/12 grid is degenerate
     for s in (F(i, 12) for i in range(13)):
-        fam = _family(s, F(2), 2, 1, p, "2d-strip", _strip(s, F(2), p))
+        fam = FurstenbergFamily(s, F(2), 2, 1, p, "2d-strip", tuple(_strip(s, F(2), p)))
         members, union = _strip_reference(s, F(2), p)
         assert fam.members == members, s
         assert fam.union == union, s
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_complements_match_the_rank_filter(n, p):
+    # U + C = F_p^n for the slice C of the first n - dim axes, decided by the
+    # oracle's rank of the stacked bases, in enumeration order
+    for dim in range(n + 1):
+        C = LinearSubspace.coordinate(range(n - dim), n, p)
+        want = [U for U in enumerate_linear(n, dim, p) if stacked_rank(U, C) == n]
+        assert _complements(n, dim, p) == want, dim
 
 
 def _graphs_reference(member, depth, p):
