@@ -58,11 +58,11 @@ class ExceptionalWitness(_Record):
 
 
 def _sym_range(bound: int, p: int) -> list[int]:
-    """Residues of -bound..bound; symmetric representatives, as the slope
-    arithmetic of the rectangle recipe needs."""
+    """Residues of -bound..bound, sorted and distinct as 2 * bound + 1 <= p:
+    symmetric representatives, as the rectangle recipe's slope arithmetic needs."""
     if 2 * bound + 1 > p:
         raise DegenerateScaleError(f"symmetric range +-{bound} does not embed in F_{p}")
-    return sorted({v % p for v in range(-bound, bound + 1)})
+    return [*range(bound + 1), *range(p - bound, p)]
 
 
 def _rectangle(a, s, p: int) -> PointSet:
@@ -70,7 +70,7 @@ def _rectangle(a, s, p: int) -> PointSet:
     single point at tiny p; the caller decides whether that is acceptable)."""
     xs = _sym_range(floor_scaled_power(FIFTH, p, a - s), p)
     ys = _sym_range(floor_scaled_power(FIFTH, p, s), p)
-    return PointSet.from_iterable(itertools.product(xs, ys), 2, p)
+    return PointSet(2, p, tuple(itertools.product(xs, ys)))
 
 
 def construct_marstrand_witness(a, s, n: int, k: int, p: int) -> ExceptionalWitness:
@@ -79,25 +79,26 @@ def construct_marstrand_witness(a, s, n: int, k: int, p: int) -> ExceptionalWitn
     check_prime(p)
     pr = marstrand_params(a, s, n, k)
     a, s, piece = pr.a, pr.s, pr.piece
-    if piece == "1":
+    if piece in ("1", "4"):
         set_a = PointSet.lex_prefix(n, p, ceil_rational_power(p, a))
-        return _certify(a, s, n, k, p, "type1-any", set_a, tuple(enumerate_linear(n, n - k, p)))
-    if piece == "4":
-        set_a = PointSet.lex_prefix(n, p, ceil_rational_power(p, a))
-        return _certify(a, s, n, k, p, "type4-empty", set_a, ())
-    if piece == "2-zero":
+        branch = "type1-any" if piece == "1" else "type4-empty"
+        claimed = tuple(enumerate_linear(n, n - k, p)) if piece == "1" else ()
+    elif piece == "2-zero":
+        branch = "type2-slab"
         set_a, claimed = _slab_witness(n, k, p, pr.m, ceil_rational_power(p, pr.beta), pr.l)
-        return _certify(a, s, n, k, p, "type2-slab", set_a, claimed)
-    if piece == "3-zero":
+    elif piece == "3-zero":
+        branch = "type3-enlarged"
         full, claimed = _slab_witness(n, k, p, pr.m + 1, 1, pr.l)
-        subset = PointSet(n, p, full.points[: ceil_rational_power(p, a)])
-        return _certify(a, s, n, k, p, "type3-enlarged", subset, claimed)
+        set_a = PointSet(n, p, full.points[: ceil_rational_power(p, a)])
     # the excess pieces: the rectangle product, type 2's at a = (m-1) + (beta+1)
-    if n == 2:
-        return _certify(a, s, n, k, p, "oberlin-rectangle", *_oberlin_rectangle(a, s, p))
-    shift = 3 - pr.mtype
-    product = _rectangle_product_witness(n, k, p, pr.m - shift, pr.beta + shift, pr.gamma, pr.l)
-    return _certify(a, s, n, k, p, f"type{pr.mtype}-rectangle", *product)
+    elif n == 2:
+        branch = "oberlin-rectangle"
+        set_a, claimed = _oberlin_rectangle(a, s, p)
+    else:
+        branch, shift = f"type{pr.mtype}-rectangle", 3 - pr.mtype
+        set_a, claimed = _rectangle_product_witness(
+            n, k, p, pr.m - shift, pr.beta + shift, pr.gamma, pr.l)
+    return _certify(a, s, n, k, p, branch, set_a, claimed)
 
 
 def _oberlin_rectangle(a, s, p):
@@ -121,13 +122,12 @@ def _slab_witness(n, k, p, m, isize, l):
     if isize > p:
         raise DegenerateScaleError(f"interval of {isize} points does not fit in F_{p}")
     core = LinearSubspace.coordinate(range(m), n, p)
-    pts = [
+    pts = tuple([
         q + (i,) + (0,) * (n - m - 1)
         for q in itertools.product(range(p), repeat=m)
         for i in range(isize)
-    ]
-    set_a = PointSet.from_iterable(pts, n, p)
-    return set_a, tuple(small_projection_directions(core, k, l))
+    ])
+    return PointSet(n, p, pts), tuple(small_projection_directions(core, k, l))
 
 
 def _rectangle_product_witness(n, k, p, m, beta_eff, gamma, l):
@@ -137,13 +137,12 @@ def _rectangle_product_witness(n, k, p, m, beta_eff, gamma, l):
     if not 0 <= m <= n - 2:
         raise DegenerateScaleError(f"rectangle product needs m <= n-2, got m = {m}")
     rect = _rectangle(beta_eff, gamma, p)
-    pts = [
+    pts = tuple([
         (q[0], q[1]) + z + (0,) * (n - m - 2)
         for q in rect.points
         for z in itertools.product(range(p), repeat=m)
-    ]
-    set_a = PointSet.from_iterable(pts, n, p)
-    return set_a, _theta_families(rect, gamma, n, k, p, m, l)[0]
+    ])
+    return PointSet(n, p, pts), _theta_families(rect, gamma, n, k, p, m, l)[0]
 
 
 def _theta_families(rect: PointSet, gamma: Fraction, n, k, p, m, l):

@@ -45,7 +45,7 @@ from .indices import (
     furstenberg_params,
 )
 from .primefield import DegenerateScaleError, _Record, check_prime
-from .projections import PointSet, small_projection_directions
+from .projections import PointSet
 
 HALF = Fraction(1, 2)
 
@@ -74,22 +74,25 @@ class FamilyValidity(_Record):
         return not self.failures
 
 
+def _pencils(n: int, k: int, p: int, count: int, directions: list):
+    """The k-flats of the given directions through each of the first `count`
+    points of the slice F_p^(n-k) x 0^k in lex order, each marking its point."""
+    pad = (0,) * k
+    points = [q + pad for q in itertools.islice(itertools.product(range(p), repeat=n - k), count)]
+    return [(AffineFlat.through(x, U), (x,)) for x in points for U in directions]
+
+
 def _origin_pencil(s, t: Fraction, p: int, n: int = 2, k: int = 1):
     """The first ceil(p^t) k-flats through the origin, each marking it."""
-    origin = (0,) * n
-    flats = itertools.islice(enumerate_linear(n, k, p), ceil_rational_power(p, t))
-    return [(AffineFlat.through(origin, U), (origin,)) for U in flats]
+    directions = list(itertools.islice(enumerate_linear(n, k, p), ceil_rational_power(p, t)))
+    return _pencils(n, k, p, 1, directions)
 
 
 def _axis_pencils(s, t: Fraction, p: int):
-    count = ceil_rational_power(p, t - 1)  # <= p, since t <= 2
-    slanted = _complements(2, 1, p)[: p - 1]  # every line but the x-axis
-    members = []
-    for i in range(count):
-        x = (i, 0)
-        for D in slanted:
-            members.append((AffineFlat.through(x, D), (x,)))
-    return members
+    """The lines (1, c), c = 1..p-1, the ones right after the x-axis in
+    enumeration order, through the first ceil(p^(t-1)) <= p points of it."""
+    slanted = list(itertools.islice(enumerate_linear(2, 1, p), 1, p))
+    return _pencils(2, 1, p, ceil_rational_power(p, t - 1), slanted)
 
 
 def _trivial(s: Fraction, t: Fraction, p: int):
@@ -98,7 +101,7 @@ def _trivial(s: Fraction, t: Fraction, p: int):
     members = []
     for D in itertools.islice(enumerate_linear(2, 1, p), nlines):
         flat = AffineFlat.through((0, 0), D)
-        members.append((flat, tuple(sorted(flat.points()[:npts]))))
+        members.append((flat, tuple(flat.points()[:npts])))  # sorted: flat is through 0
     return members
 
 
@@ -192,25 +195,14 @@ def _complements(n: int, dim: int, p: int) -> list:
     return found
 
 
-def _general_transverse(pr, p: int):
-    n, k = pr.n, pr.k
-    count = ceil_rational_power(p, pr.t - k * (n - k))
-    transverse_dirs = _complements(n, k, p)
-    points = [q + (0,) * k for q in itertools.product(range(p), repeat=n - k)][:count]
-    members = []
-    for x in points:
-        for U in transverse_dirs:
-            members.append((AffineFlat.through(x, U), (x,)))
-    return "general-a-transverse", members
-
-
 def _general_case_b(pr, p: int):
     n, k = pr.n, pr.k
     core = LinearSubspace.coordinate(range(pr.d + 1), n, p)
     need = ceil_rational_power(p, pr.t)
-    # U contains the core iff the core projects to one coset of U
-    hosts = list(itertools.islice(small_projection_directions(core, n - k, 0), need))
-    assert len(hosts) == need
+    # the first p^((k-d-1)(n-k)) k-subspaces have pivots 0..k-1 and rows 0..d
+    # equal to e_0..e_d, since row 0 varies slowest: each contains the core
+    assert need <= p ** ((k - pr.d - 1) * (n - k))
+    hosts = list(itertools.islice(enumerate_linear(n, k, p), need))
     ys = tuple(core.points()[: ceil_rational_power(p, pr.s)])  # sorted: core is coordinate
     origin = (0,) * n
     return "general-b-shared", [(AffineFlat.through(origin, U), ys) for U in hosts]
@@ -239,7 +231,10 @@ def _extruded(pr, p: int):
 
 _GENERAL = {  # each piece's recipe for F(s, t; n, k), giving its branch and members
     "a-zero": lambda pr, p: ("general-a-origin", _origin_pencil(pr.s, pr.t, p, pr.n, pr.k)),
-    "a-excess": _general_transverse, "b": _general_case_b, **dict.fromkeys(_SEED, _extruded),
+    "a-excess": lambda pr, p: ("general-a-transverse", _pencils(
+        pr.n, pr.k, p, ceil_rational_power(p, pr.t - pr.k * (pr.n - pr.k)),
+        _complements(pr.n, pr.k, p))),
+    "b": _general_case_b, **dict.fromkeys(_SEED, _extruded),
 }
 
 

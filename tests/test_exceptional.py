@@ -12,6 +12,7 @@ from fpfurst.cli import parse_config, run
 from fpfurst.exceptional import (
     _certify,
     _rectangle,
+    _sym_range,
     certify_lower_bound,
     construct_marstrand_witness,
 )
@@ -196,6 +197,16 @@ def test_witness_sweep_over_the_half_grid(p, degenerate, branch_counts, branch_d
     assert raised == degenerate
     assert Counter(branch for _, branch in branches) == branch_counts
     assert hashlib.sha256(repr(branches).encode()).hexdigest() == branch_digest
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_sym_range_fills_the_field_at_its_widest(p):
+    # 2 * bound + 1 = p: -bound..bound is every residue once, so the
+    # rectangle's coordinates are distinct with no deduplication
+    bound = (p - 1) // 2
+    assert _sym_range(bound, p) == list(range(p))
+    with pytest.raises(DegenerateScaleError):
+        _sym_range(bound + 1, p)
 
 
 def test_type4_certifies_empty():

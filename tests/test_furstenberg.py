@@ -21,7 +21,7 @@ from fpfurst.furstenberg import (
     meets_upper_bound,
     verify_family,
 )
-from fpfurst.indices import ceil_rational_power
+from fpfurst.indices import ceil_rational_power, furstenberg_index, furstenberg_params
 from fpfurst.primefield import DegenerateScaleError
 from fpfurst.projections import PointSet
 from projection_oracle import full_space
@@ -421,6 +421,52 @@ def test_complements_match_the_rank_filter(n, p):
         assert _complements(n, dim, p) == want, dim
 
 
+_PAIRS = ((2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3))
+
+
+def _grid_points(q, case):
+    """The admissible (s, t; n, k) of the 1/q grid for n <= 4 on F's case."""
+    for n, k in _PAIRS:
+        for i, j in itertools.product(range(q * k + 1), range(q * (k + 1) * (n - k) + 1)):
+            pr = furstenberg_params(F(i, q), F(j, q), n, k)
+            if pr.case == case:
+                yield pr
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_case_a_pencils_have_the_exact_union_size(p):
+    # every pencil marks a distinct point of the slice, so #E = ceil(p^F)
+    # exactly on all three of `_pencils`' callers
+    branches = set()
+    for pr in _grid_points(12, "a"):
+        fam = construct_general(pr.s, pr.t, pr.n, pr.k, p)
+        branches.add(fam.branch)
+        want = ceil_rational_power(p, furstenberg_index(pr.s, pr.t, pr.n, pr.k))
+        assert len(fam.union) == want, (pr.t, pr.n, pr.k)
+    assert branches == {
+        "2d-origin-pencil", "2d-axis-pencils", "general-a-origin", "general-a-transverse"
+    }
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_case_b_hosts_lead_the_enumeration_and_contain_the_core(p):
+    # the first p^((k-d-1)(n-k)) k-subspaces contain e_0..e_d, and case b
+    # asks for at most that many
+    count = 0
+    for pr in _grid_points(12, "b"):
+        n, k, d = pr.n, pr.k, pr.d
+        if n < 3:
+            continue
+        need = ceil_rational_power(p, pr.t)
+        assert need <= p ** ((k - d - 1) * (n - k)), (pr.s, pr.t, n, k)
+        core = LinearSubspace.coordinate(range(d + 1), n, p)
+        fam = construct_general(pr.s, pr.t, n, k, p)
+        assert len(fam.members) == need
+        assert all(stacked_rank(flat.direction, core) == k for flat, _ in fam.members)
+        count += 1
+    assert count > 0
+
+
 def _graphs_reference(member, depth, p):
     """W(T, z) = {(u, y*T + z) : u = u0 + y*B} point by point, with y found
     by search over all coefficient vectors."""
@@ -600,7 +646,7 @@ def _sweep(q, p, summary):
     degenerate keys and, per built point, its key followed by
     `summary(family)`, both in grid order."""
     raised, built = [], []
-    for n, k in ((2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)):
+    for n, k in _PAIRS:
         for i, j in itertools.product(range(q * k + 1), range(q * (k + 1) * (n - k) + 1)):
             s, t = F(i, q), F(j, q)
             key = (str(s), str(t), n, k)
